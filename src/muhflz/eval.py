@@ -28,6 +28,7 @@ unbounded Z-validity is made here.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -95,7 +96,7 @@ class Table:
     enumerated argument type, in enumeration order.  Interned, so equality
     is identity."""
 
-    __slots__ = ("ty", "arg_ty", "entries", "_hash")
+    __slots__ = ("ty", "arg_ty", "entries", "_hash", "__weakref__")
 
     def __init__(self, ty: Arrow, entries: tuple):
         self.ty = ty
@@ -113,27 +114,68 @@ class Table:
         return f"Table({self.ty}, {self.entries!r})"
 
 
-class Closure:
-    __slots__ = ("param", "body", "env", "ty", "_forced")
+def _reach(values, base: tuple = ()) -> tuple:
+    """The fixpoint instances reachable from ``values``, each once, after
+    those of ``base``.  Where only one of ``base`` and the values' own
+    tuples is non-empty, that tuple is returned as it is."""
+    out = base
+    for w in values:
+        if isinstance(w, _Intensional) and w.reach and w.reach is not out:
+            out = tuple(dict.fromkeys(out + w.reach)) if out else w.reach
+    return out
 
-    def __init__(self, param, body, env, ty):
+
+class _Intensional:
+    """A function value held as syntax plus captured values.  ``table`` and
+    ``key_table`` cache its forced tables without and with ``for_key``;
+    ``reach`` (the fixpoint instances it captures) is computed on first
+    use.  All three are exact because captured environments and argument
+    tuples are never mutated after construction."""
+
+    __slots__ = ("_reach", "table", "key_table")
+
+
+class Closure(_Intensional):
+    """``names`` are the free variables of ``body`` other than ``param``,
+    sorted, shared by every closure of one abstraction; ``vals`` holds the
+    captured values in that order."""
+
+    __slots__ = ("param", "body", "names", "vals", "ty")
+
+    def __init__(self, param, body, names: tuple, vals: tuple, ty):
+        self._reach = self.table = self.key_table = None
         self.param = param
         self.body = body
-        self.env = env
+        self.names = names
+        self.vals = vals
         self.ty = ty
-        self._forced = None
+
+    @property
+    def reach(self) -> tuple:
+        r = self._reach
+        if r is None:
+            r = self._reach = _reach(self.vals)
+        return r
 
 
-class FixPartial:
+class FixPartial(_Intensional):
     __slots__ = ("inst", "args")
 
     def __init__(self, inst: "_FixInstance", args: tuple):
+        self._reach = self.table = self.key_table = None
         self.inst = inst
         self.args = args
 
     @property
     def ty(self) -> SimpleType:
         return arrow(self.inst.param_tys[len(self.args):], PROP)
+
+    @property
+    def reach(self) -> tuple:
+        r = self._reach
+        if r is None:
+            r = self._reach = _reach(self.args, self.inst.reach)
+        return r
 
 
 SemValue = Union[bool, int, Table, Closure, FixPartial]
@@ -143,19 +185,17 @@ SemValue = Union[bool, int, Table, Closure, FixPartial]
 # Enumeration of types over a window (shared across evaluations)
 
 _ENUM_CACHE: dict = {}
-_INTERN: dict = {}
+# held weakly: a table no live value refers to can never be looked up by
+# identity again, so a long-lived process keeps only the tables in use
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 _ENUM_LIMIT = 1 << 15
 _ENUM_ARG_LIMIT = 600
 _TOO_BIG = object()
 
 
-def _tkey(ty: SimpleType) -> str:
-    return str(ty)
-
-
 def intern_table(ty: Arrow, dom: Domain, entries: tuple) -> Table:
-    key = (_tkey(ty), dom.lo, dom.hi, entries)
+    key = (ty, dom.lo, dom.hi, entries)
     t = _INTERN.get(key)
     if t is None:
         t = Table(ty, entries)
@@ -177,7 +217,7 @@ def enumerate_type(ty: SimpleType, dom: Domain) -> list:
     """All semantic values of ``ty`` over the window; function types are
     restricted to monotone tables (all maps are monotone when the argument
     order is discrete)."""
-    key = (_tkey(ty), dom.lo, dom.hi)
+    key = (ty, dom.lo, dom.hi)
     cached = _ENUM_CACHE.get(key)
     if cached is _TOO_BIG:
         raise IterationCap("enumeration")
@@ -241,7 +281,7 @@ def enumerate_type(ty: SimpleType, dom: Domain) -> list:
 
 
 def enum_index(ty: SimpleType, dom: Domain) -> dict:
-    key = ("idx", _tkey(ty), dom.lo, dom.hi)
+    key = ("idx", ty, dom.lo, dom.hi)
     idx = _ENUM_CACHE.get(key)
     if idx is None:
         idx = {v: i for i, v in enumerate(enumerate_type(ty, dom))}
@@ -281,6 +321,7 @@ class _EvalContext:
         self.forced_partials: dict = {}
         self._fv_cache: dict[int, frozenset] = {}
         self._ty_cache: dict[int, SimpleType] = {}
+        self._captured: dict[int, tuple] = {}
 
     def tick(self):
         self.steps += 1
@@ -338,6 +379,14 @@ class _EvalContext:
     def node_type(self, f: Formula) -> SimpleType:
         return self._ty_cache[id(f)]
 
+    def captured(self, f: Abs) -> tuple:
+        """The sorted names a closure of ``f`` captures."""
+        got = self._captured.get(id(f))
+        if got is None:
+            got = tuple(sorted(self.fv(f.body) - {f.param}))
+            self._captured[id(f)] = got
+        return got
+
     # -- window crossings ----------------------------------------------------
 
     def clip_int(self, n: int) -> int:
@@ -349,17 +398,6 @@ class _EvalContext:
 
     # -- canonical keys -------------------------------------------------------
 
-    def reaches_inflight(self, v) -> bool:
-        if isinstance(v, Closure):
-            return any(self.reaches_inflight(w) for w in v.env.values())
-        if isinstance(v, FixPartial):
-            if v.inst.mid_solve:
-                return True
-            return any(self.reaches_inflight(w) for w in v.inst.env.values()) or any(
-                self.reaches_inflight(w) for w in v.args
-            )
-        return False
-
     def force_table(self, v, ty: Optional[SimpleType] = None, *, for_key: bool = False) -> Table:
         """Extensional table of a function value.  With ``for_key`` an
         entry whose computation escapes the window is recorded as a
@@ -367,46 +405,34 @@ class _EvalContext:
         without it the escape propagates."""
         if isinstance(v, Table):
             return v
-        cache_key = None
+        got = v.key_table if for_key else v.table
+        if got is not None:
+            return got
+        # values are rebuilt on every body evaluation: cache by content (a
+        # closure's captured names are fixed by its body)
         if isinstance(v, Closure):
-            got = v._forced.get(for_key) if v._forced else None
-            if got is not None:
-                return got
-            # closures are rebuilt on every body evaluation: cache by content
-            cache_key = (
-                id(v.body),
-                for_key,
-                tuple((n, self.config_key(w)) for n, w in sorted(v.env.items())),
-            )
-            got = self.forced_partials.get(cache_key)
-            if got is not None:
-                if v._forced is None:
-                    v._forced = {}
-                v._forced[for_key] = got
-                return got
-        elif isinstance(v, FixPartial):
-            cache_key = (id(v.inst), for_key, tuple(self.config_key(a) for a in v.args))
-            got = self.forced_partials.get(cache_key)
-            if got is not None:
-                return got
-        ty = ty if ty is not None else v.ty
-        assert isinstance(ty, Arrow), f"cannot force {ty}"
-        entries = []
-        for a in enumerate_type(ty.arg, self.dom):
-            if for_key:
-                try:
+            cache_key = (id(v.body), for_key, *map(self.config_key, v.vals))
+        else:
+            cache_key = (id(v.inst), for_key, *map(self.config_key, v.args))
+        t = self.forced_partials.get(cache_key)
+        if t is None:
+            ty = ty if ty is not None else v.ty
+            assert isinstance(ty, Arrow), f"cannot force {ty}"
+            entries = []
+            for a in enumerate_type(ty.arg, self.dom):
+                if for_key:
+                    try:
+                        entries.append(self.config_key(apply_value(self, v, a), ty.ret))
+                    except RangeEscape:
+                        entries.append(_ESC)
+                else:
                     entries.append(self.config_key(apply_value(self, v, a), ty.ret))
-                except RangeEscape:
-                    entries.append(_ESC)
-            else:
-                entries.append(self.config_key(apply_value(self, v, a), ty.ret))
-        t = intern_table(ty, self.dom, tuple(entries))
-        if isinstance(v, Closure):
-            if v._forced is None:
-                v._forced = {}
-            v._forced[for_key] = t
-        if cache_key is not None:
+            t = intern_table(ty, self.dom, tuple(entries))
             self.forced_partials[cache_key] = t
+        if for_key:
+            v.key_table = t
+        else:
+            v.table = t
         return t
 
     def config_key(self, v, ty: Optional[SimpleType] = None):
@@ -419,28 +445,26 @@ class _EvalContext:
             return self.clip_int(v)
         if isinstance(v, Table):
             return v
-        if self.reaches_inflight(v):
+        # an in-flight key depends on which instances are mid-solve right
+        # now, so it is rebuilt on every call and never cached
+        if any(i.mid_solve for i in v.reach):
             if isinstance(v, Closure):
                 return (
                     "clo",
                     id(v.body),
-                    tuple((n, self.config_key(v.env[n])) for n in sorted(v.env)),
+                    tuple(zip(v.names, map(self.config_key, v.vals))),
                 )
             assert isinstance(v, FixPartial)
             return ("fixp", id(v.inst), tuple(self.config_key(a) for a in v.args))
+        if v.key_table is not None:
+            return v.key_table
         return self.force_table(v, ty, for_key=True)
 
     def versions(self, v, acc: set):
-        if isinstance(v, Closure):
-            for w in v.env.values():
-                self.versions(w, acc)
-        elif isinstance(v, FixPartial):
-            if v.inst.mid_solve:
-                acc.add((id(v.inst), v.inst.version))
-            for w in v.inst.env.values():
-                self.versions(w, acc)
-            for w in v.args:
-                self.versions(w, acc)
+        if isinstance(v, _Intensional):
+            for i in v.reach:
+                if i.mid_solve:
+                    acc.add((id(i), i.version))
 
     def instance(self, node, env: dict) -> "_FixInstance":
         vers: set = set()
@@ -463,7 +487,7 @@ class _EvalContext:
 class _FixInstance:
     __slots__ = (
         "ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
-        "recursive", "asg", "argvals", "version", "mid_solve",
+        "recursive", "asg", "argvals", "version", "mid_solve", "_reach",
     )
 
     def __init__(self, ctx: _EvalContext, node, env: dict):
@@ -480,6 +504,15 @@ class _FixInstance:
         self.argvals: dict = {}
         self.version = 0
         self.mid_solve = False
+        self._reach = None
+
+    @property
+    def reach(self) -> tuple:
+        """This instance, then the instances its environment reaches."""
+        r = self._reach
+        if r is None:
+            r = self._reach = _reach(self.env.values(), (self,))
+        return r
 
     def init_value(self) -> bool:
         return self.sign == "nu"
@@ -569,7 +602,7 @@ def apply_value(ctx: _EvalContext, f, a):
     if not ctx.dom.strict and isinstance(a, int) and not isinstance(a, bool):
         a = ctx.clip_int(a)
     if isinstance(f, Closure):
-        env = dict(f.env)
+        env = dict(zip(f.names, f.vals))
         env[f.param] = a
         return eval_formula(ctx, f.body, env)
     if isinstance(f, FixPartial):
@@ -641,8 +674,8 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
                     return True
             return False
         case Abs(param, _, body):
-            names = ctx.fv(body) - {param}
-            return Closure(param, body, {n: env[n] for n in names}, ctx.node_type(f))
+            names = ctx.captured(f)
+            return Closure(param, body, names, tuple([env[n] for n in names]), ctx.node_type(f))
         case App(fn, arg):
             fv = eval_formula(ctx, fn, env)
             av = eval_formula(ctx, arg, env)

@@ -55,13 +55,18 @@ class _Unifier:
             ty = self.subst[ty.id]
         return ty
 
-    def resolve(self, ty: SimpleType) -> SimpleType:
+    def resolve(self, ty: SimpleType, default: SimpleType = INT) -> SimpleType:
         ty = self.find(ty)
         if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.arg), self.resolve(ty.ret))
+            return Arrow(self.resolve(ty.arg), self.resolve(ty.ret, PROP))
         if isinstance(ty, _TyVar):
-            # underdetermined position (e.g. an unused parameter): default Int
-            return INT
+            # underdetermined position: Int (e.g. an unused parameter), or
+            # Prop as an arrow's result (e.g. a parameter applied only inside
+            # an unused argument), the only result a predicate type allows.
+            # The choice is recorded, so that every later occurrence of the
+            # variable resolves the same way.
+            self.subst[ty.id] = default
+            return default
         return ty
 
     def occurs(self, v: _TyVar, ty: SimpleType) -> bool:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import fixture_text
@@ -8,7 +11,7 @@ from muhflz.driver import (
     Schedule, default_schedule, emit_report, report_from_json, verify,
 )
 from muhflz.eval import (
-    BoundedResult, Domain, IterationCap, check_validity_bounded,
+    _INTERN, BoundedResult, Domain, IterationCap, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
 from muhflz.transform import ApproxParams
@@ -160,3 +163,20 @@ def test_same_tags_reused_across_steps():
     outcomes = [it.verdict.outcome for it in prover]
     if "valid" in outcomes:
         assert outcomes[-1] == "valid"  # the winning step ends the run
+
+
+def test_intern_returns_to_baseline_after_verify():
+    # interned tables are held weakly: once a verify has finished and its
+    # evaluation contexts are collected, the tables only it made are gone
+    h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
+    spec = Builtin(Domain(-6, 6))
+    gc.collect()
+    baseline = len(_INTERN)
+    before = set(_INTERN.keys())
+    for _ in range(2):
+        assert verify(h, spec, default_schedule(8), deadline_s=60).outcome == "valid"
+        made = [weakref.ref(t) for k, t in _INTERN.items() if k not in before]
+        assert made, "the verify must intern tables of its own"
+        gc.collect()
+        assert all(r() is None for r in made)
+        assert len(_INTERN) == baseline

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gen import instances, random_instance
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
-    BoundedResult, Domain, IterationCap, RangeEscape, Table,
+    BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
     check_validity_bounded, enumerate_type, eval_formula, evaluate,
     is_monotone_table, make_context, value_leq,
 )
@@ -131,14 +131,36 @@ def test_function_results_pass_monotonicity_check():
 
 
 def test_kleene_result_is_a_fixpoint():
-    # re-evaluating every solved entry must not change anything
-    dom = Domain(-6, 6)
-    f = AppInt(_countdown_mu(), Lit(4))
-    ctx = make_context(f, dom)
-    assert eval_formula(ctx, f, {}) is True
-    for inst in ctx.instances.values():
-        for key in list(inst.asg):
-            assert inst.eval_entry(key) == inst.asg[key]
+    # re-evaluating every solved entry must not change anything, also in a
+    # higher-order fixpoint whose table arguments are closures: "p holds
+    # somewhere from 0 upward", mu x. \p. p 0 \/ x (\y. p (y+1))
+    pred = Arrow(INT, PROP)
+    somewhere = Mu(
+        "x",
+        Arrow(pred, PROP),
+        Abs(
+            "p",
+            pred,
+            Or(
+                AppInt(Var("p"), Lit(0)),
+                App(Var("x"), Abs("y", INT, AppInt(Var("p"), Plus(IntVar("y"), Lit(1))))),
+            ),
+        ),
+    )
+    cases = (
+        (AppInt(_countdown_mu(), Lit(4)), Domain(-6, 6)),
+        (App(somewhere, Abs("y", INT, Ge(IntVar("y"), Lit(3)))), Domain(-4, 4)),
+    )
+    for f, dom in cases:
+        ctx = make_context(f, dom)
+        assert eval_formula(ctx, f, {}) is True
+        for inst in ctx.instances.values():
+            for key in list(inst.asg):
+                assert inst.eval_entry(key) == inst.asg[key]
+    (inst,) = ctx.instances.values()
+    assert len(inst.asg) > 1
+    for key, args in inst.argvals.items():
+        assert isinstance(key[0], Table) and isinstance(args[0], Closure)
 
 
 @settings(max_examples=60, deadline=None)

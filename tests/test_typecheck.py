@@ -75,3 +75,30 @@ def test_formula_type_on_annotated_tree():
 def test_typecheck_idempotent():
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
     assert typecheck(h) == h
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        # printed tests/gen.py instances 456, 539 and 1266: a predicate
+        # parameter applied only inside the equation's own recursive call
+        (
+            "Main =v exists q4. (0 >= 1 \\/ q4 >= q4 + q4) /\\ q4 + q4 >= -1;\n"
+            "X1 p1 =u X1 (\\a3. p1 (-2));\n"
+            "X2 x2 =u x2 >= -1 \\/ X2 (x2 - 1);\n",
+            "X1",
+        ),
+        ("Main =v exists q3. -2 + q3 >= 2;\nX1 p1 =u X1 (\\a2. p1 (-1));\n", "X1"),
+        (
+            "Main =v X1 (\\a7. a7 >= 0 /\\ 2 * a7 >= a7);\n"
+            "X1 p1 =u X1 (\\a3. 1 * a3 >= a3 + a3);\n"
+            "X2 p2 =u X2 (\\a4. p2 (a4 + a4));\n",
+            "X2",
+        ),
+    ],
+)
+def test_unconstrained_result_defaults_to_prop(text, name):
+    h = typecheck(parse_hes(text))
+    (_, pty), = h.equation(name).params
+    assert pty == Arrow(INT, PROP)
+    assert typecheck(h) == h
