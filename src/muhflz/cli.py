@@ -102,6 +102,16 @@ def run(argv: list[str]) -> int:
         print(f"muhflz: {e}", file=sys.stderr)
         return _USAGE_EXIT
 
+    # the parser, typechecker, transforms and evaluator all recurse on the
+    # nesting of the input
+    try:
+        return _run_text(ns, mode, path, text)
+    except RecursionError:
+        print(f"muhflz: {path}: input nested too deeply", file=sys.stderr)
+        return _USAGE_EXIT
+
+
+def _run_text(ns: argparse.Namespace, mode: str, path: str, text: str) -> int:
     try:
         h = parse_hes(text)
     except ParseError as e:

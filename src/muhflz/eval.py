@@ -174,7 +174,8 @@ class FixPartial(_Intensional):
     def reach(self) -> tuple:
         r = self._reach
         if r is None:
-            r = self._reach = _reach(self.args, self.inst.reach)
+            inst = self.inst
+            r = self._reach = _reach(self.args, (inst, *inst.env_reach))
         return r
 
 
@@ -485,13 +486,24 @@ class _EvalContext:
 
 
 class _FixInstance:
+    """One fixpoint node under one environment.  ``asg`` maps each argument
+    key to its current value.  Only a recursive instance keeps the argument
+    tuples behind its keys (``argvals``), because only ``solve``
+    re-evaluates an entry; a non-recursive one evaluates each entry once,
+    from the values in hand.
+
+    Nothing an instance holds leads back to it or to its context: the
+    context is held weakly and ``env_reach`` leaves the instance out, so a
+    finished evaluation is freed by reference counting once ``evaluate``
+    has cleared the argument tuples (which may capture the instance)."""
+
     __slots__ = (
-        "ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
-        "recursive", "asg", "argvals", "version", "mid_solve", "_reach",
+        "_ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
+        "recursive", "asg", "argvals", "version", "mid_solve", "_env_reach",
     )
 
     def __init__(self, ctx: _EvalContext, node, env: dict):
-        self.ctx = ctx
+        self._ctx = weakref.ref(ctx)
         self.node = node
         self.env = env
         self.sign = "mu" if isinstance(node, Mu) else "nu"
@@ -504,23 +516,30 @@ class _FixInstance:
         self.argvals: dict = {}
         self.version = 0
         self.mid_solve = False
-        self._reach = None
+        self._env_reach = None
 
     @property
-    def reach(self) -> tuple:
-        """This instance, then the instances its environment reaches."""
-        r = self._reach
+    def ctx(self) -> _EvalContext:
+        return self._ctx()
+
+    @property
+    def env_reach(self) -> tuple:
+        """The instances this instance's environment reaches.  The
+        environment predates the instance, so the instance is not among
+        them."""
+        r = self._env_reach
         if r is None:
-            r = self._reach = _reach(self.env.values(), (self,))
+            r = self._env_reach = _reach(self.env.values())
         return r
 
     def init_value(self) -> bool:
         return self.sign == "nu"
 
     def full_query(self, values: tuple) -> bool:
+        ctx = self.ctx
         try:
             key = tuple(
-                self.ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
+                ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
             )
         except RangeEscape:
             if self.sign == "mu":
@@ -531,15 +550,15 @@ class _FixInstance:
         # being solved must not survive that fixpoint's updates
         vers: set = set()
         for v in values:
-            self.ctx.versions(v, vers)
+            ctx.versions(v, vers)
         vers = {(i, n) for (i, n) in vers if i != id(self)}
         if vers:
             key = key + (tuple(sorted(vers)),)
         if not self.recursive:
-            if key not in self.asg:
-                self.argvals[key] = values
-                self.asg[key] = self.eval_entry(key)
-            return self.asg[key]
+            got = self.asg.get(key)
+            if got is None:
+                got = self.asg[key] = self.apply_body(self.env, values)
+            return got
         if key not in self.asg:
             self.asg[key] = self.init_value()
             self.argvals[key] = values
@@ -549,21 +568,29 @@ class _FixInstance:
         self.solve()
         return self.asg[key]
 
-    def eval_entry(self, key) -> bool:
+    def entry_env(self, key) -> dict:
+        """The environment the body of entry ``key`` is evaluated in."""
+        if not self.recursive:
+            return self.env
+        # the recursive occurrence: applied occurrences query through a
+        # partial; a nullary occurrence is just the current iterate
+        self_ref = self.asg[key] if self.arity == 0 else FixPartial(self, ())
+        return {**self.env, self.name: self_ref}
+
+    def apply_body(self, env: dict, values: tuple) -> bool:
+        """The body, evaluated in ``env``, applied to ``values``."""
         ctx = self.ctx
-        env = self.env
-        if self.recursive:
-            # the recursive occurrence: applied occurrences query through a
-            # partial; a nullary occurrence is just the current iterate
-            self_ref = self.asg[key] if self.arity == 0 else FixPartial(self, ())
-            env = {**env, self.name: self_ref}
         v = eval_formula(ctx, self.body, env)
-        for a in self.argvals[key]:
+        for a in values:
             v = apply_value(ctx, v, a)
         assert isinstance(v, bool)
         return v
 
+    def eval_entry(self, key) -> bool:
+        return self.apply_body(self.entry_env(key), self.argvals[key])
+
     def solve(self):
+        ctx = self.ctx
         self.mid_solve = True
         try:
             passes = 0
@@ -576,7 +603,7 @@ class _FixInstance:
                 changed = False
                 count_before = len(self.asg)
                 for key in list(self.asg):
-                    self.ctx.tick()
+                    ctx.tick()
                     nv = self.eval_entry(key)
                     if nv != self.asg[key]:
                         self.asg[key] = nv
@@ -733,10 +760,17 @@ def evaluate(
             else:
                 raise ValueError(f"cannot infer a type for env value {k}")
     ctx = make_context(f, dom, env_types, step_limit=step_limit, deadline=deadline)
-    v = eval_formula(ctx, f, dict(env) if env else {})
-    if isinstance(v, (bool, int, Table)):
-        return v
-    return ctx.force_table(v)
+    try:
+        v = eval_formula(ctx, f, dict(env) if env else {})
+        if isinstance(v, (bool, int, Table)):
+            return v
+        return ctx.force_table(v)
+    finally:
+        # argument tuples may capture partial applications of their own
+        # instance; without them the context is acyclic and is freed as
+        # soon as the caller lets go of it
+        for inst in ctx.instances.values():
+            inst.argvals.clear()
 
 
 def check_validity_bounded(

@@ -1,7 +1,11 @@
+import gc
 import pathlib
 import sys
+import weakref
 
 import pytest
+
+import muhflz.eval
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -19,3 +23,24 @@ def fixture_text(name: str) -> str:
 
 def all_fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.hes"))
+
+
+@pytest.fixture
+def eval_contexts(monkeypatch) -> list:
+    """Weak references to the evaluation contexts made during the test."""
+    refs: list = []
+    make = muhflz.eval.make_context
+
+    def capture(*args, **kwargs):
+        ctx = make(*args, **kwargs)
+        refs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(muhflz.eval, "make_context", capture)
+    return refs
+
+
+def tracked_fix_instances() -> int:
+    """Fixpoint instances the collector tracks, garbage not yet collected
+    included."""
+    return sum(1 for o in gc.get_objects() if type(o) is muhflz.eval._FixInstance)

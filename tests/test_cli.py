@@ -111,3 +111,21 @@ def test_console_script_entry_point():
         text=True,
     )
     assert proc.returncode == 3  # no file given
+
+
+@pytest.mark.parametrize(
+    "body",
+    [" \\/ ".join(["0 >= 1"] * 3000), "(" * 1500 + "0 >= 1" + ")" * 1500],
+    ids=["wide_or", "deep_parens"],
+)
+def test_deep_input_exits_3_without_traceback(tmp_path, body):
+    f = tmp_path / "deep.hes"
+    f.write_text(f"Main =v {body};\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "muhflz.cli", "prove", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == f"muhflz: {f}: input nested too deeply"

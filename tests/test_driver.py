@@ -3,7 +3,8 @@ import weakref
 
 import pytest
 
-from conftest import fixture_text
+import muhflz.eval
+from conftest import FIXTURES, fixture_text, tracked_fix_instances
 from gen import instances
 from muhflz.backend import Builtin
 from muhflz.convert import hes_to_formula
@@ -165,18 +166,68 @@ def test_same_tags_reused_across_steps():
         assert outcomes[-1] == "valid"  # the winning step ends the run
 
 
-def test_intern_returns_to_baseline_after_verify():
-    # interned tables are held weakly: once a verify has finished and its
-    # evaluation contexts are collected, the tables only it made are gone
+def test_intern_returns_to_baseline_after_verify(monkeypatch):
+    # interned tables are held weakly and a finished evaluation is freed by
+    # reference counting, so the tables only a verify made are gone as soon
+    # as it returns, with the cyclic collector off
+    made = []
+    intern = muhflz.eval.intern_table
+
+    def recording(*args):
+        t = intern(*args)
+        if id(t) not in existing:
+            made.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(muhflz.eval, "intern_table", recording)
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
     spec = Builtin(Domain(-6, 6))
     gc.collect()
     baseline = len(_INTERN)
-    before = set(_INTERN.keys())
-    for _ in range(2):
-        assert verify(h, spec, default_schedule(8), deadline_s=60).outcome == "valid"
-        made = [weakref.ref(t) for k, t in _INTERN.items() if k not in before]
-        assert made, "the verify must intern tables of its own"
-        gc.collect()
-        assert all(r() is None for r in made)
-        assert len(_INTERN) == baseline
+    existing = {id(t) for t in _INTERN.values()}
+    gc.disable()
+    try:
+        for _ in range(2):
+            made.clear()
+            assert verify(h, spec, default_schedule(8), deadline_s=60).outcome == "valid"
+            assert made, "the verify must intern tables of its own"
+            assert all(r() is None for r in made)
+            assert len(_INTERN) == baseline
+    finally:
+        gc.enable()
+
+
+# the evaluable fixtures in their README windows, and the vacuous-budget
+# repro in the CLI's default window
+_EVALUABLE = (
+    *(
+        (FIXTURES / f"{name}.hes", lo, hi, "valid")
+        for name, lo, hi in (
+            ("countdown", -6, 6),
+            ("countdown_scaled", -8, 8),
+            ("fib_termination", -5, 5),
+            ("partial_apply", -6, 6),
+            ("succ_chain", 0, 10),
+            ("inner_outer_loop", 0, 8),
+        )
+    ),
+    (FIXTURES.parent / "perfbench" / "loop.hes", -8, 8, "invalid"),
+)
+
+
+@pytest.mark.parametrize(
+    "path,lo,hi,outcome", _EVALUABLE, ids=[p.stem for p, *_ in _EVALUABLE]
+)
+def test_no_context_survives_verify(eval_contexts, path, lo, hi, outcome):
+    h = typecheck(parse_hes(path.read_text(encoding="utf-8")))
+    gc.collect()
+    before = tracked_fix_instances()
+    gc.disable()
+    try:
+        r = verify(h, Builtin(Domain(lo, hi)), default_schedule(8), deadline_s=300)
+        assert r.outcome == outcome
+        assert eval_contexts
+        assert all(c() is None for c in eval_contexts)
+        assert tracked_fix_instances() == before
+    finally:
+        gc.enable()

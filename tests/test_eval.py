@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import tracked_fix_instances
 from gen import instances, random_instance
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
@@ -12,7 +15,9 @@ from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
     Nu, Or, Plus, PROP, Var,
 )
+from muhflz.parser import parse_hes
 from muhflz.transform import dualize
+from muhflz.typecheck import typecheck
 
 
 def _countdown_mu():
@@ -161,6 +166,81 @@ def test_kleene_result_is_a_fixpoint():
     assert len(inst.asg) > 1
     for key, args in inst.argvals.items():
         assert isinstance(key[0], Table) and isinstance(args[0], Closure)
+
+
+# numbers as higher-order predicates (\k. k n), grown by a non-recursive
+# nu (Succ) and shrunk by a non-recursive mu (Pred); Call, a non-recursive
+# mu, is handed F while F is being solved
+_SUCC_PRED = r"""
+Main =v All 0 (\k. k 0);
+All n x =v F x /\ (n >= 3 \/ All (n + 1) (Succ x));
+F x =u x (\y. y = 0) \/ Call F (Pred x);
+Call g x =u g x;
+Succ x k =v x (\y. k (y + 1));
+Pred x k =u x (\y. k (y - 1));
+"""
+
+
+def test_non_recursive_instances_keep_results_only():
+    # a non-recursive instance stores one result per key and no argument
+    # tuples.  Its keys are exact: applying the body to a key's tables
+    # gives the result computed from the original closures.  That holds in
+    # clamping mode, where every forced table is a value of the enumerated
+    # function space.  In strict mode a closure also computes outside the
+    # window, where its table has no entry, so a key table may escape or
+    # differ where the closure did not.
+    f = hes_to_formula(typecheck(parse_hes(_SUCC_PRED)))
+    for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
+        ctx = make_context(f, dom)
+        assert eval_formula(ctx, f, {}) is True
+        flat = [i for i in ctx.instances.values() if not i.recursive]
+        assert {i.sign for i in flat} == {"mu", "nu"}
+        for inst in ctx.instances.values():
+            assert len(inst.argvals) == (len(inst.asg) if inst.recursive else 0)
+    # the instances of the clamping-mode run
+    checked = suffixed = 0
+    for inst in flat:
+        for key, result in inst.asg.items():
+            if len(key) > inst.arity:  # keyed by in-flight versions
+                suffixed += 1
+                continue
+            assert any(isinstance(k, Table) for k in key)
+            assert inst.apply_body(inst.entry_env(key), key) is result
+            checked += 1
+    assert checked >= 100 and suffixed > 0
+
+
+def test_context_freed_when_evaluation_ends(eval_contexts):
+    # a finished evaluation holds no reference cycle, so reference counting
+    # frees its context and instances on return, also when it ends in a cap
+    # or a window escape
+    f = hes_to_formula(typecheck(parse_hes(_SUCC_PRED)))
+    # X's argument captures X itself
+    self_capturing = hes_to_formula(typecheck(parse_hes(
+        r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);"
+    )))
+    climb = AppInt(
+        Nu("x", Arrow(INT, PROP), Abs("y", INT, AppInt(Var("x"), Plus(IntVar("y"), Lit(1))))),
+        Lit(0),
+    )
+    gc.collect()
+    before = tracked_fix_instances()
+    gc.disable()
+    try:
+        assert check_validity_bounded(f, Domain(0, 4)) is BoundedResult.VALID
+        assert check_validity_bounded(self_capturing, Domain(-3, 3)) is BoundedResult.VALID
+        assert check_validity_bounded(climb, Domain(0, 4)) is BoundedResult.RANGE_ESCAPE
+        try:
+            check_validity_bounded(f, Domain(0, 4), step_limit=2_000)
+        except IterationCap:
+            pass
+        else:
+            raise AssertionError("the step cap must stop the evaluation")
+        assert len(eval_contexts) == 4
+        assert all(r() is None for r in eval_contexts)
+        assert tracked_fix_instances() == before
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60, deadline=None)
