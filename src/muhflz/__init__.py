@@ -19,18 +19,17 @@ from .eval import (
     BoundedResult, Domain, IterationCap, RangeEscape, Table,
     check_validity_bounded, evaluate,
 )
-from .tags import TagDerivation, TagInferenceError, TagInt, TagPred, infer_tags
+from .tags import TagDerivation, TagInferenceError, TagInt, TagPred
 from .transform import (
     AbsInIllegalPosition, ApproxParams, PartialMuApplication, dual_hes,
-    dualize, desugar_quantifiers, eliminate_abs, eliminate_mu,
-    eta_expand_mu_partials,
+    dualize, desugar_quantifiers, eliminate_abs, eta_expand_mu_partials,
 )
 from .backend import (
-    BackendSpec, BackendVerdict, Builtin, External, ExternalFailure, solve,
+    BackendSpec, BackendVerdict, Builtin, External, solve,
 )
 from .driver import (
-    Schedule, VerdictReport, default_schedule, emit_report, report_from_json,
-    verify,
+    Schedule, VerdictReport, approximate, default_schedule, emit_report,
+    prepare, report_from_json, verify,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

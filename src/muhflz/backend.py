@@ -1,5 +1,6 @@
 """Uniform interface over nu-only validity checkers: the built-in bounded
-evaluator, or an external solver process fed the HES text format.
+evaluator, which takes the closed formula, or an external solver process
+fed the equation system in the HES text format.
 
 External protocol: the system is written to a temporary .hes file whose
 path is appended to the configured argv; the first stdout line that is
@@ -18,15 +19,13 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .convert import hes_to_formula
 from .eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from .printer import print_hes
-from .syntax import Hes, Mu, Sign, subformulas
-from .typecheck import typecheck
+from .syntax import Formula, Hes, Sign, contains_mu
 
-
-class ExternalFailure(Exception):
-    pass
+# not called here any more; perfbench/spans.py still wraps these two names
+from .convert import hes_to_formula  # noqa: F401
+from .typecheck import typecheck  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -64,26 +63,31 @@ def backend_from_env(var: str = "MUHFLZ_BACKEND") -> Optional[External]:
     return External(tuple(shlex.split(cmd)))
 
 
-def _reject_mu(h: Hes) -> None:
-    for eq in h.equations:
-        if eq.sign is Sign.MU:
-            raise ValueError(f"backend given a mu-equation: {eq.name}")
-    for f in (h.entry, *(eq.body for eq in h.equations)):
-        if any(isinstance(g, Mu) for g in subformulas(f)):
-            raise ValueError("backend given a formula containing a least fixpoint")
+def _reject_mu(problem: Union[Formula, Hes]) -> None:
+    formulas: tuple = (problem,)
+    if isinstance(problem, Hes):
+        for eq in problem.equations:
+            if eq.sign is Sign.MU:
+                raise ValueError(f"backend given a mu-equation: {eq.name}")
+        formulas = (problem.entry, *(eq.body for eq in problem.equations))
+    if any(contains_mu(f) for f in formulas):
+        raise ValueError("backend given a formula containing a least fixpoint")
 
 
-def solve(spec: BackendSpec, h: Hes, *, deadline: Optional[float] = None) -> BackendVerdict:
-    """Check validity of a nu-only HES.  'valid'/'invalid' only when the
-    backend affirmed/refuted; everything else is 'unknown'."""
-    _reject_mu(h)
+def solve(
+    spec: BackendSpec, problem: Union[Formula, Hes], *, deadline: Optional[float] = None
+) -> BackendVerdict:
+    """Check validity of a nu-only problem: a closed formula for the
+    built-in backend, an equation system for an external solver.  'valid'/
+    'invalid' only when the backend affirmed/refuted; everything else is
+    'unknown'."""
+    if isinstance(problem, Hes) == isinstance(spec, Builtin):
+        raise TypeError(f"{type(spec).__name__} backend given a {type(problem).__name__}")
+    _reject_mu(problem)
     start = time.monotonic()
     if isinstance(spec, Builtin):
         try:
-            typed = typecheck(h)
-            result = check_validity_bounded(
-                hes_to_formula(typed), spec.dom, deadline=deadline
-            )
+            result = check_validity_bounded(problem, spec.dom, deadline=deadline)
         except IterationCap as e:
             return BackendVerdict("unknown", f"iteration cap: {e.reason}", time.monotonic() - start)
         elapsed = time.monotonic() - start
@@ -101,7 +105,7 @@ def solve(spec: BackendSpec, h: Hes, *, deadline: Optional[float] = None) -> Bac
         with tempfile.NamedTemporaryFile(
             "w", suffix=".hes", delete=False, encoding="utf-8"
         ) as tf:
-            tf.write(print_hes(h))
+            tf.write(print_hes(problem))
             path = tf.name
         proc = subprocess.run(
             list(spec.command) + [path],

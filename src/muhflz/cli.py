@@ -4,8 +4,9 @@
 
 Exit codes: 0 valid, 1 invalid, 2 unknown, 3 usage/parse/type error.
 The --emit modes bypass solving and print an artifact instead:
-``nu`` the transformed nu-only system for the first schedule step,
-``tags`` the tag-derivation dump, ``dual`` the dualized system.
+``nu`` the nu-only system an external solver receives on the first
+prover step, ``tags`` that step's tag-derivation dump, ``dual`` the
+dualized system.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import re
 import sys
 
 from .backend import Builtin, External, backend_from_env
-from .driver import default_schedule, emit_report, verify
+from .convert import formula_to_hes
+from .driver import (
+    approximate, default_schedule, emit_report, override_counters, prepare,
+    verify,
+)
 from .eval import Domain
 from .parser import ParseError, parse_hes
 from .printer import print_hes
-from .tags import infer_tags
-from .transform import ApproxParams, dual_hes, eliminate_mu
+from .transform import dual_hes
 from .typecheck import TypeCheckError, typecheck
 
 _USAGE_EXIT = 3
@@ -129,15 +133,14 @@ def _run_text(ns: argparse.Namespace, mode: str, path: str, text: str) -> int:
         return _USAGE_EXIT
 
     if ns.emit is not None:
-        tags = infer_tags(typed, all_f=ns.no_extra_args)
+        tags = prepare(typed, all_f=ns.no_extra_args, desugar=ns.no_quantifiers)
         if ns.emit == "tags":
             sys.stdout.write(tags.to_json() + "\n")
             return 0
-        params = default_schedule(1).steps[0]
-        if ns.no_extra_args or ns.counters is not None:
-            k = 1 if ns.no_extra_args else ns.counters
-            params = ApproxParams(params.c, params.d, params.c_extra, params.d_extra, k)
-        sys.stdout.write(print_hes(eliminate_mu(typed, tags, params)))
+        row = default_schedule(1).steps[0]
+        params = override_counters(row, no_extra_args=ns.no_extra_args, counters=ns.counters)
+        approx = approximate(tags, params, desugar=ns.no_quantifiers)
+        sys.stdout.write(print_hes(formula_to_hes(approx)))
         return 0
 
     backend_arg = ns.backend

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .backend import BackendSpec, BackendVerdict, External, solve
 from .convert import formula_to_hes, hes_to_formula
 from .eval import IterationCap, RangeEscape
-from .syntax import Hes, contains_mu
+from .syntax import Formula, Hes, contains_mu
 from .tags import TagDerivation, infer_tags_formula
 from .transform import (
     ApproxParams, desugar_quantifiers, dual_hes, eliminate_abs,
@@ -78,24 +78,42 @@ class VerdictReport:
     reason: str = ""
 
 
+def prepare(h: Hes, *, all_f: bool = False, desugar: bool = False) -> TagDerivation:
+    """Close a typed system into one formula, desugar its quantifiers if
+    asked, eta-expand partially applied least fixpoints and infer tags.  The
+    derivation's ``formula`` is the prepared formula, reused for every row."""
+    f = hes_to_formula(h)
+    if desugar:
+        f = desugar_quantifiers(f)
+    return infer_tags_formula(eta_expand_mu_partials(f), all_f=all_f)
+
+
+def approximate(der: TagDerivation, params: ApproxParams, *, desugar: bool = False) -> Formula:
+    """The closed nu-only approximation of ``der.formula`` at ``params``, its
+    quantifiers desugared if asked.  The built-in backend evaluates it as
+    is; ``formula_to_hes`` lowers it for an external solver."""
+    g = eliminate_abs(transform_formula(der.formula, der, params))
+    if desugar:
+        g = desugar_quantifiers(g)
+    return g
+
+
+def override_counters(
+    params: ApproxParams, *, no_extra_args: bool = False, counters: Optional[int] = None
+) -> ApproxParams:
+    """A schedule row with its counter count overridden: one counter
+    without companion arguments, else ``counters`` when given."""
+    k = 1 if no_extra_args else counters
+    return params if k is None else replace(params, counters=k)
+
+
 class _Side:
     def __init__(self, name: str, h: Hes, *, all_f: bool, desugar: bool):
         self.name = name
-        self.formula = hes_to_formula(h)
-        if desugar:
-            self.formula = desugar_quantifiers(self.formula)
-        self.formula = eta_expand_mu_partials(self.formula)
-        self.tags: TagDerivation = infer_tags_formula(self.formula, all_f=all_f)
-        self.mu_free = not contains_mu(self.formula)
+        self.tags = prepare(h, all_f=all_f, desugar=desugar)
+        self.mu_free = not contains_mu(self.tags.formula)
         self.exhausted = False
         self.attempted_params: set = set()
-
-    def approximate(self, params: ApproxParams, desugar: bool) -> Hes:
-        g = transform_formula(self.formula, self.tags, params)
-        g = eliminate_abs(g)
-        if desugar:
-            g = desugar_quantifiers(g)
-        return formula_to_hes(g)
 
 
 def verify(
@@ -134,9 +152,7 @@ def verify(
         )
 
     for i, params in enumerate(schedule.steps):
-        if no_extra_args or counters_override is not None:
-            k = 1 if no_extra_args else counters_override
-            params = ApproxParams(params.c, params.d, params.c_extra, params.d_extra, k)
+        params = override_counters(params, no_extra_args=no_extra_args, counters=counters_override)
         for side in sides:
             if side.exhausted:
                 continue
@@ -159,7 +175,9 @@ def verify(
             side.attempted_params.add(key)
 
             try:
-                approx = side.approximate(params, desugar)
+                approx = approximate(side.tags, params, desugar=desugar)
+                if isinstance(spec, External):
+                    approx = formula_to_hes(approx)
             except (IterationCap, RangeEscape) as e:
                 records.append(
                     IterationRecord(side.name, params, BackendVerdict("unknown", f"transform failed: {e}", 0.0))

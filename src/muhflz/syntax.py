@@ -314,12 +314,6 @@ def formula_has_int_abs(f: Formula) -> bool:
     return any(contains_int_abs(e) for e in int_exprs(f))
 
 
-def hes_has_int_abs(h: Hes) -> bool:
-    if formula_has_int_abs(h.entry):
-        return True
-    return any(formula_has_int_abs(eq.body) for eq in h.equations)
-
-
 # ---------------------------------------------------------------------------
 # Substitution and renaming
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    Abs, And, App, AppInt, Exists, Forall, Formula, Ge, Hes, INT, IntType,
+    Abs, And, App, AppInt, Exists, Forall, Formula, Ge, INT, IntType,
     Mu, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
 )
 
@@ -312,13 +312,3 @@ def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:
         {n: inf.resolve(t) for n, t in inf.binder.items()},
         {n: tuple(inf.resolve(t) for t in ts) for n, ts in inf.mu_outer.items()},
     )
-
-
-def infer_tags(h: Hes, all_f: bool = False) -> TagDerivation:
-    """Tag inference for a typechecked HES.  The system is closed into a
-    single normalized formula first (the same normalization the
-    least-fixpoint elimination uses, so the derivation can be reused
-    across refinement steps)."""
-    from .transform import prepare_formula  # deferred: transform uses this module
-
-    return infer_tags_formula(prepare_formula(h), all_f=all_f)

@@ -6,8 +6,10 @@ integer arguments, and the removal of absolute values.
 The least-fixpoint elimination works on the closed, inlined formula (not
 equation-by-equation): a least fixpoint referenced from another equation
 must have its counter threaded through that equation, which only the
-nested-binder view gets right.  ``formula_to_hes`` lifts the result back
-into equations for printing and backends.
+nested-binder view gets right.  Every rewrite here is formula to formula;
+``driver.prepare`` and ``driver.approximate`` chain them into the
+pipeline, and ``convert.formula_to_hes`` lifts an approximation into
+equations only for an external solver.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .convert import formula_to_hes, hes_to_formula
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
     INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, NameSupply, Nu, Or, Plus,
@@ -24,7 +25,7 @@ from .syntax import (
     canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
     int_free_vars, names_in_formula, neg_ge, shift_expr, spine, substitute,
 )
-from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg, infer_tags
+from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
 
 
@@ -243,13 +244,6 @@ def desugar_quantifiers(f: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Least-fixpoint elimination
-
-
-def prepare_formula(h: Hes) -> Formula:
-    """The normalized closed formula the elimination runs on: equations
-    inlined, least-fixpoint partials eta-expanded.  Deterministic, so a
-    tag derivation computed on it can be reused across parameter values."""
-    return eta_expand_mu_partials(hes_to_formula(h))
 
 
 def _tr_param_types(params: tuple[TaggedArg, ...]) -> list[SimpleType]:
@@ -645,16 +639,6 @@ def transform_formula(
     formula; output may contain absolute values (see eliminate_abs)."""
     supply = NameSupply(names_in_formula(f))
     return _Eliminator(der, params, supply).tr(f, {})
-
-
-def eliminate_mu(h: Hes, tags: Optional[TagDerivation] = None, params: ApproxParams = ApproxParams(1, 1, 1, 1)) -> Hes:
-    """Full pipeline step: typed HES in, nu-only HES out (no least
-    fixpoints, no absolute values)."""
-    if tags is None:
-        tags = infer_tags(h)
-    g = transform_formula(tags.formula, tags, params)
-    g = eliminate_abs(g)
-    return formula_to_hes(g)
 
 
 # ---------------------------------------------------------------------------

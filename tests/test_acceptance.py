@@ -13,19 +13,18 @@ import pytest
 from conftest import FIXTURES, all_fixture_names, fixture_text
 from gen import instances
 from muhflz.backend import Builtin
-from muhflz.convert import hes_to_formula
-from muhflz.driver import default_schedule, verify
+from muhflz.convert import formula_to_hes, hes_to_formula
+from muhflz.driver import approximate, default_schedule, prepare, verify
 from muhflz.eval import (
     BoundedResult, Domain, IterationCap, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
 from muhflz.printer import print_hes
 from muhflz.syntax import Sign, contains_mu, formula_has_int_abs
-from muhflz.tags import infer_tags, infer_tags_formula
+from muhflz.tags import infer_tags_formula
 from muhflz.transform import (
     ApproxParams, PartialMuApplication, desugar_quantifiers, dualize,
-    eliminate_abs, eliminate_mu, eta_expand_mu_partials, prepare_formula,
-    transform_formula,
+    eliminate_abs, eta_expand_mu_partials, transform_formula,
 )
 from muhflz.typecheck import typecheck
 
@@ -118,9 +117,8 @@ def test_criterion_2_soundness(corpus):
     violations = []
     for seed, h in corpus:
         try:
-            f = prepare_formula(h)
-            tags = infer_tags_formula(f)
-            approx = transform_formula(f, tags, ApproxParams(1, 2, 1, 1))
+            tags = prepare(h)
+            approx = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
             orig = check_validity_bounded(hes_to_formula(h), STRICT3, step_limit=400_000)
             tr = check_validity_bounded(approx, STRICT3, step_limit=400_000)
         except IterationCap:
@@ -150,14 +148,13 @@ def test_criterion_3_monotonicity(corpus):
     violations = []
     for seed, h in corpus:
         try:
-            f = prepare_formula(h)
-            tags = infer_tags_formula(f)  # one derivation for both steps
+            tags = prepare(h)  # one derivation for both steps
             small = check_validity_bounded(
-                transform_formula(f, tags, ApproxParams(1, 1, 1, 1)),
+                transform_formula(tags.formula, tags, ApproxParams(1, 1, 1, 1)),
                 STRICT3, step_limit=400_000,
             )
             large = check_validity_bounded(
-                transform_formula(f, tags, ApproxParams(2, 3, 2, 3)),
+                transform_formula(tags.formula, tags, ApproxParams(2, 3, 2, 3)),
                 STRICT3, step_limit=400_000,
             )
         except IterationCap:
@@ -218,9 +215,8 @@ def test_criterion_4_semantic_preservation(corpus):
         except IterationCap:
             pass
         try:
-            pf = prepare_formula(h)
-            tags = infer_tags_formula(pf)
-            direct = transform_formula(pf, tags, ApproxParams(1, 2, 1, 1))
+            tags = prepare(h)
+            direct = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
             a = check_validity_bounded(direct, STRICT3, step_limit=300_000)
             b = check_validity_bounded(
                 eliminate_abs(direct), STRICT3, step_limit=300_000
@@ -251,7 +247,7 @@ def test_criterion_5_structure_and_goldens(corpus):
     params = ApproxParams(1, 2, 1, 1, 1)
     for name in all_fixture_names():
         h = _load(name)
-        out = eliminate_mu(h, infer_tags(h), params)
+        out = formula_to_hes(approximate(prepare(h), params))
         assert all(eq.sign is Sign.NU for eq in out.equations), f"{name}: not nu-only"
         f = hes_to_formula(typecheck(out))  # must typecheck
         assert not contains_mu(f)
@@ -259,7 +255,7 @@ def test_criterion_5_structure_and_goldens(corpus):
     random_checked = 0
     for seed, h in corpus:
         try:
-            out = eliminate_mu(h, infer_tags(h), params)
+            out = formula_to_hes(approximate(prepare(h), params))
         except IterationCap:
             continue
         assert all(eq.sign is Sign.NU for eq in out.equations), f"seed {seed}"
@@ -268,7 +264,7 @@ def test_criterion_5_structure_and_goldens(corpus):
     assert random_checked >= 450
     for base in GOLDEN:
         h = _load(f"{base}.hes")
-        got = print_hes(eliminate_mu(h, infer_tags(h), params))
+        got = print_hes(formula_to_hes(approximate(prepare(h), params)))
         want = (FIXTURES / "golden" / f"{base}.nu.hes").read_text(encoding="utf-8")
         assert got == want, f"golden mismatch for {base}"
     elapsed = time.time() - t0

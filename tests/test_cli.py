@@ -37,6 +37,26 @@ def test_emit_nu_deterministic(capsys):
     assert first == second
 
 
+def test_emit_nu_is_the_file_an_external_solver_receives(tmp_path, capsys):
+    # the stub keeps a copy of the system it is handed on the first prover step
+    copy = tmp_path / "received.hes"
+    stub = tmp_path / "solver.sh"
+    stub.write_text(f'#!/bin/sh\ncp "$1" "{copy}"\necho unknown\n')
+    stub.chmod(0o755)
+    path = str(FIXTURES / "fib_termination.hes")
+    emitted = []
+    for flags in ([], ["--no-quantifiers"], ["--counters", "2"], ["--no-extra-args"]):
+        code = run(["prove", path, "--backend", str(stub), "--max-iterations", "1", *flags])
+        assert code == 2
+        capsys.readouterr()
+        assert run(["--emit", "nu", path, *flags]) == 0
+        out = capsys.readouterr().out
+        assert out == copy.read_text(encoding="utf-8"), flags
+        emitted.append(out)
+    assert len(set(emitted)) == 4, "each flag must change the emitted system"
+    assert "forall" in emitted[0] and "forall" not in emitted[1]
+
+
 def test_emit_dual(capsys):
     code = run(["--emit", "dual", str(FIXTURES / "countdown.hes")])
     out = capsys.readouterr().out

@@ -3,8 +3,8 @@ import pytest
 from conftest import fixture_text
 from muhflz.parser import parse_hes
 from muhflz.syntax import Arrow, INT, PROP
-from muhflz.tags import TAG_INT, TagInt, TagPred, infer_tags, infer_tags_formula
-from muhflz.transform import prepare_formula
+from muhflz.driver import prepare
+from muhflz.tags import TAG_INT, TagInt, TagPred
 from muhflz.typecheck import typecheck
 
 
@@ -16,7 +16,7 @@ def _binder_items(der, base):
 
 def test_succ_chain_tags():
     h = typecheck(parse_hes(fixture_text("succ_chain_pure.hes")))
-    der = infer_tags(h)
+    der = prepare(h)
     # All's parameter carries a companion; the argument of that argument
     # does not: ((int -> prop, F) -> prop, T)
     all_param = [
@@ -41,7 +41,7 @@ def test_succ_chain_tags():
 
 def test_mu_free_system_is_all_f():
     h = typecheck(parse_hes("Main =v forall x. G x;\nG y =v y >= 0 \\/ G (y + 1);\n"))
-    der = infer_tags(h)
+    der = prepare(h)
     for t in der.binder.values():
         if isinstance(t, TagPred):
             assert not t.tag
@@ -50,7 +50,7 @@ def test_mu_free_system_is_all_f():
 
 def test_fib_continuation_parameter_untagged():
     h = typecheck(parse_hes(fixture_text("fib_termination.hes")))
-    der = infer_tags(h)
+    der = prepare(h)
     # the continuation never feeds an unfolding budget: its binder-side
     # tag stays F (only integer variables contribute)
     conts = [
@@ -66,7 +66,7 @@ def test_fib_continuation_parameter_untagged():
 
 def test_erasure_matches_simple_types():
     h = typecheck(parse_hes(fixture_text("succ_chain_pure.hes")))
-    der = infer_tags(h)
+    der = prepare(h)
     f = der.formula
     from muhflz.syntax import Abs, Mu, Nu, subformulas
 
@@ -82,16 +82,16 @@ def test_erasure_matches_simple_types():
 
 def test_deterministic():
     h = typecheck(parse_hes(fixture_text("succ_chain_pure.hes")))
-    a = infer_tags(h).to_json()
-    b = infer_tags(h).to_json()
+    a = prepare(h).to_json()
+    b = prepare(h).to_json()
     assert a == b
 
 
 def test_adding_mu_equation_never_clears_tags():
     base = "Main =v All (\\k. k 0);\nAll x =v F x /\\ All (Succ x);\nF x =u x (\\y. y = 0) \\/ F x;\nSucc x k =v x (\\y. k (y + 1));\n"
     ext = base + "G z =u z >= 0 \\/ G (z - 1);\n"
-    der_base = infer_tags(typecheck(parse_hes(base)))
-    der_ext = infer_tags(typecheck(parse_hes(ext)))
+    der_base = prepare(typecheck(parse_hes(base)))
+    der_ext = prepare(typecheck(parse_hes(ext)))
 
     def tagged(der):
         return {
@@ -103,7 +103,7 @@ def test_adding_mu_equation_never_clears_tags():
 
 def test_all_f_mode():
     h = typecheck(parse_hes(fixture_text("succ_chain_pure.hes")))
-    der = infer_tags(h, all_f=True)
+    der = prepare(h, all_f=True)
     assert der.all_f
     for t in der.binder.values():
         if isinstance(t, TagPred):
@@ -114,5 +114,5 @@ def test_json_dump_is_parseable():
     import json
 
     h = typecheck(parse_hes(fixture_text("fib_termination.hes")))
-    payload = json.loads(infer_tags(h).to_json())
+    payload = json.loads(prepare(h).to_json())
     assert "binders" in payload and "mu_use_side" in payload

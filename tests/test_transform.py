@@ -14,11 +14,12 @@ from muhflz.syntax import (
     Lit, Mu, Nu, Or, PROP, Sign, TRUE, Var, contains_mu, formula_has_int_abs,
     free_vars, spine, subformulas,
 )
-from muhflz.tags import infer_tags, infer_tags_formula
+from muhflz.driver import approximate, prepare
+from muhflz.tags import infer_tags_formula
 from muhflz.transform import (
     AbsInIllegalPosition, ApproxParams, PartialMuApplication, dual_hes,
-    dualize, desugar_quantifiers, eliminate_abs, eliminate_mu,
-    eta_expand_mu_partials, prepare_formula, transform_formula,
+    dualize, desugar_quantifiers, eliminate_abs, eta_expand_mu_partials,
+    transform_formula,
 )
 from muhflz.typecheck import typecheck
 
@@ -157,8 +158,7 @@ def test_desugared_exists_needs_the_witness_in_window():
 def _transformed(text_or_name, params, fixture=True):
     text = fixture_text(text_or_name) if fixture else text_or_name
     h = typecheck(parse_hes(text))
-    tags = infer_tags(h)
-    return eliminate_mu(h, tags, params)
+    return formula_to_hes(approximate(prepare(h), params))
 
 
 def test_countdown_step_one_valid():
@@ -191,7 +191,7 @@ def test_succ_chain_matches_companion_shape():
 
 def test_ackermann_two_counter_shape():
     h = typecheck(parse_hes(fixture_text("ackermann.hes")))
-    out = eliminate_mu(h, infer_tags(h), ApproxParams(1, 1, 1, 1, counters=2))
+    out = formula_to_hes(approximate(prepare(h), ApproxParams(1, 1, 1, 1, counters=2)))
     ack = [e for e in out.equations if e.name.startswith("Ack")][0]
     assert [t for _, t in ack.params[:2]] == [INT, INT]
     text = print_hes(out)
@@ -204,7 +204,7 @@ def test_ackermann_two_counter_shape():
 def test_nu_only_and_typed_on_fixtures():
     for name in all_fixture_names():
         h = typecheck(parse_hes(fixture_text(name)))
-        out = eliminate_mu(h, infer_tags(h), ApproxParams(1, 2, 1, 1))
+        out = formula_to_hes(approximate(prepare(h), ApproxParams(1, 2, 1, 1)))
         for eq in out.equations:
             assert eq.sign is Sign.NU, f"{name}: mu equation survived"
         f = hes_to_formula(typecheck(out))
@@ -226,7 +226,7 @@ def test_degenerate_nullary_mu():
     from muhflz.syntax import Hes
 
     h = typecheck(Hes((), Mu("p", PROP, Var("p"))))
-    tags = infer_tags_formula(prepare_formula(h))
+    tags = prepare(h)
     out = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
     assert not contains_mu(out)
     # counter still added; the budget is the constant d
@@ -239,7 +239,7 @@ def test_degenerate_nullary_mu():
 
 def test_abs_form_and_quantified_form_agree():
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
-    tags = infer_tags(h)
+    tags = prepare(h)
     direct = transform_formula(tags.formula, tags, ApproxParams(1, 1, 1, 1))
     assert formula_has_int_abs(direct)
     noabs = eliminate_abs(direct)
@@ -253,7 +253,7 @@ def test_abs_form_and_quantified_form_agree():
 
 def test_two_variable_budget_expands_four_bounds():
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
-    out = eliminate_mu(h, infer_tags(h), ApproxParams(1, 2, 1, 1))
+    out = formula_to_hes(approximate(prepare(h), ApproxParams(1, 2, 1, 1)))
     text = print_hes(out)
     # |x| and |y| in one budget: four sign combinations guard the counter
     entry_line = text.splitlines()[0]
@@ -285,7 +285,7 @@ def test_leftover_abs_rejected():
 @given(st.integers(0, 3000))
 def test_transform_output_nu_only_generated(seed):
     h = random_instance(seed)
-    tags = infer_tags(h)
+    tags = prepare(h)
     try:
         out = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
     except PartialMuApplication:
