@@ -647,30 +647,29 @@ def transform_formula(
 
 def _split_abs(e: IntExpr) -> tuple[list[tuple[int, IntExpr]], list[IntExpr]]:
     """Decompose a budget expression into absolute-value terms (with their
-    literal coefficients) and the remaining summands."""
+    literal coefficients) and the remaining summands.  A literal factor is
+    distributed over the sum it scales, as in ``2*(2*|x| + 2)`` -- a scaled
+    companion that holds an absolute value."""
     absterms: list[tuple[int, IntExpr]] = []
     rest: list[IntExpr] = []
 
-    def term(t: IntExpr):
-        match t:
-            case IntAbs(a):
-                absterms.append((1, a))
-            case Times(Lit(c), IntAbs(a)) | Times(IntAbs(a), Lit(c)):
-                absterms.append((c, a))
-            case _:
-                if contains_int_abs(t):
-                    raise AbsInIllegalPosition(f"non-linear absolute value in {t!r}")
-                rest.append(t)
-
-    def walk(t: IntExpr):
+    def walk(t: IntExpr, k: int):
         match t:
             case Plus(l, r):
-                walk(l)
-                walk(r)
+                walk(l, k)
+                walk(r, k)
+            case IntAbs(a):
+                absterms.append((k, a))
+            case Times(Lit(c), u) | Times(u, Lit(c)) if contains_int_abs(u):
+                walk(u, k * c)
+            case _ if contains_int_abs(t):
+                raise AbsInIllegalPosition(f"non-linear absolute value in {t!r}")
+            case Lit(n):
+                rest.append(Lit(k * n))
             case _:
-                term(t)
+                rest.append(t if k == 1 else Times(Lit(k), t))
 
-    walk(e)
+    walk(e, 1)
     return absterms, rest
 
 

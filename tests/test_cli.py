@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -149,3 +150,18 @@ def test_deep_input_exits_3_without_traceback(tmp_path, body):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip() == f"muhflz: {f}: input nested too deeply"
+
+
+def test_scaled_companion_with_abs_ends_unknown():
+    # at the c=2 rows a companion holding |x| is scaled as 2*(2|x| + 2),
+    # which the abs elimination must distribute rather than reject
+    stub = FIXTURES.parent / "perfbench" / "stub_solver.sh"
+    proc = subprocess.run(
+        [sys.executable, "-m", "muhflz.cli", str(FIXTURES / "partial_apply.hes"),
+         "--backend", f"sh {shlex.quote(str(stub))}", "--no-quantifiers"],
+        capture_output=True,
+        text=True,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines()[0] == "unknown"

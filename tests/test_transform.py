@@ -10,16 +10,16 @@ from muhflz.eval import (
 from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import print_hes
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Arrow, Exists, FALSE, Forall, Ge, INT, IntVar,
-    Lit, Mu, Nu, Or, PROP, Sign, TRUE, Var, contains_mu, formula_has_int_abs,
-    free_vars, spine, subformulas,
+    Abs, And, App, AppInt, Arrow, Exists, FALSE, Forall, Ge, INT, IntAbs,
+    IntVar, Lit, Mu, Nu, Or, PROP, Plus, Sign, TRUE, Times, Var, contains_mu,
+    formula_has_int_abs, free_vars, spine, subformulas,
 )
 from muhflz.driver import approximate, prepare
 from muhflz.tags import infer_tags_formula
 from muhflz.transform import (
     AbsInIllegalPosition, ApproxParams, PartialMuApplication, dual_hes,
     dualize, desugar_quantifiers, eliminate_abs, eta_expand_mu_partials,
-    transform_formula,
+    sign_bounds, transform_formula,
 )
 from muhflz.typecheck import typecheck
 
@@ -267,6 +267,46 @@ def test_constant_budget_introduces_no_quantifier():
     text = print_hes(out)
     assert "forall" not in text
     assert "F 3 0" in text  # the literal budget is passed directly
+
+
+def _int_value(e, env):
+    match e:
+        case Lit(n):
+            return n
+        case IntVar(x):
+            return env[x]
+        case IntAbs(a):
+            return abs(_int_value(a, env))
+        case Plus(l, r):
+            return _int_value(l, env) + _int_value(r, env)
+        case Times(l, r):
+            return _int_value(l, env) * _int_value(r, env)
+
+
+_X, _V = IntVar("x"), IntVar("v")
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        Times(Lit(2), IntAbs(_X)),
+        # a companion holding |x|, scaled at a c=2 row
+        Times(Lit(2), Plus(Times(Lit(2), IntAbs(_X)), Lit(2))),
+        Plus(Times(Plus(IntAbs(_X), _V), Lit(3)), Lit(1)),
+    ],
+    ids=["scaled_abs", "scaled_companion", "factor_on_the_right"],
+)
+def test_sign_bounds_maximum_is_the_expression(e):
+    bounds = sign_bounds(e)
+    for x in range(-5, 6):
+        for v in (-2, 0, 3):
+            env = {"x": x, "v": v}
+            assert max(_int_value(b, env) for b in bounds) == _int_value(e, env)
+
+
+def test_non_linear_abs_still_rejected():
+    with pytest.raises(AbsInIllegalPosition):
+        sign_bounds(Times(_V, Plus(IntAbs(_X), Lit(1))))
 
 
 def test_leftover_abs_rejected():
