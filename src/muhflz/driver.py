@@ -5,9 +5,10 @@ The prover approximates the input; the disprover approximates its De
 Morgan dual.  A 'valid' verdict from the prover decides Valid; one from
 the disprover decides Invalid.  'invalid' backend verdicts on an
 approximation are never conclusive (the approximation only
-under-approximates) and just advance that side's iteration.  Tag
-derivations are computed once per side and reused across parameter values,
-so successive approximations differ only in the coefficients.
+under-approximates) and just advance that side's iteration.  Each side
+runs ``prepare`` once and ``approximate`` per parameter row, so successive
+approximations share one tag derivation and differ only in the
+coefficients.
 """
 
 from __future__ import annotations

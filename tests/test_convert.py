@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_fixture_names, fixture_text
 from gen import random_instance
 from muhflz.convert import IllFormed, formula_to_hes, hes_to_formula
+from muhflz.driver import approximate, prepare
 from muhflz.eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
     Abs, App, AppInt, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu, Or,
     And, PROP, Sign, Var, alpha_normalize, contains_mu, subformulas,
 )
+from muhflz.transform import ApproxParams
 from muhflz.typecheck import typecheck
 
 
@@ -97,19 +99,26 @@ def test_fixture_inlining_closes_the_formula(name):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 4000))
 def test_inline_lift_semantic_round_trip(seed):
+    # the approximations at the first two schedule rows are what the
+    # built-in backend evaluates directly and an external solver receives
+    # lifted into equations: both views must agree
     h = random_instance(seed)
-    f = hes_to_formula(h)
+    tags = prepare(h)
+    inputs = [hes_to_formula(h)] + [
+        approximate(tags, ApproxParams(1, 2, 1, 1, k)) for k in (1, 2)
+    ]
     dom = Domain(-4, 4)
-    try:
-        a = check_validity_bounded(f, dom, step_limit=200_000)
-        b = check_validity_bounded(
-            hes_to_formula(typecheck(formula_to_hes(f))), dom, step_limit=200_000
-        )
-    except IterationCap:
-        return
-    if BoundedResult.RANGE_ESCAPE in (a, b):
-        return
-    assert a == b
+    for f in inputs:
+        try:
+            a = check_validity_bounded(f, dom, step_limit=200_000)
+            b = check_validity_bounded(
+                hes_to_formula(typecheck(formula_to_hes(f))), dom, step_limit=200_000
+            )
+        except IterationCap:
+            continue
+        if BoundedResult.RANGE_ESCAPE in (a, b):
+            continue
+        assert a == b
 
 
 def test_alpha_normalize_idempotent_on_fixtures():
