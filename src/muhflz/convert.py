@@ -15,10 +15,10 @@ quantifier-bound variables added as leading parameters.
 from __future__ import annotations
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
-    INT, IntType, IntVar, Mu, NameSupply, Nu, Or, PROP, Sign, SimpleType,
-    Var, alpha_normalize, alpha_normalize_formula, arg_types, free_vars,
-    names_in_formula, names_in_hes, refresh_binders, substitute,
+    Abs, AppInt, Arrow, Equation, Formula, Hes, IntType, IntVar, Mu,
+    NameSupply, Nu, PROP, Sign, SimpleType, Var, alpha_normalize,
+    alpha_normalize_formula, arg_types, free_vars, map_children,
+    names_in_formula, names_in_hes, peel, substitute,
 )
 
 
@@ -62,7 +62,7 @@ def hes_to_formula(h: Hes) -> Formula:
         def inline(target: Formula) -> Formula:
             if eq.name not in free_vars(target):
                 return target
-            return substitute(target, {eq.name: refresh_binders(closed, supply)})
+            return substitute(target, {eq.name: alpha_normalize_formula(closed, supply)})
 
         bodies = {n: inline(b) for n, b in bodies.items()}
         entry = inline(entry)
@@ -81,27 +81,9 @@ def formula_to_hes(f: Formula, entry_name_hint: str = "Main") -> Hes:
 
     def lift(g: Formula, env: dict[str, SimpleType]) -> Formula:
         match g:
-            case Var() | Ge():
-                return g
-            case Or(l, r):
-                return Or(lift(l, env), lift(r, env))
-            case And(l, r):
-                return And(lift(l, env), lift(r, env))
-            case Abs(p, ty, body):
-                if ty is None:
-                    raise IllFormed("formula_to_hes requires a typed formula")
-                return Abs(p, ty, lift(body, {**env, p: ty}))
-            case Forall(v, body):
-                return Forall(v, lift(body, {**env, v: INT}))
-            case Exists(v, body):
-                return Exists(v, lift(body, {**env, v: INT}))
-            case App(fn, a):
-                return App(lift(fn, env), lift(a, env))
-            case AppInt(fn, a):
-                return AppInt(lift(fn, env), a)
+            case Abs(_, None, _) | Mu(_, None, _) | Nu(_, None, _):
+                raise IllFormed("formula_to_hes requires a typed formula")
             case Mu(name, ty, body) | Nu(name, ty, body):
-                if ty is None:
-                    raise IllFormed("formula_to_hes requires a typed formula")
                 captured = sorted(free_vars(g) & set(env))
                 taken = {e.name for e in equations if e is not None}
                 eqname = name if name not in taken else supply.fresh(name)
@@ -117,25 +99,12 @@ def formula_to_hes(f: Formula, entry_name_hint: str = "Main") -> Hes:
                 body2 = substitute(body, {name: head}) if name in free_vars(body) else body
                 body2 = lift(body2, env)
                 # peel the parameter lambdas of the fixpoint's own type
-                params: list[tuple[str, SimpleType]] = [(c, env[c]) for c in captured]
-                rest = body2
-                for aty in arg_types(ty):
-                    match rest:
-                        case Abs(p, pt, inner):
-                            params.append((p, pt if pt is not None else aty))
-                            rest = inner
-                        case _:
-                            fresh = supply.fresh("z")
-                            params.append((fresh, aty))
-                            rest = (
-                                AppInt(rest, IntVar(fresh))
-                                if isinstance(aty, IntType)
-                                else App(rest, Var(fresh))
-                            )
+                binders, rest = peel(body2, arg_types(ty), supply)
+                params = [(c, env[c]) for c in captured] + binders
                 sign = Sign.MU if isinstance(g, Mu) else Sign.NU
                 equations[slot] = Equation(eqname, tuple(params), sign, rest)
                 return head
-        raise IllFormed(f"not a formula: {g!r}")
+        return map_children(g, lift, env)
 
     entry = lift(f, {})
     return Hes(tuple(equations), entry)

@@ -726,42 +726,30 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
 def make_context(
     f: Formula,
     dom: Domain,
-    env_types: Optional[dict[str, SimpleType]] = None,
     *,
     step_limit: int = 20_000_000,
     deadline: Optional[float] = None,
 ) -> _EvalContext:
     ctx = _EvalContext(dom, step_limit=step_limit, deadline=deadline)
-    ctx.annotate_types(f, dict(env_types) if env_types else {})
+    ctx.annotate_types(f, {})
     return ctx
 
 
 def evaluate(
     f: Formula,
-    env: Optional[dict] = None,
     dom: Domain = Domain(-4, 4),
     *,
-    env_types: Optional[dict[str, SimpleType]] = None,
     step_limit: int = 20_000_000,
     deadline: Optional[float] = None,
 ) -> SemValue:
-    """Denotation of ``f`` over the window.  Prop results are bools, Int
-    results ints, predicate results canonical ``Table``s."""
+    """Denotation of the closed formula ``f`` over the window.  Prop
+    results are bools, Int results ints, predicate results canonical
+    ``Table``s."""
 
-    if env and env_types is None:
-        env_types = {}
-        for k, v in env.items():
-            if isinstance(v, bool):
-                env_types[k] = PROP
-            elif isinstance(v, int):
-                env_types[k] = INT
-            elif isinstance(v, Table):
-                env_types[k] = v.ty
-            else:
-                raise ValueError(f"cannot infer a type for env value {k}")
-    ctx = make_context(f, dom, env_types, step_limit=step_limit, deadline=deadline)
+    # a module-level call: the benchmark tracer and the tests wrap make_context
+    ctx = make_context(f, dom, step_limit=step_limit, deadline=deadline)
     try:
-        v = eval_formula(ctx, f, dict(env) if env else {})
+        v = eval_formula(ctx, f, {})
         if isinstance(v, (bool, int, Table)):
             return v
         return ctx.force_table(v)
@@ -785,7 +773,7 @@ def check_validity_bounded(
     inconclusive, never as Invalid."""
 
     try:
-        v = evaluate(f, None, dom, step_limit=step_limit, deadline=deadline)
+        v = evaluate(f, dom, step_limit=step_limit, deadline=deadline)
     except RangeEscape:
         return BoundedResult.RANGE_ESCAPE
     assert isinstance(v, bool)

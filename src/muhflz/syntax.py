@@ -4,13 +4,17 @@ hierarchical equation systems (HES).
 All nodes are immutable; passes build new trees.  Binder uniqueness is not
 guaranteed by construction -- run ``alpha_normalize`` before any pass that
 substitutes under binders.
+
+``map_children`` is the one place that knows each node's child formulas
+and the binder that scopes them: a rewrite handles the nodes it cares
+about and hands every other node to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -51,20 +55,6 @@ PROP = PropType()
 
 def is_predicate_type(ty: SimpleType) -> bool:
     return isinstance(ty, (PropType, Arrow))
-
-
-def arity(ty: SimpleType) -> int:
-    n = 0
-    while isinstance(ty, Arrow):
-        n += 1
-        ty = ty.ret
-    return n
-
-
-def order(ty: SimpleType) -> int:
-    if isinstance(ty, Arrow):
-        return max(order(ty.ret), order(ty.arg) + 1)
-    return 0
 
 
 def arg_types(ty: SimpleType) -> list[SimpleType]:
@@ -269,6 +259,29 @@ def free_vars(f: Formula) -> set[str]:
     raise TypeError(f"not a Formula: {f!r}")
 
 
+def map_children(
+    f: Formula, go: Callable[[Formula, Optional[dict]], Formula], env: Optional[dict] = None
+) -> Formula:
+    """Rebuild ``f`` from ``go(child, env)`` for each child formula, left to
+    right.  Under a binder ``env`` (when given) is extended with the bound
+    name and its type, Int for a quantifier; integer expressions are kept
+    as they are."""
+    match f:
+        case Var() | Ge():
+            return f
+        case Or(l, r) | And(l, r):
+            return type(f)(go(l, env), go(r, env))
+        case App(fn, arg):
+            return App(go(fn, env), go(arg, env))
+        case AppInt(fn, arg):
+            return AppInt(go(fn, env), arg)
+        case Abs(name, ty, body) | Mu(name, ty, body) | Nu(name, ty, body):
+            return type(f)(name, ty, go(body, env if env is None else {**env, name: ty}))
+        case Forall(var, body) | Exists(var, body):
+            return type(f)(var, go(body, env if env is None else {**env, var: INT}))
+    raise TypeError(f"not a Formula: {f!r}")
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
     match f:
@@ -336,9 +349,6 @@ class NameSupply:
         name = f"{base}_{n}"
         self.taken.add(name)
         return name
-
-    def reserve(self, name: str) -> None:
-        self.taken.add(name)
 
 
 def names_in_formula(f: Formula) -> set[str]:
@@ -444,13 +454,6 @@ def substitute(f: Formula, mapping: dict[str, Union[Formula, IntExpr]]) -> Formu
     return go(f, dict(mapping))
 
 
-def refresh_binders(f: Formula, supply: NameSupply) -> Formula:
-    """Rename every binder in ``f`` to a fresh name from ``supply``.  Used
-    when a term is duplicated (inlining) to keep global binder uniqueness."""
-
-    return alpha_normalize_formula(f, supply)
-
-
 def alpha_normalize_formula(
     f: Formula, supply: NameSupply, env: Optional[dict[str, str]] = None
 ) -> Formula:
@@ -513,6 +516,27 @@ def alpha_normalize(h: Hes) -> Hes:
         new_eqs.append(Equation(eq.name, tuple(params), eq.sign, body))
     entry = alpha_normalize_formula(h.entry, supply, {})
     return Hes(tuple(new_eqs), entry)
+
+
+def peel(
+    body: Formula, want: list[SimpleType], supply: NameSupply
+) -> tuple[list[tuple[str, SimpleType]], Formula]:
+    """Split ``body`` into one leading parameter binder per type in
+    ``want`` and the residue.  Where ``body`` is not a lambda spine that
+    long, a fresh parameter from ``supply`` is applied to the residue
+    instead."""
+    binders: list[tuple[str, SimpleType]] = []
+    rest = body
+    for ty in want:
+        match rest:
+            case Abs(p, pt, b):
+                binders.append((p, pt if pt is not None else ty))
+                rest = b
+            case _:
+                z = supply.fresh("z")
+                binders.append((z, ty))
+                rest = AppInt(rest, IntVar(z)) if isinstance(ty, IntType) else App(rest, Var(z))
+    return binders, rest
 
 
 # ---------------------------------------------------------------------------

@@ -72,12 +72,6 @@ class TagPred(TaggedArg):
 TAG_INT = TagInt()
 
 
-def all_false_arg(ty: SimpleType) -> TaggedArg:
-    if isinstance(ty, IntType):
-        return TAG_INT
-    return TagPred(tuple(all_false_arg(a) for a in arg_types(ty)), False)
-
-
 @dataclass
 class TagDerivation:
     """Tags for one normalized formula: the formula itself (binders are
@@ -262,46 +256,17 @@ class _Inference:
                             r.forced = True
                             changed = True
 
-    def resolve(self, t: _Tree) -> TaggedArg:
+    def resolve(self, t: _Tree, all_f: bool) -> TaggedArg:
+        """The tagged type of ``t``; with ``all_f`` every tag is F."""
         if t.is_int:
             return TAG_INT
-        return TagPred(tuple(self.resolve(p) for p in t.params), t.cell.find().forced)
+        params = tuple(self.resolve(p, all_f) for p in t.params)
+        return TagPred(params, not all_f and t.cell.find().forced)
 
 
 def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:
-    """Tag inference over a typed, alpha-normalized, closed formula."""
-    if all_f:
-        binder: dict[str, TaggedArg] = {}
-        mu_outer: dict[str, tuple[TaggedArg, ...]] = {}
-
-        def walk(g: Formula, env: dict[str, SimpleType]):
-            match g:
-                case Var() | Ge():
-                    pass
-                case Or(l, r) | And(l, r):
-                    walk(l, env)
-                    walk(r, env)
-                case Forall(v, body) | Exists(v, body):
-                    walk(body, {**env, v: INT})
-                case Abs(p, ty, body):
-                    binder[p] = all_false_arg(ty)
-                    walk(body, {**env, p: ty})
-                case Mu(n, ty, body) | Nu(n, ty, body):
-                    binder[n] = all_false_arg(ty)
-                    if isinstance(g, Mu):
-                        mu_outer[n] = tuple(
-                            all_false_arg(a) for a in arg_types(ty)
-                        )
-                    walk(body, {**env, n: ty})
-                case App(fn, arg):
-                    walk(fn, env)
-                    walk(arg, env)
-                case AppInt(fn, _):
-                    walk(fn, env)
-
-        walk(f, {})
-        return TagDerivation(f, binder, mu_outer, all_f=True)
-
+    """Tag inference over a typed, alpha-normalized, closed formula.  With
+    ``all_f`` every tag is F: no position carries a companion."""
     inf = _Inference()
     view = inf.walk(f, {}, {})
     if view:
@@ -309,6 +274,7 @@ def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:
     inf.propagate()
     return TagDerivation(
         f,
-        {n: inf.resolve(t) for n, t in inf.binder.items()},
-        {n: tuple(inf.resolve(t) for t in ts) for n, ts in inf.mu_outer.items()},
+        {n: inf.resolve(t, all_f) for n, t in inf.binder.items()},
+        {n: tuple(inf.resolve(t, all_f) for t in ts) for n, ts in inf.mu_outer.items()},
+        all_f=all_f,
     )

@@ -23,7 +23,8 @@ from .syntax import (
     INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, NameSupply, Nu, Or, Plus,
     PROP, Sign, SimpleType, Times, Var, apply_spine, arg_types, arrow,
     canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
-    int_free_vars, names_in_formula, neg_ge, shift_expr, spine, substitute,
+    int_free_vars, map_children, names_in_formula, neg_ge, peel, shift_expr,
+    spine, substitute,
 )
 from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
@@ -66,8 +67,6 @@ def dualize(f: Formula) -> Formula:
     complemented.  An involution on the canonical atoms produced by the
     parser and the transformation pipeline; always a semantic complement."""
     match f:
-        case Var():
-            return f
         case Or(l, r):
             return And(dualize(l), dualize(r))
         case And(l, r):
@@ -78,17 +77,11 @@ def dualize(f: Formula) -> Formula:
             return Nu(n, ty, dualize(b))
         case Nu(n, ty, b):
             return Mu(n, ty, dualize(b))
-        case Abs(p, ty, b):
-            return Abs(p, ty, dualize(b))
-        case App(fn, a):
-            return App(dualize(fn), dualize(a))
-        case AppInt(fn, a):
-            return AppInt(dualize(fn), a)
         case Forall(v, b):
             return Exists(v, dualize(b))
         case Exists(v, b):
             return Forall(v, dualize(b))
-    raise TypeError(f"not a Formula: {f!r}")
+    return map_children(f, lambda g, _: dualize(g))
 
 
 def dual_hes(h: Hes) -> Hes:
@@ -166,21 +159,7 @@ def eta_expand_mu_partials(f: Formula) -> Formula:
                 if missing:
                     return wrap(out, missing)
                 return out
-            case Nu(n, ty, b):
-                return Nu(n, ty, go(b, {**env, n: ty}, mu_vars))
-            case Abs(p, ty, b):
-                return Abs(p, ty, go(b, {**env, p: ty}, mu_vars))
-            case Or(l, r):
-                return Or(go(l, env, mu_vars), go(r, env, mu_vars))
-            case And(l, r):
-                return And(go(l, env, mu_vars), go(r, env, mu_vars))
-            case Forall(v, b):
-                return Forall(v, go(b, {**env, v: INT}, mu_vars))
-            case Exists(v, b):
-                return Exists(v, go(b, {**env, v: INT}, mu_vars))
-            case Ge():
-                return g
-        raise TypeError(f"not a Formula: {g!r}")
+        return map_children(g, lambda h, env: go(h, env, mu_vars), env)
 
     return go(f, {}, set())
 
@@ -215,29 +194,13 @@ def desugar_quantifiers(f: Formula) -> Formula:
             walker = Mu(q, qty, Abs(p, Arrow(INT, PROP), Or(here, Or(down, up))))
         return App(walker, Abs(var, INT, body))
 
-    def go(g: Formula) -> Formula:
+    def go(g: Formula, _=None) -> Formula:
         match g:
-            case Var() | Ge():
-                return g
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Abs(p, ty, b):
-                return Abs(p, ty, go(b))
-            case Mu(n, ty, b):
-                return Mu(n, ty, go(b))
-            case Nu(n, ty, b):
-                return Nu(n, ty, go(b))
-            case App(fn, a):
-                return App(go(fn), go(a))
-            case AppInt(fn, a):
-                return AppInt(go(fn), a)
             case Forall(v, b):
                 return encode(True, v, go(b))
             case Exists(v, b):
                 return encode(False, v, go(b))
-        raise TypeError(f"not a Formula: {g!r}")
+        return map_children(g, go)
 
     return go(f)
 
@@ -340,21 +303,15 @@ class _Eliminator:
                 return self.tr_spine(head, args, delta)
             case Mu():
                 return self.tr_mu(f, [], delta)
-            case Var() | Ge():
-                return f
-            case Or(l, r):
-                return Or(self.tr(l, delta), self.tr(r, delta))
-            case And(l, r):
-                return And(self.tr(l, delta), self.tr(r, delta))
             case Forall(v, b):
                 return Forall(v, self.tr(b, {**delta, v: (TAG_INT, None)}))
             case Exists(v, b):
                 return Exists(v, self.tr(b, {**delta, v: (TAG_INT, None)}))
-            case Abs(p, _, b):
+            case Abs():
                 return self.tr_abs(f, delta)
-            case Nu(n, _, b):
+            case Nu():
                 return self.tr_nu(f, delta)
-        raise TypeError(f"not a Formula: {f!r}")
+        return map_children(f, self.tr, delta)
 
     def tr_abs(self, f: Abs, delta: dict) -> Formula:
         t = self.der.binder[f.param]
@@ -397,57 +354,17 @@ class _Eliminator:
 
     # -- least fixpoints -------------------------------------------------------
 
-    def _peel(self, body: Formula, want: list[SimpleType]) -> tuple[list, Formula]:
-        """Split a transformed body into its leading parameter binders (one
-        per transformed parameter type, padding with fresh names if the
-        source was not a full lambda spine) and the residue."""
-        binders: list[tuple[str, SimpleType]] = []
-        rest = body
-        for ty in want:
-            match rest:
-                case Abs(p, pt, b):
-                    binders.append((p, pt if pt is not None else ty))
-                    rest = b
-                case _:
-                    z = self.supply.fresh("z")
-                    binders.append((z, ty))
-                    rest = (
-                        AppInt(rest, IntVar(z))
-                        if isinstance(ty, IntType)
-                        else App(rest, Var(z))
-                    )
-        return binders, rest
-
     def _replace_var(self, f: Formula, name: str, make) -> Formula:
         """Replace every free occurrence of ``name``, building the
         replacement per occurrence (so inserted binders stay unique)."""
         match f:
-            case Var(n):
-                return make() if n == name else f
-            case Or(l, r):
-                return Or(self._replace_var(l, name, make), self._replace_var(r, name, make))
-            case And(l, r):
-                return And(self._replace_var(l, name, make), self._replace_var(r, name, make))
-            case Mu(n, ty, b) | Nu(n, ty, b):
-                if n == name:
-                    return f
-                ctor = Mu if isinstance(f, Mu) else Nu
-                return ctor(n, ty, self._replace_var(b, name, make))
-            case Abs(p, ty, b):
-                if p == name:
-                    return f
-                return Abs(p, ty, self._replace_var(b, name, make))
-            case App(fn, a):
-                return App(self._replace_var(fn, name, make), self._replace_var(a, name, make))
-            case AppInt(fn, a):
-                return AppInt(self._replace_var(fn, name, make), a)
-            case Forall(v, b):
-                return f if v == name else Forall(v, self._replace_var(b, name, make))
-            case Exists(v, b):
-                return f if v == name else Exists(v, self._replace_var(b, name, make))
-            case Ge():
+            case Var(n) if n == name:
+                return make()
+            case (
+                Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _) | Exists(n, _)
+            ) if n == name:
                 return f
-        raise TypeError(f"not a Formula: {f!r}")
+        return map_children(f, lambda g, _: self._replace_var(g, name, make))
 
     def tr_mu(self, node: Mu, args: list, delta: dict) -> Formula:
         name = node.name
@@ -505,7 +422,7 @@ class _Eliminator:
         # transform the body under the inner tagging
         comp_binder = self.supply.fresh(f"v_{name}") if inner.tag else None
         body = self.tr(node.body, {**delta, name: (inner, comp_binder)})
-        binders, rest = self._peel(body, _tr_param_types(inner.params))
+        binders, rest = peel(body, _tr_param_types(inner.params), self.supply)
 
         k = self.p.counters
         counters = [self.supply.fresh(f"u{i}") for i in reversed(range(k))]
@@ -743,27 +660,9 @@ def eliminate_abs(f: Formula) -> Formula:
             case App() | AppInt():
                 head, args = spine(g)
                 return rewrite_spine(head, args, env)
-            case Var():
-                return g
-            case Ge(l, r):
-                if contains_int_abs(l) or contains_int_abs(r):
-                    raise AbsInIllegalPosition(f"absolute value in comparison {g!r}")
-                return g
-            case Or(l, r):
-                return Or(go(l, env), go(r, env))
-            case And(l, r):
-                return And(go(l, env), go(r, env))
-            case Abs(p, ty, b):
-                return Abs(p, ty, go(b, {**env, p: ty}))
-            case Mu(n, ty, b):
-                return Mu(n, ty, go(b, {**env, n: ty}))
-            case Nu(n, ty, b):
-                return Nu(n, ty, go(b, {**env, n: ty}))
-            case Forall(v, b):
-                return Forall(v, go(b, {**env, v: INT}))
-            case Exists(v, b):
-                return Exists(v, go(b, {**env, v: INT}))
-        raise TypeError(f"not a Formula: {g!r}")
+            case Ge(l, r) if contains_int_abs(l) or contains_int_abs(r):
+                raise AbsInIllegalPosition(f"absolute value in comparison {g!r}")
+        return map_children(g, go, env)
 
     out = go(f, {})
     if formula_has_int_abs(out):

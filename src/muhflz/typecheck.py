@@ -21,7 +21,7 @@ from typing import Optional
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
     INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP,
-    PropType, SimpleType, Times, Var, is_predicate_type,
+    PropType, SimpleType, Times, Var, is_predicate_type, map_children,
 )
 
 
@@ -182,34 +182,17 @@ class _Checker:
         variables from App to AppInt."""
         u = self.u
         match f:
-            case Var():
-                return f
-            case Or(l, r):
-                return Or(self.finalize(l, env), self.finalize(r, env))
-            case And(l, r):
-                return And(self.finalize(l, env), self.finalize(r, env))
-            case Ge():
-                return f
-            case Forall(var, body):
-                return Forall(var, self.finalize(body, {**env, var: INT}))
-            case Exists(var, body):
-                return Exists(var, self.finalize(body, {**env, var: INT}))
             case Abs(param, ty, body):
                 rty = u.resolve(ty)
                 _validate(rty, "T-Abs", f"parameter {param}")
                 return Abs(param, rty, self.finalize(body, {**env, param: rty}))
-            case Mu(name, ty, body):
+            case Mu(name, ty, body) | Nu(name, ty, body):
+                rule = "T-Mu" if isinstance(f, Mu) else "T-Nu"
                 rty = u.resolve(ty)
                 if not is_predicate_type(rty):
-                    raise TypeCheckError("T-Mu", f"fixpoint {name} has type {rty}, not a predicate type")
-                _validate(rty, "T-Mu", f"fixpoint {name}")
-                return Mu(name, rty, self.finalize(body, {**env, name: rty}))
-            case Nu(name, ty, body):
-                rty = u.resolve(ty)
-                if not is_predicate_type(rty):
-                    raise TypeCheckError("T-Nu", f"fixpoint {name} has type {rty}, not a predicate type")
-                _validate(rty, "T-Nu", f"fixpoint {name}")
-                return Nu(name, rty, self.finalize(body, {**env, name: rty}))
+                    raise TypeCheckError(rule, f"fixpoint {name} has type {rty}, not a predicate type")
+                _validate(rty, rule, f"fixpoint {name}")
+                return type(f)(name, rty, self.finalize(body, {**env, name: rty}))
             case App(fn, arg):
                 ffn = self.finalize(fn, env)
                 if isinstance(arg, Var):
@@ -217,9 +200,7 @@ class _Checker:
                     if isinstance(aty, IntType):
                         return AppInt(ffn, IntVar(arg.name))
                 return App(ffn, self.finalize(arg, env))
-            case AppInt(fn, arg):
-                return AppInt(self.finalize(fn, env), arg)
-        raise TypeCheckError("T-Var", f"not a formula: {f!r}")
+        return map_children(f, self.finalize, env)
 
 
 def _validate(ty: SimpleType, rule: str, what: str) -> None:
