@@ -12,7 +12,6 @@ Unknown with a diagnostic.
 from __future__ import annotations
 
 import os
-import shlex
 import subprocess
 import tempfile
 import time
@@ -54,13 +53,6 @@ class BackendVerdict:
     outcome: str  # "valid" | "invalid" | "unknown"
     detail: str = ""
     elapsed_s: float = 0.0
-
-
-def backend_from_env(var: str = "MUHFLZ_BACKEND") -> Optional[External]:
-    cmd = os.environ.get(var)
-    if not cmd:
-        return None
-    return External(tuple(shlex.split(cmd)))
 
 
 def _reject_mu(problem: Union[Formula, Hes]) -> None:

@@ -12,10 +12,12 @@ dualized system.
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import shlex
 import sys
 
-from .backend import Builtin, External, backend_from_env
+from .backend import BackendSpec, Builtin, External
 from .convert import formula_to_hes
 from .driver import (
     approximate, default_schedule, emit_report, override_counters, prepare,
@@ -39,6 +41,29 @@ def _parse_domain(text: str) -> Domain:
     if lo > hi:
         raise argparse.ArgumentTypeError("empty domain")
     return Domain(lo, hi)
+
+
+def _checked_backend(ns: argparse.Namespace) -> BackendSpec:
+    """Check the option values and build the backend: ``--backend``, else
+    ``$MUHFLZ_BACKEND`` when set and non-empty, else the built-in
+    evaluator.  Raises ValueError on a value out of range and on an empty
+    or unparseable command."""
+    if ns.max_iterations < 1:
+        raise ValueError("--max-iterations must be at least 1")
+    if ns.counters is not None and ns.counters < 1:
+        raise ValueError("--counters must be at least 1")
+    if ns.timeout <= 0:
+        raise ValueError("--timeout must be positive")
+    command = ns.backend
+    if command is None:
+        command = os.environ.get("MUHFLZ_BACKEND") or "builtin"
+    if command == "builtin":
+        return Builtin(ns.domain)
+    try:
+        argv = tuple(shlex.split(command))
+    except ValueError as e:
+        raise ValueError(f"backend command {command!r}: {e}") from None
+    return External(argv, timeout_s=ns.timeout, supports_quantifiers=not ns.no_quantifiers)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,6 +111,11 @@ def run(argv: list[str]) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as e:
         return _USAGE_EXIT if e.code not in (0, None) else 0
+    try:
+        spec = _checked_backend(ns)
+    except ValueError as e:
+        print(f"muhflz: {e}", file=sys.stderr)
+        return _USAGE_EXIT
 
     mode = "both"
     if len(ns.args) == 1:
@@ -109,13 +139,15 @@ def run(argv: list[str]) -> int:
     # the parser, typechecker, transforms and evaluator all recurse on the
     # nesting of the input
     try:
-        return _run_text(ns, mode, path, text)
+        return _run_text(ns, spec, mode, path, text)
     except RecursionError:
         print(f"muhflz: {path}: input nested too deeply", file=sys.stderr)
         return _USAGE_EXIT
 
 
-def _run_text(ns: argparse.Namespace, mode: str, path: str, text: str) -> int:
+def _run_text(
+    ns: argparse.Namespace, spec: BackendSpec, mode: str, path: str, text: str
+) -> int:
     try:
         h = parse_hes(text)
     except ParseError as e:
@@ -142,20 +174,6 @@ def _run_text(ns: argparse.Namespace, mode: str, path: str, text: str) -> int:
         approx = approximate(tags, params, desugar=ns.no_quantifiers)
         sys.stdout.write(print_hes(formula_to_hes(approx)))
         return 0
-
-    backend_arg = ns.backend
-    if backend_arg is None:
-        spec = backend_from_env() or Builtin(ns.domain)
-    elif backend_arg == "builtin":
-        spec = Builtin(ns.domain)
-    else:
-        import shlex
-
-        spec = External(
-            tuple(shlex.split(backend_arg)),
-            timeout_s=ns.timeout,
-            supports_quantifiers=not ns.no_quantifiers,
-        )
 
     report = verify(
         typed,

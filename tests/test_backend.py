@@ -5,9 +5,7 @@ import textwrap
 import pytest
 
 from conftest import fixture_text
-from muhflz.backend import (
-    BackendVerdict, Builtin, External, backend_from_env, solve,
-)
+from muhflz.backend import BackendVerdict, Builtin, External, solve
 from muhflz.convert import formula_to_hes
 from muhflz.driver import approximate, prepare
 from muhflz.eval import Domain
@@ -97,14 +95,6 @@ def test_external_receives_the_hes_file(tmp_path):
 def test_external_missing_binary_is_unknown():
     v = solve(External(("/nonexistent/solver",), timeout_s=2.0), _lowered("countdown.hes", 1, 1))
     assert v.outcome == "unknown"
-
-
-def test_backend_from_env(monkeypatch):
-    monkeypatch.setenv("MUHFLZ_BACKEND", "/usr/bin/solver --fast")
-    spec = backend_from_env()
-    assert spec == External(("/usr/bin/solver", "--fast"))
-    monkeypatch.delenv("MUHFLZ_BACKEND")
-    assert backend_from_env() is None
 
 
 def test_external_timeout_capped_by_deadline(tmp_path):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from conftest import FIXTURES
-from muhflz.cli import run
+from muhflz.backend import Builtin, External
+from muhflz.cli import _build_parser, _checked_backend, run
 
 
 def _run(*args, capsys=None):
@@ -122,6 +123,50 @@ def test_env_backend_used_when_flag_absent(tmp_path, monkeypatch, capsys):
     code = run(["prove", str(FIXTURES / "countdown.hes"), "--deadline", "10"])
     out = capsys.readouterr().out
     assert code == 0 and out.splitlines()[0] == "valid"
+
+
+def test_env_backend_command(monkeypatch):
+    def spec(*flags):
+        return _checked_backend(_build_parser().parse_args(["in.hes", *flags]))
+
+    monkeypatch.setenv("MUHFLZ_BACKEND", "/usr/bin/solver --fast")
+    assert spec() == External(("/usr/bin/solver", "--fast"))
+    assert spec("--timeout", "5", "--no-quantifiers") == External(
+        ("/usr/bin/solver", "--fast"), timeout_s=5.0, supports_quantifiers=False
+    )
+    assert isinstance(spec("--backend", "builtin"), Builtin)
+    monkeypatch.setenv("MUHFLZ_BACKEND", "")
+    assert isinstance(spec(), Builtin)
+    monkeypatch.delenv("MUHFLZ_BACKEND")
+    assert isinstance(spec(), Builtin)
+
+
+def test_env_backend_receives_the_emitted_system(tmp_path, monkeypatch, capsys):
+    copy = tmp_path / "received.hes"
+    stub = tmp_path / "solver.sh"
+    stub.write_text(f'#!/bin/sh\ncp "$1" "{copy}"\necho unknown\n')
+    stub.chmod(0o755)
+    path = str(FIXTURES / "countdown.hes")
+    assert run(["--emit", "nu", path, "--no-quantifiers"]) == 0
+    emitted = capsys.readouterr().out
+    monkeypatch.setenv("MUHFLZ_BACKEND", str(stub))
+    assert run(["prove", path, "--no-quantifiers", "--max-iterations", "1"]) == 2
+    assert copy.read_text(encoding="utf-8") == emitted
+    assert "forall" not in emitted
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--max-iterations", "0"], ["--counters", "0"], ["--timeout", "0", "--backend", "true"],
+     ["--backend", ""]],
+    ids=["max_iterations", "counters", "timeout", "empty_backend"],
+)
+def test_invalid_option_value_exits_3(flags, capsys):
+    code = run(["prove", str(FIXTURES / "countdown.hes"), *flags])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("muhflz: ")
 
 
 def test_console_script_entry_point():
