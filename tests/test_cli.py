@@ -39,7 +39,7 @@ def test_emit_nu_deterministic(capsys):
     assert first == second
 
 
-def test_emit_nu_is_the_file_an_external_solver_receives(tmp_path, capsys):
+def test_emit_nu_is_the_file_an_external_solver_receives(tmp_path, monkeypatch, capsys):
     # the stub keeps a copy of the system it is handed on the first prover step
     copy = tmp_path / "received.hes"
     stub = tmp_path / "solver.sh"
@@ -57,6 +57,11 @@ def test_emit_nu_is_the_file_an_external_solver_receives(tmp_path, capsys):
         emitted.append(out)
     assert len(set(emitted)) == 4, "each flag must change the emitted system"
     assert "forall" in emitted[0] and "forall" not in emitted[1]
+    # a command from the environment takes --no-quantifiers like --backend
+    monkeypatch.setenv("MUHFLZ_BACKEND", str(stub))
+    copy.unlink()
+    assert run(["prove", path, "--max-iterations", "1", "--no-quantifiers"]) == 2
+    assert copy.read_text(encoding="utf-8") == emitted[1]
 
 
 def test_emit_dual(capsys):
@@ -139,20 +144,6 @@ def test_env_backend_command(monkeypatch):
     assert isinstance(spec(), Builtin)
     monkeypatch.delenv("MUHFLZ_BACKEND")
     assert isinstance(spec(), Builtin)
-
-
-def test_env_backend_receives_the_emitted_system(tmp_path, monkeypatch, capsys):
-    copy = tmp_path / "received.hes"
-    stub = tmp_path / "solver.sh"
-    stub.write_text(f'#!/bin/sh\ncp "$1" "{copy}"\necho unknown\n')
-    stub.chmod(0o755)
-    path = str(FIXTURES / "countdown.hes")
-    assert run(["--emit", "nu", path, "--no-quantifiers"]) == 0
-    emitted = capsys.readouterr().out
-    monkeypatch.setenv("MUHFLZ_BACKEND", str(stub))
-    assert run(["prove", path, "--no-quantifiers", "--max-iterations", "1"]) == 2
-    assert copy.read_text(encoding="utf-8") == emitted
-    assert "forall" not in emitted
 
 
 @pytest.mark.parametrize(
