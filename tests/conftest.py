@@ -25,6 +25,19 @@ def all_fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.hes"))
 
 
+# numbers as higher-order predicates (\k. k n), grown by a non-recursive
+# nu (Succ) and shrunk by a non-recursive mu (Pred); Call, a non-recursive
+# mu, is handed F while F is being solved
+SUCC_PRED = r"""
+Main =v All 0 (\k. k 0);
+All n x =v F x /\ (n >= 3 \/ All (n + 1) (Succ x));
+F x =u x (\y. y = 0) \/ Call F (Pred x);
+Call g x =u g x;
+Succ x k =v x (\y. k (y + 1));
+Pred x k =u x (\y. k (y - 1));
+"""
+
+
 @pytest.fixture
 def eval_contexts(monkeypatch) -> list:
     """Weak references to the evaluation contexts made during the test."""

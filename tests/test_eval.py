@@ -3,7 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tracked_fix_instances
+from conftest import SUCC_PRED, tracked_fix_instances
 from gen import instances, random_instance
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
@@ -168,19 +168,6 @@ def test_kleene_result_is_a_fixpoint():
         assert isinstance(key[0], Table) and isinstance(args[0], Closure)
 
 
-# numbers as higher-order predicates (\k. k n), grown by a non-recursive
-# nu (Succ) and shrunk by a non-recursive mu (Pred); Call, a non-recursive
-# mu, is handed F while F is being solved
-_SUCC_PRED = r"""
-Main =v All 0 (\k. k 0);
-All n x =v F x /\ (n >= 3 \/ All (n + 1) (Succ x));
-F x =u x (\y. y = 0) \/ Call F (Pred x);
-Call g x =u g x;
-Succ x k =v x (\y. k (y + 1));
-Pred x k =u x (\y. k (y - 1));
-"""
-
-
 def test_non_recursive_instances_keep_results_only():
     # a non-recursive instance stores one result per key and no argument
     # tuples.  Its keys are exact: applying the body to a key's tables
@@ -189,7 +176,7 @@ def test_non_recursive_instances_keep_results_only():
     # function space.  In strict mode a closure also computes outside the
     # window, where its table has no entry, so a key table may escape or
     # differ where the closure did not.
-    f = hes_to_formula(typecheck(parse_hes(_SUCC_PRED)))
+    f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
         ctx = make_context(f, dom)
         assert eval_formula(ctx, f, {}) is True
@@ -214,7 +201,7 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
     # a finished evaluation holds no reference cycle, so reference counting
     # frees its context and instances on return, also when it ends in a cap
     # or a window escape
-    f = hes_to_formula(typecheck(parse_hes(_SUCC_PRED)))
+    f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
     # X's argument captures X itself
     self_capturing = hes_to_formula(typecheck(parse_hes(
         r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);"

@@ -11,7 +11,7 @@ file with ``PYTHONPATH=src python tests/test_eval_counters.py``.
 import json
 import pathlib
 
-from conftest import fixture_text
+from conftest import SUCC_PRED, fixture_text
 from gen import instances
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
@@ -28,6 +28,11 @@ CORPUS_STEP_LIMIT = 10_000
 # fixtures evaluated as written (with their least fixpoints), in the
 # windows the README documents for them
 FIXTURE_WINDOWS = {"countdown": Domain(-6, 6), "fib_termination": Domain(-5, 5)}
+# non-recursive fixpoints whose partial applications get forced
+SUCC_PRED_WINDOWS = {
+    "succ_pred": Domain(0, 4),
+    "succ_pred_clamping": Domain(0, 4, strict=False),
+}
 
 
 def _run(f, dom: Domain, step_limit: int = 20_000_000) -> list:
@@ -54,6 +59,9 @@ def measure() -> dict:
     for name, dom in FIXTURE_WINDOWS.items():
         h = typecheck(parse_hes(fixture_text(f"{name}.hes")))
         out[name] = _run(hes_to_formula(h), dom)
+    f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
+    for name, dom in SUCC_PRED_WINDOWS.items():
+        out[name] = _run(f, dom)
     return out
 
 
