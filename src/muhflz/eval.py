@@ -290,6 +290,16 @@ def enum_index(ty: SimpleType, dom: Domain) -> dict:
     return idx
 
 
+def table_index(dom: Domain, arg_ty: SimpleType, k) -> Optional[int]:
+    """The position of the canonical key ``k`` in a table over ``arg_ty``;
+    None for a function key outside the enumerated universe."""
+    if isinstance(k, bool):
+        return 1 if k else 0
+    if isinstance(k, int):
+        return k - dom.lo
+    return enum_index(arg_ty, dom).get(k)
+
+
 def is_monotone_table(t: Table, dom: Domain) -> bool:
     ty = t.ty
     args = enumerate_type(ty.arg, dom)
@@ -419,15 +429,33 @@ class _EvalContext:
         if t is None:
             ty = ty if ty is not None else v.ty
             assert isinstance(ty, Arrow), f"cannot force {ty}"
+            if (
+                isinstance(v, FixPartial)
+                and not v.inst.recursive
+                and len(v.args) + 1 == v.inst.arity
+            ):
+                # this table is the instance's memo for the prefix: its
+                # entries are evaluated here and stored nowhere else
+                inst, prefix = v.inst, cache_key[2:]
+
+                def apply(a):
+                    self.tick()
+                    got = inst.stored(prefix + (a,))
+                    if got is None:
+                        got = inst.apply_body(inst.env, v.args + (a,))
+                    return got
+            else:
+                def apply(a):
+                    return apply_value(self, v, a)
             entries = []
             for a in enumerate_type(ty.arg, self.dom):
                 if for_key:
                     try:
-                        entries.append(self.config_key(apply_value(self, v, a), ty.ret))
+                        entries.append(self.config_key(apply(a), ty.ret))
                     except RangeEscape:
                         entries.append(_ESC)
                 else:
-                    entries.append(self.config_key(apply_value(self, v, a), ty.ret))
+                    entries.append(self.config_key(apply(a), ty.ret))
             t = intern_table(ty, self.dom, tuple(entries))
             self.forced_partials[cache_key] = t
         if for_key:
@@ -489,8 +517,9 @@ class _FixInstance:
     """One fixpoint node under one environment.  ``asg`` maps each argument
     key to its current value.  Only a recursive instance keeps the argument
     tuples behind its keys (``argvals``), because only ``solve``
-    re-evaluates an entry; a non-recursive one evaluates each entry once,
-    from the values in hand.
+    re-evaluates an entry.  A non-recursive one evaluates each entry once,
+    from the values in hand, and its ``asg`` holds only the answers that no
+    forced table of an argument prefix holds (see ``stored``).
 
     Nothing an instance holds leads back to it or to its context: the
     context is held weakly and ``env_reach`` leaves the instance out, so a
@@ -555,7 +584,7 @@ class _FixInstance:
         if vers:
             key = key + (tuple(sorted(vers)),)
         if not self.recursive:
-            got = self.asg.get(key)
+            got = self.asg.get(key) if vers else self.stored(key)
             if got is None:
                 got = self.asg[key] = self.apply_body(self.env, values)
             return got
@@ -567,6 +596,20 @@ class _FixInstance:
             return self.asg[key]
         self.solve()
         return self.asg[key]
+
+    def stored(self, key) -> Optional[bool]:
+        """The known answer of a non-recursive instance for the unsuffixed
+        ``key``: the entry of a forced table of the key's argument prefix,
+        else the memo entry; None if neither holds it.  An escaped table
+        entry is left to the memo path, which raises the escape again."""
+        ctx = self.ctx
+        for for_key in (True, False):
+            t = ctx.forced_partials.get((id(self), for_key, *key[:-1]))
+            if t is not None:
+                i = table_index(ctx.dom, t.arg_ty, key[-1])
+                if i is not None and t.entries[i] is not _ESC:
+                    return t.entries[i]
+        return self.asg.get(key)
 
     def entry_env(self, key) -> dict:
         """The environment the body of entry ``key`` is evaluated in."""
@@ -638,15 +681,9 @@ def apply_value(ctx: _EvalContext, f, a):
             return f.inst.full_query(args)
         return FixPartial(f.inst, args)
     if isinstance(f, Table):
-        if isinstance(a, bool):
-            idx = 1 if a else 0
-        elif isinstance(a, int):
-            idx = ctx.clip_int(a) - ctx.dom.lo
-        else:
-            t = ctx.config_key(a, f.arg_ty)
-            idx = enum_index(f.arg_ty, ctx.dom).get(t)
-            if idx is None:
-                raise RangeEscape("argument outside the enumerated universe")
+        idx = table_index(ctx.dom, f.arg_ty, ctx.config_key(a, f.arg_ty))
+        if idx is None:
+            raise RangeEscape("argument outside the enumerated universe")
         entry = f.entries[idx]
         if entry is _ESC:
             raise RangeEscape("table entry left the window")

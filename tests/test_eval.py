@@ -8,8 +8,8 @@ from gen import instances, random_instance
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
     BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
-    check_validity_bounded, enumerate_type, eval_formula, evaluate,
-    is_monotone_table, make_context, value_leq,
+    _ESC, check_validity_bounded, enumerate_type, eval_formula, evaluate,
+    is_monotone_table, make_context, table_index, value_leq,
 )
 from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
@@ -169,13 +169,14 @@ def test_kleene_result_is_a_fixpoint():
 
 
 def test_non_recursive_instances_keep_results_only():
-    # a non-recursive instance stores one result per key and no argument
-    # tuples.  Its keys are exact: applying the body to a key's tables
-    # gives the result computed from the original closures.  That holds in
-    # clamping mode, where every forced table is a value of the enumerated
-    # function space.  In strict mode a closure also computes outside the
-    # window, where its table has no entry, so a key table may escape or
-    # differ where the closure did not.
+    # a non-recursive instance stores no argument tuples, and each answer
+    # once: a forced table of an argument prefix is the memo for that
+    # prefix, and ``asg`` holds only what no such table answers.  Tables and
+    # keys are exact: applying the body to the key tables gives the stored
+    # answer.  That holds in clamping mode, where every forced table is a
+    # value of the enumerated function space.  In strict mode a closure also
+    # computes outside the window, where its table has no entry, so a key
+    # table may escape or differ where the closure did not.
     f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
         ctx = make_context(f, dom)
@@ -184,17 +185,57 @@ def test_non_recursive_instances_keep_results_only():
         assert {i.sign for i in flat} == {"mu", "nu"}
         for inst in ctx.instances.values():
             assert len(inst.argvals) == (len(inst.asg) if inst.recursive else 0)
-    # the instances of the clamping-mode run
-    checked = suffixed = 0
+        for inst in flat:
+            for key in inst.asg:
+                if len(key) > inst.arity:  # keyed by in-flight versions
+                    continue
+                for for_key in (True, False):
+                    t = ctx.forced_partials.get((id(inst), for_key, *key[:-1]))
+                    i = None if t is None else table_index(dom, t.arg_ty, key[-1])
+                    assert i is None or t.entries[i] is _ESC, "stored twice"
+    # the instances and tables of the clamping-mode run
+    by_id = {id(i): i for i in flat}
+    tables = [
+        (by_id[k[0]], k[2:], t) for k, t in ctx.forced_partials.items()
+        if k[0] in by_id and len(k) - 1 == by_id[k[0]].arity
+    ]
+    checked = 0
+    for inst, prefix, t in tables:
+        for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
+            assert entry is not _ESC
+            assert inst.apply_body(inst.env, prefix + (a,)) is entry
+            checked += 1
+    suffixed = 0
     for inst in flat:
         for key, result in inst.asg.items():
-            if len(key) > inst.arity:  # keyed by in-flight versions
+            if len(key) > inst.arity:
                 suffixed += 1
                 continue
             assert any(isinstance(k, Table) for k in key)
             assert inst.apply_body(inst.entry_env(key), key) is result
             checked += 1
-    assert checked >= 100 and suffixed > 0
+    assert checked >= 192 and suffixed > 0
+
+
+def test_forced_table_keeps_answers_stored_before_it():
+    # Succ is queried in full before G's key forces the table of its
+    # partial application; that table takes the stored answer instead of
+    # evaluating the body again.  Here the key tables are inexact (strict
+    # mode): evaluated at the table of \y. y >= 1 the body escapes the
+    # window, where the closure gave True.
+    f = hes_to_formula(typecheck(parse_hes(r"""
+Main =v (\s. s (\k. k 4) (\y. y >= 1) /\ G (s (\k. k 4))) Succ;
+G p =v p (\y. y >= 1);
+Succ x k =v x (\y. k (y + 1));
+""")))
+    dom = Domain(0, 4)
+    ctx = make_context(f, dom)
+    assert eval_formula(ctx, f, {}) is True
+    (succ,) = [i for i in ctx.instances.values() if not i.recursive and i.arity == 2]
+    ((key, result),) = succ.asg.items()
+    t = ctx.forced_partials[(id(succ), True, key[0])]
+    assert result is True
+    assert t.entries[table_index(dom, t.arg_ty, key[1])] is result
 
 
 def test_context_freed_when_evaluation_ends(eval_contexts):
