@@ -180,31 +180,31 @@ class _Inference:
                 out.append(t.cell)
         return out
 
-    def walk(self, f: Formula, env: dict[str, _Tree], tenv: dict[str, SimpleType]) -> list:
+    def walk(self, f: Formula, env: dict[str, _Tree]) -> list:
         """Returns the predicate view (parameter trees) of ``f``."""
         match f:
             case Var(name):
                 return env[name].params
             case Or(l, r) | And(l, r):
-                self.walk(l, env, tenv)
-                self.walk(r, env, tenv)
+                self.walk(l, env)
+                self.walk(r, env)
                 return []
             case Ge():
                 return []
             case Forall(v, body) | Exists(v, body):
-                self.walk(body, {**env, v: _Tree(True, None, [])}, {**tenv, v: INT})
+                self.walk(body, {**env, v: _Tree(True, None, [])})
                 return []
             case Abs(param, pty, body):
                 tree = _Tree.for_type(pty)
                 self.binder[param] = tree
-                rest = self.walk(body, {**env, param: tree}, {**tenv, param: pty})
+                rest = self.walk(body, {**env, param: tree})
                 return [tree] + rest
             case App(fn, arg):
-                fview = self.walk(fn, env, tenv)
+                fview = self.walk(fn, env)
                 if not fview:
                     raise TagInferenceError("application of a non-predicate")
                 pos = fview[0]
-                aview = self.walk(arg, env, tenv)
+                aview = self.walk(arg, env)
                 if pos.is_int:
                     raise TagInferenceError("predicate argument at int position")
                 _unify_pred(pos.params, aview)
@@ -212,20 +212,20 @@ class _Inference:
                 self.edges.append((pos.cell, self.outer_cells(fv, env)))
                 return fview[1:]
             case AppInt(fn, _):
-                fview = self.walk(fn, env, tenv)
+                fview = self.walk(fn, env)
                 if not fview or not fview[0].is_int:
                     raise TagInferenceError("integer argument at predicate position")
                 return fview[1:]
             case Nu(name, ty, body):
                 tree = _Tree.for_type(ty)
                 self.binder[name] = tree
-                bview = self.walk(body, {**env, name: tree}, {**tenv, name: ty})
+                bview = self.walk(body, {**env, name: tree})
                 _unify_pred(tree.params, bview)
                 return tree.params
             case Mu(name, ty, body):
                 inner = _Tree.for_type(ty)
                 self.binder[name] = inner
-                bview = self.walk(body, {**env, name: inner}, {**tenv, name: ty})
+                bview = self.walk(body, {**env, name: inner})
                 _unify_pred(inner.params, bview)
                 # use-side argument types: raw-equal to the inner ones
                 outer = []
@@ -268,7 +268,7 @@ def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:
     """Tag inference over a typed, alpha-normalized, closed formula.  With
     ``all_f`` every tag is F: no position carries a companion."""
     inf = _Inference()
-    view = inf.walk(f, {}, {})
+    view = inf.walk(f, {})
     if view:
         raise TagInferenceError("tag inference expects a Prop-typed formula")
     inf.propagate()
