@@ -283,20 +283,22 @@ def map_children(
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    match f:
-        case Or(l, r) | And(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-        case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
-            yield from subformulas(body)
-        case App(fn, arg):
-            yield from subformulas(fn)
-            yield from subformulas(arg)
-        case AppInt(fn, _):
-            yield from subformulas(fn)
-        case Forall(_, body) | Exists(_, body):
-            yield from subformulas(body)
+    """Every node of ``f`` in pre-order, left child first.  An explicit
+    stack, so each node is yielded once, not through all its ancestors."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        match g:
+            case Or(l, r) | And(l, r) | App(l, r):
+                stack.append(r)
+                stack.append(l)
+            case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
+                stack.append(body)
+            case AppInt(fn, _):
+                stack.append(fn)
+            case Forall(_, body) | Exists(_, body):
+                stack.append(body)
 
 
 def contains_mu(f: Formula) -> bool:
