@@ -434,8 +434,9 @@ class _EvalContext:
                 and not v.inst.recursive
                 and len(v.args) + 1 == v.inst.arity
             ):
-                # this table is the instance's memo for the prefix: its
-                # entries are evaluated here and stored nowhere else
+                # this table is the instance's memo for the prefix: an
+                # entry is an answer the instance already holds, else it is
+                # evaluated here, and it is stored nowhere else
                 inst, prefix = v.inst, cache_key[2:]
 
                 def apply(a):
