@@ -6,10 +6,12 @@ Semantics over a finite integer window [lo, hi]:
 * quantifiers range over the window;
 * function spaces are the monotone maps over window-enumerated arguments,
   materialized as tables when a value has to be enumerated or compared;
-* fixpoints are computed by local (demand-driven) Kleene iteration: only
-  the argument tuples actually queried get table entries, so higher-order
-  fixpoints whose full argument space is astronomically large stay cheap
-  as long as the reachable configuration space is small.
+* recursive fixpoints are computed by local (demand-driven) Kleene
+  iteration: only the argument tuples actually queried get table entries,
+  so higher-order fixpoints whose full argument space is astronomically
+  large stay cheap as long as the reachable configuration space is small;
+* a non-recursive fixpoint is its body: it is applied like a lambda, keys
+  no argument and stores no answer.
 
 Where the window boundary is crossed:
 
@@ -429,34 +431,15 @@ class _EvalContext:
         if t is None:
             ty = ty if ty is not None else v.ty
             assert isinstance(ty, Arrow), f"cannot force {ty}"
-            if (
-                isinstance(v, FixPartial)
-                and not v.inst.recursive
-                and len(v.args) + 1 == v.inst.arity
-            ):
-                # this table is the instance's memo for the prefix: an
-                # entry is an answer the instance already holds, else it is
-                # evaluated here, and it is stored nowhere else
-                inst, prefix = v.inst, cache_key[2:]
-
-                def apply(a):
-                    self.tick()
-                    got = inst.stored(prefix + (a,))
-                    if got is None:
-                        got = inst.apply_body(inst.env, v.args + (a,))
-                    return got
-            else:
-                def apply(a):
-                    return apply_value(self, v, a)
             entries = []
             for a in enumerate_type(ty.arg, self.dom):
                 if for_key:
                     try:
-                        entries.append(self.config_key(apply(a), ty.ret))
+                        entries.append(self.config_key(apply_value(self, v, a), ty.ret))
                     except RangeEscape:
                         entries.append(_ESC)
                 else:
-                    entries.append(self.config_key(apply(a), ty.ret))
+                    entries.append(self.config_key(apply_value(self, v, a), ty.ret))
             t = intern_table(ty, self.dom, tuple(entries))
             self.forced_partials[cache_key] = t
         if for_key:
@@ -515,12 +498,11 @@ class _EvalContext:
 
 
 class _FixInstance:
-    """One fixpoint node under one environment.  ``asg`` maps each argument
-    key to its current value.  Only a recursive instance keeps the argument
-    tuples behind its keys (``argvals``), because only ``solve``
-    re-evaluates an entry.  A non-recursive one evaluates each entry once,
-    from the values in hand, and its ``asg`` holds only the answers that no
-    forced table of an argument prefix holds (see ``stored``).
+    """One fixpoint node under one environment.  A recursive instance maps
+    each argument key to its current value (``asg``) and keeps the argument
+    tuples behind its keys (``argvals``) for ``solve`` to re-evaluate.  A
+    non-recursive one is its body: ``full_query`` applies the body to the
+    values in hand, and ``asg`` and ``argvals`` stay empty.
 
     Nothing an instance holds leads back to it or to its context: the
     context is held weakly and ``env_reach`` leaves the instance out, so a
@@ -568,14 +550,23 @@ class _FixInstance:
     def full_query(self, values: tuple) -> bool:
         ctx = self.ctx
         try:
-            key = tuple(
-                ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
-            )
+            if not self.recursive:
+                # the body, applied like a lambda: nothing is keyed or
+                # stored, only the window rule for integers is kept
+                for v, ty in zip(values, self.param_tys):
+                    if isinstance(ty, IntType):
+                        ctx.clip_int(v)
+            else:
+                key = tuple(
+                    ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
+                )
         except RangeEscape:
             if self.sign == "mu":
                 # descending out of the window: a least fixpoint bottoms out
                 return False
             raise
+        if not self.recursive:
+            return self.apply_body(self.env, values)
         # stored entries whose arguments capture a fixpoint that is still
         # being solved must not survive that fixpoint's updates
         vers: set = set()
@@ -584,11 +575,6 @@ class _FixInstance:
         vers = {(i, n) for (i, n) in vers if i != id(self)}
         if vers:
             key = key + (tuple(sorted(vers)),)
-        if not self.recursive:
-            got = self.asg.get(key) if vers else self.stored(key)
-            if got is None:
-                got = self.asg[key] = self.apply_body(self.env, values)
-            return got
         if key not in self.asg:
             self.asg[key] = self.init_value()
             self.argvals[key] = values
@@ -598,26 +584,10 @@ class _FixInstance:
         self.solve()
         return self.asg[key]
 
-    def stored(self, key) -> Optional[bool]:
-        """The known answer of a non-recursive instance for the unsuffixed
-        ``key``: the entry of a forced table of the key's argument prefix,
-        else the memo entry; None if neither holds it.  An escaped table
-        entry is left to the memo path, which raises the escape again."""
-        ctx = self.ctx
-        for for_key in (True, False):
-            t = ctx.forced_partials.get((id(self), for_key, *key[:-1]))
-            if t is not None:
-                i = table_index(ctx.dom, t.arg_ty, key[-1])
-                if i is not None and t.entries[i] is not _ESC:
-                    return t.entries[i]
-        return self.asg.get(key)
-
     def entry_env(self, key) -> dict:
-        """The environment the body of entry ``key`` is evaluated in."""
-        if not self.recursive:
-            return self.env
-        # the recursive occurrence: applied occurrences query through a
-        # partial; a nullary occurrence is just the current iterate
+        """The environment the body of entry ``key`` is evaluated in: the
+        recursive occurrence queries through a partial when applied, and a
+        nullary occurrence is just the current iterate."""
         self_ref = self.asg[key] if self.arity == 0 else FixPartial(self, ())
         return {**self.env, self.name: self_ref}
 

@@ -9,7 +9,7 @@ from muhflz.convert import hes_to_formula
 from muhflz.eval import (
     BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
     _ESC, check_validity_bounded, enumerate_type, eval_formula, evaluate,
-    is_monotone_table, make_context, table_index, value_leq,
+    is_monotone_table, make_context, value_leq,
 )
 from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
@@ -168,35 +168,31 @@ def test_kleene_result_is_a_fixpoint():
         assert isinstance(key[0], Table) and isinstance(args[0], Closure)
 
 
-def test_non_recursive_instances_keep_results_only():
-    # a non-recursive instance stores no argument tuples, and each answer
-    # once: a forced table of an argument prefix is the memo for that
-    # prefix, and ``asg`` holds only what no such table answers.  Tables and
-    # keys are exact: applying the body to the key tables gives the stored
-    # answer.  That holds in clamping mode, where every forced table is a
-    # value of the enumerated function space.  In strict mode a closure also
-    # computes outside the window, where its table has no entry, so a key
-    # table may escape or differ where the closure did not.
-    f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
+def _hes(text: str):
+    return hes_to_formula(typecheck(parse_hes(text)))
+
+
+def test_non_recursive_instances_keep_nothing():
+    # a non-recursive instance is its body: it keys no argument and stores
+    # no answer.  A forced table of one of its partial applications is
+    # exact: each entry is the body applied to the prefix and the
+    # enumerated argument.  That holds in clamping mode, where every forced
+    # table is a value of the enumerated function space.  In strict mode a
+    # closure also computes outside the window, where its table has no
+    # entry, so a key table may escape or differ where the closure did not.
+    f = _hes(SUCC_PRED)
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
         ctx = make_context(f, dom)
         assert eval_formula(ctx, f, {}) is True
         flat = [i for i in ctx.instances.values() if not i.recursive]
         assert {i.sign for i in flat} == {"mu", "nu"}
         for inst in ctx.instances.values():
-            assert len(inst.argvals) == (len(inst.asg) if inst.recursive else 0)
-        for inst in flat:
-            for key in inst.asg:
-                if len(key) > inst.arity:  # keyed by in-flight versions
-                    continue
-                for for_key in (True, False):
-                    t = ctx.forced_partials.get((id(inst), for_key, *key[:-1]))
-                    i = None if t is None else table_index(dom, t.arg_ty, key[-1])
-                    assert i is None or t.entries[i] is _ESC, "stored twice"
+            assert len(inst.argvals) == len(inst.asg)
+            assert inst.recursive or not inst.asg
     # the instances and tables of the clamping-mode run
     by_id = {id(i): i for i in flat}
     tables = [
-        (by_id[k[0]], k[2:], t) for k, t in ctx.forced_partials.items()
+        (by_id[k[0]], k[2:], t) for k, t in list(ctx.forced_partials.items())
         if k[0] in by_id and len(k) - 1 == by_id[k[0]].arity
     ]
     checked = 0
@@ -205,48 +201,88 @@ def test_non_recursive_instances_keep_results_only():
             assert entry is not _ESC
             assert inst.apply_body(inst.env, prefix + (a,)) is entry
             checked += 1
-    suffixed = 0
-    for inst in flat:
-        for key, result in inst.asg.items():
-            if len(key) > inst.arity:
-                suffixed += 1
-                continue
-            assert any(isinstance(k, Table) for k in key)
-            assert inst.apply_body(inst.entry_env(key), key) is result
-            checked += 1
-    assert checked >= 192 and suffixed > 0
+    assert checked >= 192
 
 
-def test_forced_table_keeps_answers_stored_before_it():
-    # Succ is queried in full before G's key forces the table of its
-    # partial application; that table takes the stored answer instead of
-    # evaluating the body again.  Here the key tables are inexact (strict
-    # mode): evaluated at the table of \y. y >= 1 the body escapes the
-    # window, where the closure gave True.
-    f = hes_to_formula(typecheck(parse_hes(r"""
+def test_forced_key_table_of_a_partial_is_direct_evaluation():
+    # Succ is queried in full before G's argument, a partial application of
+    # Succ, is used.  A non-recursive G keys nothing, so no table is forced.
+    # A recursive G keys its argument by a forced table, whose entries are
+    # Succ's body on the actual argument, escaped where that escapes: in
+    # strict mode, evaluated at the table of \y. y >= 1 the body escapes
+    # the window, where the full query with the closure gave True.
+    program = r"""
 Main =v (\s. s (\k. k 4) (\y. y >= 1) /\ G (s (\k. k 4))) Succ;
-G p =v p (\y. y >= 1);
+G p =v p (\y. y >= 1){};
 Succ x k =v x (\y. k (y + 1));
-""")))
+"""
     dom = Domain(0, 4)
+    f = _hes(program.format(""))
     ctx = make_context(f, dom)
     assert eval_formula(ctx, f, {}) is True
-    (succ,) = [i for i in ctx.instances.values() if not i.recursive and i.arity == 2]
-    ((key, result),) = succ.asg.items()
-    t = ctx.forced_partials[(id(succ), True, key[0])]
-    assert result is True
-    assert t.entries[table_index(dom, t.arg_ty, key[1])] is result
+    assert not ctx.forced_partials
+    assert all(not i.asg for i in ctx.instances.values())
+
+    f = _hes(program.format(r" /\ G p"))
+    ctx = make_context(f, dom)
+    assert eval_formula(ctx, f, {}) is True
+    (succ,) = [i for i in ctx.instances.values() if not i.recursive]
+    (g,) = [i for i in ctx.instances.values() if i.recursive]
+    assert not succ.asg
+    ((key, (p,)),) = g.argvals.items()
+    assert p.inst is succ
+    (t,) = key
+    assert t is p.key_table
+    for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
+        try:
+            direct = succ.apply_body(succ.env, p.args + (a,))
+        except RangeEscape:
+            direct = _ESC
+        assert entry is direct
+
+
+def test_closures_equal_on_the_window_are_not_shared():
+    # \y. y >= 5 and \y. y >= 6 are both False on 0..4, but Succ applies
+    # them at 5, outside the window: the first conjunct holds and the
+    # second does not
+    f = _hes(r"""
+Main =v Succ (\k. k 4) (\y. y >= 5) /\ Succ (\k. k 4) (\y. y >= 6);
+Succ x k =v x (\y. k (y + 1));
+""")
+    assert check_validity_bounded(f, Domain(0, 4)) is BoundedResult.INVALID
+
+
+def test_fixpoint_argument_of_a_non_recursive_fixpoint_is_not_forced():
+    # H is queried once: its argument Succ is applied, never tabulated
+    # over the whole space of its arguments
+    f = _hes(r"""
+Main =v H Succ;
+H s =v s (\k. k 4) (\y. y >= 1) /\ G (s (\k. k 4));
+G p =v p (\y. y >= 1);
+Succ x k =v x (\y. k (y + 1));
+""")
+    ctx = make_context(f, Domain(0, 4), step_limit=10_000)
+    assert eval_formula(ctx, f, {}) is True
+    assert not ctx.forced_partials
+
+
+def test_non_recursive_fixpoint_keeps_the_window_rule():
+    # an integer argument outside the window: False for a least fixpoint,
+    # an escape for a greatest one, clamped in clamping mode
+    mu = _hes("Main =v P 9; P x =u x >= 9;")
+    nu = _hes("Main =v P 9; P x =v x >= 9;")
+    assert check_validity_bounded(mu, Domain(0, 4)) is BoundedResult.INVALID
+    assert check_validity_bounded(nu, Domain(0, 4)) is BoundedResult.RANGE_ESCAPE
+    assert evaluate(nu, dom=Domain(0, 4, strict=False)) is False
 
 
 def test_context_freed_when_evaluation_ends(eval_contexts):
     # a finished evaluation holds no reference cycle, so reference counting
     # frees its context and instances on return, also when it ends in a cap
     # or a window escape
-    f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
+    f = _hes(SUCC_PRED)
     # X's argument captures X itself
-    self_capturing = hes_to_formula(typecheck(parse_hes(
-        r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);"
-    )))
+    self_capturing = _hes(r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);")
     climb = AppInt(
         Nu("x", Arrow(INT, PROP), Abs("y", INT, AppInt(Var("x"), Plus(IntVar("y"), Lit(1))))),
         Lit(0),
