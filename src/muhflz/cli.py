@@ -24,7 +24,7 @@ from .driver import (
     verify,
 )
 from .eval import Domain
-from .parser import ParseError, parse_hes
+from .parser import NestingTooDeep, ParseError, parse_hes
 from .printer import print_hes
 from .transform import dual_hes
 from .typecheck import TypeCheckError, typecheck
@@ -136,11 +136,11 @@ def run(argv: list[str]) -> int:
         print(f"muhflz: {e}", file=sys.stderr)
         return _USAGE_EXIT
 
-    # the parser, typechecker, transforms and evaluator all recurse on the
-    # nesting of the input
+    # the parser bounds the nesting it accepts; the typechecker, transforms
+    # and evaluator recurse on the nesting of what it built
     try:
         return _run_text(ns, spec, mode, path, text)
-    except RecursionError:
+    except (NestingTooDeep, RecursionError):
         print(f"muhflz: {path}: input nested too deeply", file=sys.stderr)
         return _USAGE_EXIT
 
@@ -150,6 +150,8 @@ def _run_text(
 ) -> int:
     try:
         h = parse_hes(text)
+    except NestingTooDeep:
+        raise
     except ParseError as e:
         print(f"muhflz: {path}:{e}", file=sys.stderr)
         return _USAGE_EXIT

@@ -44,6 +44,16 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: expected {exp}, found {found}")
 
 
+class NestingTooDeep(ParseError):
+    """The input nests formulas or parentheses deeper than ``MAX_NESTING``.
+    Never backtracked over: no other reading of the input nests less."""
+
+
+# each level costs up to seven Python frames, so the bound keeps the parser
+# well inside the interpreter's default recursion limit of 1000
+MAX_NESTING = 100
+
+
 @dataclass(frozen=True)
 class _Tok:
     kind: str
@@ -116,6 +126,7 @@ class _Parser:
         # (name, line, col, frozenset of locally bound names) for scope check
         self.occurrences: list[tuple[str, int, int, frozenset[str]]] = []
         self.scope: list[str] = []
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -146,6 +157,17 @@ class _Parser:
     def fail(self, expected: set[str]):
         t = self.peek()
         raise ParseError(t.line, t.col, expected, t.text)
+
+    def deeper(self, parse):
+        """``parse()`` one nesting level down."""
+        if self.depth == MAX_NESTING:
+            t = self.peek()
+            raise NestingTooDeep(t.line, t.col, {f"at most {MAX_NESTING} nesting levels"}, t.text)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     # -- toplevel ----------------------------------------------------------
 
@@ -197,6 +219,9 @@ class _Parser:
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
+        return self.deeper(self._formula)
+
+    def _formula(self) -> Formula:
         t = self.peek()
         if t.kind in ("forall", "exists"):
             self.next()
@@ -246,6 +271,8 @@ class _Parser:
                 self.next()
                 rhs = self.iexpr()
                 return self._comparison(t.text, lhs, rhs)
+        except NestingTooDeep:
+            raise
         except ParseError:
             pass
         self.pos = mark
@@ -311,6 +338,8 @@ class _Parser:
             f = self.formula()
             if self.at_sym(")"):
                 return f
+        except NestingTooDeep:
+            raise
         except ParseError:
             pass
         self.pos = mark
@@ -354,7 +383,7 @@ class _Parser:
             return IntVar(t.text)
         if self.at_sym("("):
             self.next()
-            e = self.iexpr()
+            e = self.deeper(self.iexpr)
             self.expect("sym", ")")
             return e
         self.fail({"integer expression"})

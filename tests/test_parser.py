@@ -3,7 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_fixture_names, fixture_text
 from gen import random_instance
-from muhflz.parser import ParseError, parse_formula, parse_hes
+from muhflz.parser import (
+    MAX_NESTING, NestingTooDeep, ParseError, parse_formula, parse_hes,
+)
 from muhflz.printer import print_hes
 from muhflz.syntax import (
     And, App, AppInt, Equation, Exists, FALSE, Forall, Ge, IntVar, Lit, Or,
@@ -124,3 +126,22 @@ def test_generated_round_trip(seed):
     # compare the printed texts instead of the trees
     assert print_hes(alpha_normalize(h1)) == print_hes(alpha_normalize(h1))
     assert parse_hes(print_hes(h1)) == h1
+
+
+def test_deep_nesting_is_a_parse_error():
+    # the parser bounds its own recursion: library callers get a
+    # ParseError, not a RecursionError, at the first level too deep
+    inner = MAX_NESTING - 1  # the equation body is the first level
+    for n, ok in ((inner, True), (inner + 1, False), (1500, False)):
+        for text in (
+            "Main =v " + "(" * n + "0 >= 1" + ")" * n + ";",
+            "Main =v F " + "(" * n + "1" + ")" * n + "; F x =v x >= 0;",
+            "Main =v " + "forall x. " * n + "true;",
+        ):
+            if ok:
+                parse_hes(text)
+                continue
+            with pytest.raises(NestingTooDeep) as e:
+                parse_hes(text)
+            assert isinstance(e.value, ParseError)
+            assert e.value.line == 1 and e.value.col > MAX_NESTING
