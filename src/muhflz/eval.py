@@ -550,22 +550,18 @@ class _FixInstance:
     def full_query(self, values: tuple) -> bool:
         ctx = self.ctx
         try:
-            if not self.recursive:
-                # the body, applied like a lambda: nothing is keyed or
-                # stored, only the window rule for integers is kept
-                for v, ty in zip(values, self.param_tys):
-                    if isinstance(ty, IntType):
-                        ctx.clip_int(v)
-            else:
-                key = tuple(
-                    ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
-                )
+            key = tuple(
+                ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
+                if self.recursive or isinstance(ty, IntType)
+            )
         except RangeEscape:
             if self.sign == "mu":
                 # descending out of the window: a least fixpoint bottoms out
                 return False
             raise
         if not self.recursive:
+            # the body, applied like a lambda: its integer arguments were
+            # keyed only for the window rule, and nothing is stored
             return self.apply_body(self.env, values)
         # stored entries whose arguments capture a fixpoint that is still
         # being solved must not survive that fixpoint's updates
