@@ -49,9 +49,10 @@ class NestingTooDeep(ParseError):
     Never backtracked over: no other reading of the input nests less."""
 
 
-# each level costs up to seven Python frames, so the bound keeps the parser
-# well inside the interpreter's default recursion limit of 1000
-MAX_NESTING = 100
+# a level costs up to nine Python frames, so the parser stays well inside
+# the interpreter's default recursion limit of 1000, also when called from
+# deep in a caller's stack
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
