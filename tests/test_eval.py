@@ -192,7 +192,7 @@ def test_non_recursive_instances_keep_nothing():
     # the instances and tables of the clamping-mode run
     by_id = {id(i): i for i in flat}
     tables = [
-        (by_id[k[0]], k[2:], t) for k, t in list(ctx.forced_partials.items())
+        (by_id[k[0]], k[2:], t) for k, t in ctx.forced_partials.items()
         if k[0] in by_id and len(k) - 1 == by_id[k[0]].arity
     ]
     checked = 0
@@ -280,9 +280,11 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
     # a finished evaluation holds no reference cycle, so reference counting
     # frees its context and instances on return, also when it ends in a cap
     # or a window escape
-    f = _hes(SUCC_PRED)
+    f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
     # X's argument captures X itself
-    self_capturing = _hes(r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);")
+    self_capturing = hes_to_formula(typecheck(parse_hes(
+        r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);"
+    )))
     climb = AppInt(
         Nu("x", Arrow(INT, PROP), Abs("y", INT, AppInt(Var("x"), Plus(IntVar("y"), Lit(1))))),
         Lit(0),
