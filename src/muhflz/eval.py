@@ -29,6 +29,7 @@ unbounded Z-validity is made here.
 
 from __future__ import annotations
 
+import functools
 import time
 import weakref
 from dataclasses import dataclass
@@ -187,14 +188,14 @@ SemValue = Union[bool, int, Table, Closure, FixPartial]
 # ---------------------------------------------------------------------------
 # Enumeration of types over a window (shared across evaluations)
 
-_ENUM_CACHE: dict = {}
 # held weakly: a table no live value refers to can never be looked up by
 # identity again, so a long-lived process keeps only the tables in use
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 _ENUM_LIMIT = 1 << 15
 _ENUM_ARG_LIMIT = 600
-_TOO_BIG = object()
+# (type, window) pairs whose enumeration is kept, least recently used out
+_ENUM_CACHE_SIZE = 32
 
 
 def intern_table(ty: Arrow, dom: Domain, entries: tuple) -> Table:
@@ -216,80 +217,96 @@ def value_leq(ty: SimpleType, a, b) -> bool:
     return all(value_leq(ty.ret, x, y) for x, y in zip(a.entries, b.entries))
 
 
+class _Enumeration:
+    """The values of one type over one window, in enumeration order, and
+    their positions, indexed on first use."""
+
+    __slots__ = ("values", "_index")
+
+    def __init__(self, values: list):
+        self.values = values
+        self._index = None
+
+    @property
+    def index(self) -> dict:
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.values)}
+        return self._index
+
+
+@functools.lru_cache(maxsize=_ENUM_CACHE_SIZE)
+def _enumeration(ty: SimpleType, lo: int, hi: int) -> Optional[_Enumeration]:
+    """The cached enumeration of ``ty`` over ``lo..hi``; None when it is too
+    big, so that the refusal is cached and evicted with the rest."""
+    try:
+        return _Enumeration(_enumerate(ty, Domain(lo, hi)))
+    except IterationCap:
+        return None
+
+
 def enumerate_type(ty: SimpleType, dom: Domain) -> list:
     """All semantic values of ``ty`` over the window; function types are
     restricted to monotone tables (all maps are monotone when the argument
     order is discrete)."""
-    key = (ty, dom.lo, dom.hi)
-    cached = _ENUM_CACHE.get(key)
-    if cached is _TOO_BIG:
+    e = _enumeration(ty, dom.lo, dom.hi)
+    if e is None:
         raise IterationCap("enumeration")
-    if cached is not None:
-        return cached
-    if isinstance(ty, IntType):
-        out: list = list(dom.values())
-    elif isinstance(ty, PropType):
-        out = [False, True]
-    else:
-        assert isinstance(ty, Arrow)
-        try:
-            args = enumerate_type(ty.arg, dom)
-            if len(args) > _ENUM_ARG_LIMIT:
-                raise IterationCap("enumeration")
-            rets = enumerate_type(ty.ret, dom)
-            if isinstance(ty.arg, IntType) and len(rets) ** len(args) > _ENUM_LIMIT:
-                # discrete argument order: the count is exact, fail fast
-                raise IterationCap("enumeration")
-        except IterationCap:
-            _ENUM_CACHE[key] = _TOO_BIG
-            raise
-        n = len(args)
-        below = [
-            [j for j in range(n) if j != i and value_leq(ty.arg, args[j], args[i])]
-            for i in range(n)
-        ]
-        above = [
-            [j for j in range(n) if j != i and value_leq(ty.arg, args[i], args[j])]
-            for i in range(n)
-        ]
-        out = []
-        entries: list = [None] * n
-
-        def assign(i: int):
-            if len(out) > _ENUM_LIMIT:
-                raise IterationCap("enumeration")
-            if i == n:
-                out.append(intern_table(ty, dom, tuple(entries)))
-                return
-            for r in rets:
-                ok = all(
-                    entries[j] is None or value_leq(ty.ret, entries[j], r)
-                    for j in below[i]
-                ) and all(
-                    entries[j] is None or value_leq(ty.ret, r, entries[j])
-                    for j in above[i]
-                )
-                if ok:
-                    entries[i] = r
-                    assign(i + 1)
-                    entries[i] = None
-
-        try:
-            assign(0)
-        except IterationCap:
-            _ENUM_CACHE[key] = _TOO_BIG
-            raise
-    _ENUM_CACHE[key] = out
-    return out
+    return e.values
 
 
 def enum_index(ty: SimpleType, dom: Domain) -> dict:
-    key = ("idx", ty, dom.lo, dom.hi)
-    idx = _ENUM_CACHE.get(key)
-    if idx is None:
-        idx = {v: i for i, v in enumerate(enumerate_type(ty, dom))}
-        _ENUM_CACHE[key] = idx
-    return idx
+    e = _enumeration(ty, dom.lo, dom.hi)
+    if e is None:
+        raise IterationCap("enumeration")
+    return e.index
+
+
+def _enumerate(ty: SimpleType, dom: Domain) -> list:
+    if isinstance(ty, IntType):
+        return list(dom.values())
+    if isinstance(ty, PropType):
+        return [False, True]
+    assert isinstance(ty, Arrow)
+    args = enumerate_type(ty.arg, dom)
+    if len(args) > _ENUM_ARG_LIMIT:
+        raise IterationCap("enumeration")
+    rets = enumerate_type(ty.ret, dom)
+    if isinstance(ty.arg, IntType) and len(rets) ** len(args) > _ENUM_LIMIT:
+        # discrete argument order: the count is exact, fail fast
+        raise IterationCap("enumeration")
+    n = len(args)
+    below = [
+        [j for j in range(n) if j != i and value_leq(ty.arg, args[j], args[i])]
+        for i in range(n)
+    ]
+    above = [
+        [j for j in range(n) if j != i and value_leq(ty.arg, args[i], args[j])]
+        for i in range(n)
+    ]
+    out: list = []
+    entries: list = [None] * n
+
+    def assign(i: int):
+        if len(out) > _ENUM_LIMIT:
+            raise IterationCap("enumeration")
+        if i == n:
+            out.append(intern_table(ty, dom, tuple(entries)))
+            return
+        for r in rets:
+            ok = all(
+                entries[j] is None or value_leq(ty.ret, entries[j], r)
+                for j in below[i]
+            ) and all(
+                entries[j] is None or value_leq(ty.ret, r, entries[j])
+                for j in above[i]
+            )
+            if ok:
+                entries[i] = r
+                assign(i + 1)
+                entries[i] = None
+
+    assign(0)
+    return out
 
 
 def table_index(dom: Domain, arg_ty: SimpleType, k) -> Optional[int]:
@@ -473,23 +490,29 @@ class _EvalContext:
             return v.key_table
         return self.force_table(v, ty, for_key=True)
 
-    def versions(self, v, acc: set):
-        if isinstance(v, _Intensional):
-            for i in v.reach:
-                if i.mid_solve:
-                    acc.add((id(i), i.version))
+    def stamp(self, values, skip=None) -> tuple:
+        """The versions of the in-flight instances ``values`` reach, other
+        than ``skip``: what a result computed from them depends on."""
+        vers = {
+            (id(i), i.version)
+            for v in values if isinstance(v, _Intensional)
+            for i in v.reach if i.mid_solve and i is not skip
+        }
+        return tuple(sorted(vers)) if vers else ()
 
     def instance(self, node, env: dict) -> "_FixInstance":
-        vers: set = set()
-        keys = []
-        for n in sorted(env):
-            keys.append((n, self.config_key(env[n])))
-            self.versions(env[n], vers)
-        memo_key = (id(node), tuple(keys), tuple(sorted(vers)))
-        inst = self.instances.get(memo_key)
+        """The one instance of ``node`` under ``env``'s key.  When an
+        in-flight instance its environment reaches has moved on, it
+        restarts in place; mid-solve, it answers with its current iterate
+        and the enclosing solve's next pass restarts it."""
+        names = sorted(env)
+        key = (id(node), tuple((n, self.config_key(env[n])) for n in names))
+        stamp = self.stamp([env[n] for n in names])
+        inst = self.instances.get(key)
         if inst is None:
-            inst = _FixInstance(self, node, env)
-            self.instances[memo_key] = inst
+            inst = self.instances[key] = _FixInstance(self, node, env, stamp)
+        elif inst.stamp != stamp and not inst.mid_solve:
+            inst.restart(stamp)
         return inst
 
 
@@ -498,11 +521,17 @@ class _EvalContext:
 
 
 class _FixInstance:
-    """One fixpoint node under one environment.  A recursive instance maps
-    each argument key to its current value (``asg``) and keeps the argument
-    tuples behind its keys (``argvals``) for ``solve`` to re-evaluate.  A
-    non-recursive one is its body: ``full_query`` applies the body to the
-    values in hand, and ``asg`` and ``argvals`` stay empty.
+    """One fixpoint node under one environment key.  A recursive instance
+    maps each argument key to its current value (``asg``) and keeps the
+    argument tuples behind its keys (``argvals``) for ``solve`` to
+    re-evaluate.  A non-recursive one is its body: ``full_query`` applies
+    the body to the values in hand, and ``asg`` and ``argvals`` stay empty.
+
+    A version never enters a key.  ``stamp`` holds the versions of the
+    in-flight instances the environment reaches, and ``stamps`` those each
+    entry's arguments reach.  When a stamp moves, the instance restarts in place (``restart``) or the
+    entry is re-initialised, so keys that capture the instance stay the
+    same while the values behind them are recomputed.
 
     Nothing an instance holds leads back to it or to its context: the
     context is held weakly and ``env_reach`` leaves the instance out, so a
@@ -511,10 +540,11 @@ class _FixInstance:
 
     __slots__ = (
         "_ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
-        "recursive", "asg", "argvals", "version", "mid_solve", "_env_reach",
+        "recursive", "asg", "argvals", "stamps", "stamp", "version",
+        "mid_solve", "_env_reach",
     )
 
-    def __init__(self, ctx: _EvalContext, node, env: dict):
+    def __init__(self, ctx: _EvalContext, node, env: dict, stamp: tuple):
         self._ctx = weakref.ref(ctx)
         self.node = node
         self.env = env
@@ -526,9 +556,19 @@ class _FixInstance:
         self.recursive = node.name in ctx.fv(node.body)
         self.asg: dict = {}
         self.argvals: dict = {}
+        self.stamps: dict = {}
+        self.stamp = stamp
         self.version = 0
         self.mid_solve = False
         self._env_reach = None
+
+    def restart(self, stamp: tuple):
+        """Forget every entry: what a fresh instance would hold."""
+        self.asg.clear()
+        self.argvals.clear()
+        self.stamps.clear()
+        self.version += 1
+        self.stamp = stamp
 
     @property
     def ctx(self) -> _EvalContext:
@@ -563,17 +603,13 @@ class _FixInstance:
             # the body, applied like a lambda: its integer arguments were
             # keyed only for the window rule, and nothing is stored
             return self.apply_body(self.env, values)
-        # stored entries whose arguments capture a fixpoint that is still
-        # being solved must not survive that fixpoint's updates
-        vers: set = set()
-        for v in values:
-            ctx.versions(v, vers)
-        vers = {(i, n) for (i, n) in vers if i != id(self)}
-        if vers:
-            key = key + (tuple(sorted(vers)),)
-        if key not in self.asg:
+        # an entry whose arguments capture a fixpoint that is still being
+        # solved must not survive that fixpoint's updates
+        stamp = ctx.stamp(values, self)
+        if key not in self.asg or self.stamps[key] != stamp:
             self.asg[key] = self.init_value()
             self.argvals[key] = values
+            self.stamps[key] = stamp
             self.version += 1
         if self.mid_solve:
             return self.asg[key]
@@ -610,18 +646,15 @@ class _FixInstance:
                     raise IterationCap("fixpoint-passes")
                 if len(self.asg) > 300_000:
                     raise IterationCap("fixpoint-keys")
-                changed = False
-                count_before = len(self.asg)
+                # a new, re-initialised or updated entry moves the version
+                before = self.version
                 for key in list(self.asg):
                     ctx.tick()
                     nv = self.eval_entry(key)
                     if nv != self.asg[key]:
                         self.asg[key] = nv
                         self.version += 1
-                        changed = True
-                if len(self.asg) != count_before:
-                    changed = True
-                if not changed:
+                if self.version == before:
                     return
         finally:
             self.mid_solve = False

@@ -8,8 +8,9 @@ from gen import instances, random_instance
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
     BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
-    _ESC, check_validity_bounded, enumerate_type, eval_formula, evaluate,
-    is_monotone_table, make_context, value_leq,
+    _ENUM_CACHE_SIZE, _ESC, _enumeration, check_validity_bounded,
+    enum_index, enumerate_type, eval_formula, evaluate, is_monotone_table,
+    make_context, value_leq,
 )
 from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
@@ -276,6 +277,66 @@ def test_non_recursive_fixpoint_keeps_the_window_rule():
     assert evaluate(nu, dom=Domain(0, 4, strict=False)) is False
 
 
+# Y's environment reaches X, which is in flight whenever Y is evaluated
+NESTED_IN_FLIGHT = r"Main =v X (\a. a + a >= 0); X p ={} X Y; Y x ={} X Y {};"
+NU_NU = NESTED_IN_FLIGHT.format("v", "v", r"/\ -1 * x - 1 >= -1 * x")
+
+
+def test_nested_fixpoint_restarts_in_place():
+    # X is stored under its argument Y, an instance of a nested fixpoint.
+    # When X moves on, that instance restarts under the same identity, so
+    # the key X stores for it stays the same and X converges.  A fresh copy
+    # per version of X gave a new key each time, and X never converged.
+    f = _hes(NU_NU)
+    for dom in (Domain(-3, 3), Domain(0, 4)):
+        for d in (dom, Domain(dom.lo, dom.hi, strict=False)):
+            ctx = make_context(f, d, step_limit=20_000)
+            assert eval_formula(ctx, f, {}) is True
+            assert len(ctx.instances) <= 2
+            assert ctx.steps < 100
+
+
+def test_nested_fixpoint_restart_with_least_fixpoints():
+    # X p =u X Y is false everywhere; with X a greatest fixpoint, Y's first
+    # disjunct is true everywhere
+    cases = (
+        (NESTED_IN_FLIGHT.format("u", "v", r"/\ -1 * x - 1 >= -1 * x"), False),
+        (NESTED_IN_FLIGHT.format("v", "u", r"\/ x >= 2"), True),
+    )
+    for text, want in cases:
+        f = _hes(text)
+        for d in (Domain(-3, 3), Domain(0, 4, strict=False)):
+            assert evaluate(f, dom=d, step_limit=20_000) is want
+
+
+def test_gen492_is_decided():
+    # its fixpoints used to be copied per version without end
+    f = hes_to_formula(random_instance(492))
+    got = check_validity_bounded(f, Domain(-3, 3), step_limit=10_000)
+    assert got is BoundedResult.INVALID
+
+
+def test_enumeration_cache_is_bounded():
+    # a long-lived process that evaluates on ever new windows keeps at most
+    # _ENUM_CACHE_SIZE enumerations
+    f = Abs("y", INT, Ge(IntVar("y"), Lit(0)))
+    for k in range(1, _ENUM_CACHE_SIZE + 9):
+        assert isinstance(evaluate(f, dom=Domain(-k, k)), Table)
+    assert _enumeration.cache_info().currsize == _ENUM_CACHE_SIZE
+
+
+def test_enumeration_is_reused_across_solves():
+    # repeated solves on one window enumerate a type once
+    dom = Domain(-2, 2)
+    pred = Arrow(INT, PROP)
+    fn = Abs("p", pred, Or(AppInt(Var("p"), Lit(0)), AppInt(Var("p"), Lit(1))))
+    assert isinstance(evaluate(fn, dom=dom), Table)
+    values, index = enumerate_type(pred, dom), enum_index(pred, dom)
+    assert isinstance(evaluate(fn, dom=dom), Table)
+    assert enumerate_type(pred, dom) is values
+    assert enum_index(pred, dom) is index
+
+
 def test_context_freed_when_evaluation_ends(eval_contexts):
     # a finished evaluation holds no reference cycle, so reference counting
     # frees its context and instances on return, also when it ends in a cap
@@ -285,6 +346,7 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
     self_capturing = hes_to_formula(typecheck(parse_hes(
         r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);"
     )))
+    nested = hes_to_formula(typecheck(parse_hes(NU_NU)))
     climb = AppInt(
         Nu("x", Arrow(INT, PROP), Abs("y", INT, AppInt(Var("x"), Plus(IntVar("y"), Lit(1))))),
         Lit(0),
@@ -295,6 +357,7 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
     try:
         assert check_validity_bounded(f, Domain(0, 4)) is BoundedResult.VALID
         assert check_validity_bounded(self_capturing, Domain(-3, 3)) is BoundedResult.VALID
+        assert check_validity_bounded(nested, Domain(-3, 3)) is BoundedResult.VALID
         assert check_validity_bounded(climb, Domain(0, 4)) is BoundedResult.RANGE_ESCAPE
         try:
             check_validity_bounded(f, Domain(0, 4), step_limit=2_000)
@@ -302,7 +365,7 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
             pass
         else:
             raise AssertionError("the step cap must stop the evaluation")
-        assert len(eval_contexts) == 4
+        assert len(eval_contexts) == 5
         assert all(r() is None for r in eval_contexts)
         assert tracked_fix_instances() == before
     finally:
