@@ -287,26 +287,21 @@ def test_nested_fixpoint_restarts_in_place():
     # When X moves on, that instance restarts under the same identity, so
     # the key X stores for it stays the same and X converges.  A fresh copy
     # per version of X gave a new key each time, and X never converged.
-    f = _hes(NU_NU)
-    for dom in (Domain(-3, 3), Domain(0, 4)):
-        for d in (dom, Domain(dom.lo, dom.hi, strict=False)):
-            ctx = make_context(f, d, step_limit=20_000)
-            assert eval_formula(ctx, f, {}) is True
-            assert len(ctx.instances) <= 2
-            assert ctx.steps < 100
-
-
-def test_nested_fixpoint_restart_with_least_fixpoints():
     # X p =u X Y is false everywhere; with X a greatest fixpoint, Y's first
-    # disjunct is true everywhere
+    # disjunct is true everywhere.
     cases = (
+        (NU_NU, True),
         (NESTED_IN_FLIGHT.format("u", "v", r"/\ -1 * x - 1 >= -1 * x"), False),
         (NESTED_IN_FLIGHT.format("v", "u", r"\/ x >= 2"), True),
     )
     for text, want in cases:
         f = _hes(text)
-        for d in (Domain(-3, 3), Domain(0, 4, strict=False)):
-            assert evaluate(f, dom=d, step_limit=20_000) is want
+        for lo, hi in ((-3, 3), (0, 4)):
+            for strict in (True, False):
+                ctx = make_context(f, Domain(lo, hi, strict), step_limit=20_000)
+                assert eval_formula(ctx, f, {}) is want
+                assert len(ctx.instances) <= 2
+                assert ctx.steps < 100
 
 
 def test_gen492_is_decided():
