@@ -10,15 +10,15 @@ Semantics over a finite integer window [lo, hi]:
   iteration: only the argument tuples actually queried get table entries,
   so higher-order fixpoints whose full argument space is astronomically
   large stay cheap as long as the reachable configuration space is small;
-* a non-recursive fixpoint is its body: it is applied like a lambda, keys
-  no argument and stores no answer.
+* a non-recursive fixpoint is its body: it makes no instance, and its
+  integer arguments are exact, like those of a lambda.
 
 Where the window boundary is crossed:
 
 * indexing a materialized table outside the window raises ``RangeEscape``
   in strict mode (clamping mode clamps to the nearest bound);
-* an out-of-window argument to a least-fixpoint predicate evaluates to
-  False -- the recursion is descending out of the window and a least
+* an out-of-window argument to a recursive least-fixpoint predicate
+  evaluates to False -- the recursion is descending out of the window and a least
   fixpoint truncates at bottom.  The greatest-fixpoint side keeps the
   escape: truncating at top would let a bounded run report validity the
   unbounded semantics may not have.
@@ -521,17 +521,18 @@ class _EvalContext:
 
 
 class _FixInstance:
-    """One fixpoint node under one environment key.  A recursive instance
-    maps each argument key to its current value (``asg``) and keeps the
-    argument tuples behind its keys (``argvals``) for ``solve`` to
-    re-evaluate.  A non-recursive one is its body: ``full_query`` applies
-    the body to the values in hand, and ``asg`` and ``argvals`` stay empty.
+    """One recursive fixpoint node under one environment key.  It maps each
+    argument key to its current value (``asg``) and keeps the argument
+    tuples behind its keys (``argvals``) for ``solve`` to re-evaluate.  A
+    non-recursive fixpoint has no instance: ``eval_formula`` evaluates it
+    as its body, so its integer arguments are exact.
 
     A version never enters a key.  ``stamp`` holds the versions of the
     in-flight instances the environment reaches, and ``stamps`` those each
-    entry's arguments reach.  When a stamp moves, the instance restarts in place (``restart``) or the
-    entry is re-initialised, so keys that capture the instance stay the
-    same while the values behind them are recomputed.
+    entry's arguments reach.  When a stamp moves, the instance restarts in
+    place (``restart``) or the entry is re-initialised, so keys that
+    capture the instance stay the same while the values behind them are
+    recomputed.
 
     Nothing an instance holds leads back to it or to its context: the
     context is held weakly and ``env_reach`` leaves the instance out, so a
@@ -540,7 +541,7 @@ class _FixInstance:
 
     __slots__ = (
         "_ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
-        "recursive", "asg", "argvals", "stamps", "stamp", "version",
+        "asg", "argvals", "stamps", "stamp", "version",
         "mid_solve", "_env_reach",
     )
 
@@ -553,7 +554,6 @@ class _FixInstance:
         self.body = node.body
         self.param_tys = arg_types(node.ty)
         self.arity = len(self.param_tys)
-        self.recursive = node.name in ctx.fv(node.body)
         self.asg: dict = {}
         self.argvals: dict = {}
         self.stamps: dict = {}
@@ -590,19 +590,12 @@ class _FixInstance:
     def full_query(self, values: tuple) -> bool:
         ctx = self.ctx
         try:
-            key = tuple(
-                ctx.config_key(v, ty) for v, ty in zip(values, self.param_tys)
-                if self.recursive or isinstance(ty, IntType)
-            )
+            key = tuple(map(ctx.config_key, values, self.param_tys))
         except RangeEscape:
             if self.sign == "mu":
                 # descending out of the window: a least fixpoint bottoms out
                 return False
             raise
-        if not self.recursive:
-            # the body, applied like a lambda: its integer arguments were
-            # keyed only for the window rule, and nothing is stored
-            return self.apply_body(self.env, values)
         # an entry whose arguments capture a fixpoint that is still being
         # solved must not survive that fixpoint's updates
         stamp = ctx.stamp(values, self)
@@ -616,24 +609,17 @@ class _FixInstance:
         self.solve()
         return self.asg[key]
 
-    def entry_env(self, key) -> dict:
-        """The environment the body of entry ``key`` is evaluated in: the
+    def eval_entry(self, key) -> bool:
+        """The body applied to the arguments of entry ``key``.  The
         recursive occurrence queries through a partial when applied, and a
         nullary occurrence is just the current iterate."""
-        self_ref = self.asg[key] if self.arity == 0 else FixPartial(self, ())
-        return {**self.env, self.name: self_ref}
-
-    def apply_body(self, env: dict, values: tuple) -> bool:
-        """The body, evaluated in ``env``, applied to ``values``."""
         ctx = self.ctx
-        v = eval_formula(ctx, self.body, env)
-        for a in values:
+        self_ref = self.asg[key] if self.arity == 0 else FixPartial(self, ())
+        v = eval_formula(ctx, self.body, {**self.env, self.name: self_ref})
+        for a in self.argvals[key]:
             v = apply_value(ctx, v, a)
         assert isinstance(v, bool)
         return v
-
-    def eval_entry(self, key) -> bool:
-        return self.apply_body(self.entry_env(key), self.argvals[key])
 
     def solve(self):
         ctx = self.ctx
@@ -747,7 +733,10 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
         case AppInt(fn, arg):
             fv = eval_formula(ctx, fn, env)
             return apply_value(ctx, fv, eval_int(ctx, arg, env))
-        case Mu() | Nu():
+        case Mu(name, _, body) | Nu(name, _, body):
+            if name not in ctx.fv(body):
+                # not recursive: the fixpoint is its body
+                return eval_formula(ctx, body, env)
             names = ctx.fv(f)
             inst = ctx.instance(f, {n: env[n] for n in names})
             if inst.arity == 0:

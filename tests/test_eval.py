@@ -8,9 +8,9 @@ from gen import instances, random_instance
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
     BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
-    _ENUM_CACHE_SIZE, _ESC, _enumeration, check_validity_bounded,
-    enum_index, enumerate_type, eval_formula, evaluate, is_monotone_table,
-    make_context, value_leq,
+    _ENUM_CACHE_SIZE, _ESC, _enumeration, apply_value,
+    check_validity_bounded, enum_index, enumerate_type, eval_formula,
+    evaluate, is_monotone_table, make_context, value_leq,
 )
 from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
@@ -174,44 +174,43 @@ def _hes(text: str):
 
 
 def test_non_recursive_instances_keep_nothing():
-    # a non-recursive instance is its body: it keys no argument and stores
-    # no answer.  A forced table of one of its partial applications is
-    # exact: each entry is the body applied to the prefix and the
-    # enumerated argument.  That holds in clamping mode, where every forced
-    # table is a value of the enumerated function space.  In strict mode a
-    # closure also computes outside the window, where its table has no
-    # entry, so a key table may escape or differ where the closure did not.
+    # a non-recursive fixpoint is its body: Succ, Pred and Call make no
+    # instance and are applied as lambdas, so only All and F are instances.
+    # Every forced table is the key table of a closure those instances were
+    # queried with, and each entry is the closure's direct application,
+    # escaped where that escapes.
     f = _hes(SUCC_PRED)
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
         ctx = make_context(f, dom)
         assert eval_formula(ctx, f, {}) is True
-        flat = [i for i in ctx.instances.values() if not i.recursive]
-        assert {i.sign for i in flat} == {"mu", "nu"}
-        for inst in ctx.instances.values():
-            assert len(inst.argvals) == len(inst.asg)
-            assert inst.recursive or not inst.asg
-    # the instances and tables of the clamping-mode run
-    by_id = {id(i): i for i in flat}
-    tables = [
-        (by_id[k[0]], k[2:], t) for k, t in ctx.forced_partials.items()
-        if k[0] in by_id and len(k) - 1 == by_id[k[0]].arity
-    ]
-    checked = 0
-    for inst, prefix, t in tables:
-        for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
-            assert entry is not _ESC
-            assert inst.apply_body(inst.env, prefix + (a,)) is entry
-            checked += 1
-    assert checked >= 192
+        insts = list(ctx.instances.values())
+        assert sorted((i.name.rsplit("_", 1)[0], i.sign) for i in insts) == [
+            ("All", "nu"), ("F", "mu"),
+        ]
+        forced = {id(t) for t in ctx.forced_partials.values()}
+        closures = {
+            id(v): v for i in insts for values in i.argvals.values()
+            for v in values if isinstance(v, Closure)
+        }
+        assert forced and {id(v.key_table) for v in closures.values()} == forced
+        for v in closures.values():
+            t = v.key_table
+            for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
+                try:
+                    direct = apply_value(ctx, v, a)
+                except RangeEscape:
+                    direct = _ESC
+                assert entry is direct
+                assert dom.strict or entry is not _ESC
 
 
 def test_forced_key_table_of_a_partial_is_direct_evaluation():
-    # Succ is queried in full before G's argument, a partial application of
-    # Succ, is used.  A non-recursive G keys nothing, so no table is forced.
-    # A recursive G keys its argument by a forced table, whose entries are
-    # Succ's body on the actual argument, escaped where that escapes: in
-    # strict mode, evaluated at the table of \y. y >= 1 the body escapes
-    # the window, where the full query with the closure gave True.
+    # Succ applied to \k. k 4 is a closure.  A non-recursive G keys
+    # nothing, so no instance is made and no table is forced.  A recursive
+    # G keys its closure argument by the closure's key table, whose entries
+    # are its direct applications, escaped where they escape: in strict
+    # mode, applied to a table the closure reads it at 5, outside the
+    # window, where the query with \y. y >= 1 itself gave True.
     program = r"""
 Main =v (\s. s (\k. k 4) (\y. y >= 1) /\ G (s (\k. k 4))) Succ;
 G p =v p (\y. y >= 1){};
@@ -221,22 +220,19 @@ Succ x k =v x (\y. k (y + 1));
     f = _hes(program.format(""))
     ctx = make_context(f, dom)
     assert eval_formula(ctx, f, {}) is True
-    assert not ctx.forced_partials
-    assert all(not i.asg for i in ctx.instances.values())
+    assert not ctx.instances and not ctx.forced_partials
 
     f = _hes(program.format(r" /\ G p"))
     ctx = make_context(f, dom)
     assert eval_formula(ctx, f, {}) is True
-    (succ,) = [i for i in ctx.instances.values() if not i.recursive]
-    (g,) = [i for i in ctx.instances.values() if i.recursive]
-    assert not succ.asg
+    (g,) = ctx.instances.values()
     ((key, (p,)),) = g.argvals.items()
-    assert p.inst is succ
+    assert isinstance(p, Closure)
     (t,) = key
     assert t is p.key_table
     for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
         try:
-            direct = succ.apply_body(succ.env, p.args + (a,))
+            direct = apply_value(ctx, p, a)
         except RangeEscape:
             direct = _ESC
         assert entry is direct
@@ -267,14 +263,14 @@ Succ x k =v x (\y. k (y + 1));
     assert not ctx.forced_partials
 
 
-def test_non_recursive_fixpoint_keeps_the_window_rule():
-    # an integer argument outside the window: False for a least fixpoint,
-    # an escape for a greatest one, clamped in clamping mode
-    mu = _hes("Main =v P 9; P x =u x >= 9;")
-    nu = _hes("Main =v P 9; P x =v x >= 9;")
-    assert check_validity_bounded(mu, Domain(0, 4)) is BoundedResult.INVALID
-    assert check_validity_bounded(nu, Domain(0, 4)) is BoundedResult.RANGE_ESCAPE
-    assert evaluate(nu, dom=Domain(0, 4, strict=False)) is False
+def test_non_recursive_fixpoint_arguments_are_exact():
+    # a non-recursive fixpoint is its body, so its integer argument outside
+    # the window is exact, as a lambda's is, for a least and a greatest
+    # fixpoint alike; clamping mode clamps it to the window
+    for sign in "uv":
+        f = _hes(f"Main =v P 9; P x ={sign} x >= 9;")
+        assert check_validity_bounded(f, Domain(0, 4)) is BoundedResult.VALID
+        assert evaluate(f, dom=Domain(0, 4, strict=False)) is False
 
 
 # Y's environment reaches X, which is in flight whenever Y is evaluated
@@ -304,11 +300,17 @@ def test_nested_fixpoint_restarts_in_place():
                 assert ctx.steps < 100
 
 
-def test_gen492_is_decided():
+@pytest.mark.parametrize("seed, want", [
     # its fixpoints used to be copied per version without end
-    f = hes_to_formula(random_instance(492))
+    pytest.param(492, BoundedResult.INVALID, id="gen492"),
+    # X1 x1 x2 =u x2 + x1 >= 2 is applied to 2 and 4: the window rule of
+    # fixpoints made the non-recursive X1 false at 4
+    pytest.param(376, BoundedResult.VALID, id="gen376"),
+])
+def test_gen492_is_decided(seed, want):
+    f = hes_to_formula(random_instance(seed))
     got = check_validity_bounded(f, Domain(-3, 3), step_limit=10_000)
-    assert got is BoundedResult.INVALID
+    assert got is want
 
 
 def test_enumeration_cache_is_bounded():
