@@ -25,9 +25,10 @@ def all_fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.hes"))
 
 
-# numbers as higher-order predicates (\k. k n), grown by a non-recursive
-# nu (Succ) and shrunk by a non-recursive mu (Pred); Call, a non-recursive
-# mu, is handed F while F is being solved
+# numbers as higher-order predicates (\k. k n), grown by Succ and shrunk by
+# Pred; Call is handed F while F is being solved.  Succ, Pred and Call are
+# non-recursive, so they are lambdas, and the recursive All and F key the
+# closures they build by forced tables
 SUCC_PRED = r"""
 Main =v All 0 (\k. k 0);
 All n x =v F x /\ (n >= 3 \/ All (n + 1) (Succ x));

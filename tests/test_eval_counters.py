@@ -28,7 +28,7 @@ CORPUS_STEP_LIMIT = 10_000
 # fixtures evaluated as written (with their least fixpoints), in the
 # windows the README documents for them
 FIXTURE_WINDOWS = {"countdown": Domain(-6, 6), "fib_termination": Domain(-5, 5)}
-# non-recursive fixpoints whose partial applications get forced
+# closures that the recursive fixpoints key by forced tables
 SUCC_PRED_WINDOWS = {
     "succ_pred": Domain(0, 4),
     "succ_pred_clamping": Domain(0, 4, strict=False),
