@@ -18,10 +18,10 @@ Where the window boundary is crossed:
 * indexing a materialized table outside the window raises ``RangeEscape``
   in strict mode (clamping mode clamps to the nearest bound);
 * an out-of-window argument to a recursive least-fixpoint predicate
-  evaluates to False -- the recursion is descending out of the window and a least
-  fixpoint truncates at bottom.  The greatest-fixpoint side keeps the
-  escape: truncating at top would let a bounded run report validity the
-  unbounded semantics may not have.
+  evaluates to False -- the recursion is descending out of the window and
+  a least fixpoint truncates at bottom.  The greatest-fixpoint side keeps
+  the escape: truncating at top would let a bounded run report validity
+  the unbounded semantics may not have.
 
 Validity verdicts are therefore relative to the window; no claim about
 unbounded Z-validity is made here.
@@ -541,8 +541,8 @@ class _FixInstance:
 
     __slots__ = (
         "_ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
-        "asg", "argvals", "stamps", "stamp", "version",
-        "mid_solve", "_env_reach",
+        "asg", "argvals", "stamps", "stamp", "version", "mid_solve",
+        "_env_reach",
     )
 
     def __init__(self, ctx: _EvalContext, node, env: dict, stamp: tuple):

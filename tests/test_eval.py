@@ -303,8 +303,8 @@ def test_nested_fixpoint_restarts_in_place():
 @pytest.mark.parametrize("seed, want", [
     # its fixpoints used to be copied per version without end
     pytest.param(492, BoundedResult.INVALID, id="gen492"),
-    # X1 x1 x2 =u x2 + x1 >= 2 is applied to 2 and 4: the window rule of
-    # fixpoints made the non-recursive X1 false at 4
+    # the non-recursive X1 x1 x2 =u x2 + x1 >= 2 is applied to 2 and 4,
+    # outside the window, and is true: its integer arguments are exact
     pytest.param(376, BoundedResult.VALID, id="gen376"),
 ])
 def test_gen492_is_decided(seed, want):
