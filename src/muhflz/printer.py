@@ -22,37 +22,35 @@ _BINDER, _OR, _AND, _APP = 0, 1, 2, 3
 
 
 def _fmt_formula(f: Formula, ctx: int) -> str:
-    match f:
-        case Var(name):
-            return name
-        case Or(l, r):
-            s = f"{_fmt_formula(l, _OR)} \\/ {_fmt_formula(r, _OR + 1)}"
-            return f"({s})" if ctx > _OR else s
-        case And(l, r):
-            s = f"{_fmt_formula(l, _AND)} /\\ {_fmt_formula(r, _AND + 1)}"
-            return f"({s})" if ctx > _AND else s
-        case Abs(param, _, body):
-            s = f"\\{param}. {_fmt_formula(body, _BINDER)}"
-            return f"({s})" if ctx > _BINDER else s
-        case Forall(var, body):
-            s = f"forall {var}. {_fmt_formula(body, _BINDER)}"
-            return f"({s})" if ctx > _BINDER else s
-        case Exists(var, body):
-            s = f"exists {var}. {_fmt_formula(body, _BINDER)}"
-            return f"({s})" if ctx > _BINDER else s
-        case App(fn, arg):
-            s = f"{_fmt_formula(fn, _APP)} {_fmt_formula(arg, _APP + 1)}"
-            return f"({s})" if ctx > _APP else s
-        case AppInt(fn, arg):
-            s = f"{_fmt_formula(fn, _APP)} {_fmt_arg(arg)}"
-            return f"({s})" if ctx > _APP else s
-        case Ge(l, r):
-            s = f"{_fmt_int(l, _PLUS)} >= {_fmt_int(r, _PLUS)}"
-            return f"({s})" if ctx > _APP else s
-        case Mu() | Nu():
-            raise PrintError(
-                "fixpoint binders have no concrete syntax; convert to an HES first"
-            )
+    t = type(f)
+    if t is Var:
+        return f.name
+    if t is App:
+        s = f"{_fmt_formula(f.fn, _APP)} {_fmt_formula(f.arg, _APP + 1)}"
+        return f"({s})" if ctx > _APP else s
+    if t is AppInt:
+        s = f"{_fmt_formula(f.fn, _APP)} {_fmt_arg(f.arg)}"
+        return f"({s})" if ctx > _APP else s
+    if t is Ge:
+        s = f"{_fmt_int(f.lhs, _PLUS)} >= {_fmt_int(f.rhs, _PLUS)}"
+        return f"({s})" if ctx > _APP else s
+    if t is Or:
+        s = f"{_fmt_formula(f.lhs, _OR)} \\/ {_fmt_formula(f.rhs, _OR + 1)}"
+        return f"({s})" if ctx > _OR else s
+    if t is And:
+        s = f"{_fmt_formula(f.lhs, _AND)} /\\ {_fmt_formula(f.rhs, _AND + 1)}"
+        return f"({s})" if ctx > _AND else s
+    if t is Abs:
+        s = f"\\{f.param}. {_fmt_formula(f.body, _BINDER)}"
+        return f"({s})" if ctx > _BINDER else s
+    if t is Forall or t is Exists:
+        q = "forall" if t is Forall else "exists"
+        s = f"{q} {f.var}. {_fmt_formula(f.body, _BINDER)}"
+        return f"({s})" if ctx > _BINDER else s
+    if t is Mu or t is Nu:
+        raise PrintError(
+            "fixpoint binders have no concrete syntax; convert to an HES first"
+        )
     raise PrintError(f"cannot print {f!r}")
 
 
@@ -61,39 +59,38 @@ _PLUS, _TIMES, _IATOM = 0, 1, 2
 
 
 def _fmt_int(e: IntExpr, ctx: int) -> str:
-    match e:
-        case Lit(v):
-            s = str(v)
-            return f"({s})" if v < 0 and ctx >= _IATOM else s
-        case IntVar(name):
-            return name
-        case Plus(l, Times(Lit(-1), r)):
-            s = f"{_fmt_int(l, _PLUS)} - {_fmt_int(r, _TIMES + 1)}"
-            return f"({s})" if ctx > _PLUS else s
-        case Plus(l, Lit(v)) if v < 0:
-            s = f"{_fmt_int(l, _PLUS)} - {-v}"
-            return f"({s})" if ctx > _PLUS else s
-        case Plus(l, r):
+    t = type(e)
+    if t is Lit:
+        s = str(e.value)
+        return f"({s})" if e.value < 0 and ctx >= _IATOM else s
+    if t is IntVar:
+        return e.name
+    if t is Plus:
+        l, r = e.lhs, e.rhs
+        if type(r) is Times and type(r.lhs) is Lit and r.lhs.value == -1:
+            s = f"{_fmt_int(l, _PLUS)} - {_fmt_int(r.rhs, _TIMES + 1)}"
+        elif type(r) is Lit and r.value < 0:
+            s = f"{_fmt_int(l, _PLUS)} - {-r.value}"
+        else:
             s = f"{_fmt_int(l, _PLUS)} + {_fmt_int(r, _TIMES)}"
-            return f"({s})" if ctx > _PLUS else s
-        case Times(l, r):
-            s = f"{_fmt_int(l, _TIMES)} * {_fmt_int(r, _IATOM)}"
-            return f"({s})" if ctx > _TIMES else s
-        case IntAbs():
-            raise PrintError("absolute-value node survived to printing")
+        return f"({s})" if ctx > _PLUS else s
+    if t is Times:
+        s = f"{_fmt_int(e.lhs, _TIMES)} * {_fmt_int(e.rhs, _IATOM)}"
+        return f"({s})" if ctx > _TIMES else s
+    if t is IntAbs:
+        raise PrintError("absolute-value node survived to printing")
     raise PrintError(f"cannot print {e!r}")
 
 
 def _fmt_arg(e: IntExpr) -> str:
     """Integer expression in application-argument position: anything but a
     plain variable or non-negative literal needs parentheses."""
-    match e:
-        case IntVar(name):
-            return name
-        case Lit(v) if v >= 0:
-            return str(v)
-        case _:
-            return f"({_fmt_int(e, _PLUS)})"
+    t = type(e)
+    if t is IntVar:
+        return e.name
+    if t is Lit and e.value >= 0:
+        return str(e.value)
+    return f"({_fmt_int(e, _PLUS)})"
 
 
 def print_formula(f: Formula) -> str:

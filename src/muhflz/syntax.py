@@ -7,7 +7,12 @@ substitutes under binders.
 
 ``map_children`` is the one place that knows each node's child formulas
 and the binder that scopes them: a rewrite handles the nodes it cares
-about and hands every other node to it.
+about and hands every other node to it.  Trees are persistent: a node
+whose children all come back unchanged is returned as it is, so a
+rewrite's result shares every subtree it did not change with its input,
+and one object may sit at several positions of a tree (or of several
+trees).  Code that keys anything by ``id()`` of a node therefore keys the
+subtree, not the position.
 """
 
 from __future__ import annotations
@@ -265,20 +270,32 @@ def map_children(
     """Rebuild ``f`` from ``go(child, env)`` for each child formula, left to
     right.  Under a binder ``env`` (when given) is extended with the bound
     name and its type, Int for a quantifier; integer expressions are kept
-    as they are."""
-    match f:
-        case Var() | Ge():
-            return f
-        case Or(l, r) | And(l, r):
-            return type(f)(go(l, env), go(r, env))
-        case App(fn, arg):
-            return App(go(fn, env), go(arg, env))
-        case AppInt(fn, arg):
-            return AppInt(go(fn, env), arg)
-        case Abs(name, ty, body) | Mu(name, ty, body) | Nu(name, ty, body):
-            return type(f)(name, ty, go(body, env if env is None else {**env, name: ty}))
-        case Forall(var, body) | Exists(var, body):
-            return type(f)(var, go(body, env if env is None else {**env, var: INT}))
+    as they are.
+
+    Sharing: when every child comes back as the very object it was, ``f``
+    itself is returned, so a rewrite copies only the nodes on the paths to
+    what it changed and shares every other subtree with its input."""
+    t = type(f)
+    if t is Or or t is And:
+        l, r = go(f.lhs, env), go(f.rhs, env)
+        return f if l is f.lhs and r is f.rhs else t(l, r)
+    if t is App:
+        fn, arg = go(f.fn, env), go(f.arg, env)
+        return f if fn is f.fn and arg is f.arg else App(fn, arg)
+    if t is AppInt:
+        fn = go(f.fn, env)
+        return f if fn is f.fn else AppInt(fn, f.arg)
+    if t is Abs:
+        body = go(f.body, env if env is None else {**env, f.param: f.ty})
+        return f if body is f.body else Abs(f.param, f.ty, body)
+    if t is Mu or t is Nu:
+        body = go(f.body, env if env is None else {**env, f.name: f.ty})
+        return f if body is f.body else t(f.name, f.ty, body)
+    if t is Forall or t is Exists:
+        body = go(f.body, env if env is None else {**env, f.var: INT})
+        return f if body is f.body else t(f.var, body)
+    if t is Var or t is Ge:
+        return f
     raise TypeError(f"not a Formula: {f!r}")
 
 

@@ -7,10 +7,22 @@ solves them.  Annotations already present on binders (programmatically
 constructed formulas) are unified with the inferred types, so inconsistent
 annotations are rejected.
 
-Besides annotating binders, the pass normalizes applications: an argument
-that is a bare variable of integer type moves from ``App`` to ``AppInt``
-with an ``IntVar`` argument, so later passes can rely on the
-formula/integer split being type-correct.
+The pass makes two walks over each equation body and the entry:
+
+- ``infer`` returns types only and builds no tree.  It records the type of
+  each binder (lambda, mu, nu) in a list, in visiting order; it does not
+  key them by node identity, because one unannotated node object may sit
+  at two positions with different types.  An application whose function
+  type already resolves to an arrow takes its argument and result types
+  from that arrow instead of making fresh variables.
+- ``finalize`` visits the binders in the same order, puts each one's
+  resolved type on it, and normalizes applications: an argument that is a
+  bare variable of integer type moves from ``App`` to ``AppInt`` with an
+  ``IntVar`` argument, so later passes can rely on the formula/integer
+  split being type-correct.  It is the only walk that builds nodes, and
+  every node it leaves alone is returned as it is (``map_children``), so
+  typechecking an already-typed system returns its equation bodies and
+  entry themselves.
 """
 
 from __future__ import annotations
@@ -103,103 +115,120 @@ class _Unifier:
 class _Checker:
     def __init__(self):
         self.u = _Unifier()
+        # the type of every Abs/Mu/Nu binder, in the order infer visits
+        # them; finalize visits them in the same order.  Not keyed by id():
+        # one unannotated node object may sit at two positions with
+        # different types.
+        self.binder_types: list[SimpleType] = []
+        self.finalized = 0
 
-    def check_int(self, e: IntExpr, env: dict[str, SimpleType]) -> IntExpr:
-        match e:
-            case Lit():
-                return e
-            case IntVar(name):
-                if name not in env:
-                    raise TypeCheckError("T-Var", f"unbound variable {name}")
-                self.u.unify(env[name], INT, "T-Var", name)
-                return e
-            case Plus(l, r):
-                return Plus(self.check_int(l, env), self.check_int(r, env))
-            case Times(l, r):
-                return Times(self.check_int(l, env), self.check_int(r, env))
-            case IntAbs(a):
-                return IntAbs(self.check_int(a, env))
-        raise TypeCheckError("T-Int", f"not an integer expression: {e!r}")
+    def next_binder(self) -> SimpleType:
+        """The resolved type of the next binder finalize visits."""
+        ty = self.u.resolve(self.binder_types[self.finalized])
+        self.finalized += 1
+        return ty
 
-    def check(self, f: Formula, env: dict[str, SimpleType]) -> tuple[Formula, SimpleType]:
+    def check_int(self, e: IntExpr, env: dict[str, SimpleType]) -> None:
+        t = type(e)
+        if t is Lit:
+            return
+        if t is IntVar:
+            ty = env.get(e.name)
+            if ty is None:
+                raise TypeCheckError("T-Var", f"unbound variable {e.name}")
+            self.u.unify(ty, INT, "T-Var", e.name)
+        elif t is Plus or t is Times:
+            self.check_int(e.lhs, env)
+            self.check_int(e.rhs, env)
+        elif t is IntAbs:
+            self.check_int(e.arg, env)
+        else:
+            raise TypeCheckError("T-Int", f"not an integer expression: {e!r}")
+
+    def infer(self, f: Formula, env: dict[str, SimpleType]) -> SimpleType:
+        """The type of ``f`` under ``env``, up to the unifier's current
+        substitution.  Builds no tree."""
         u = self.u
-        match f:
-            case Var(name):
-                if name not in env:
-                    raise TypeCheckError("T-Var", f"unbound variable {name}")
-                return f, env[name]
-            case Or(l, r):
-                lf, lt = self.check(l, env)
-                rf, rt = self.check(r, env)
-                u.unify(lt, PROP, "T-Or", "left operand")
-                u.unify(rt, PROP, "T-Or", "right operand")
-                return Or(lf, rf), PROP
-            case And(l, r):
-                lf, lt = self.check(l, env)
-                rf, rt = self.check(r, env)
-                u.unify(lt, PROP, "T-And", "left operand")
-                u.unify(rt, PROP, "T-And", "right operand")
-                return And(lf, rf), PROP
-            case Ge(l, r):
-                return Ge(self.check_int(l, env), self.check_int(r, env)), PROP
-            case Forall(var, body):
-                bf, bt = self.check(body, {**env, var: INT})
-                u.unify(bt, PROP, "T-Or", "quantifier body")
-                return Forall(var, bf), PROP
-            case Exists(var, body):
-                bf, bt = self.check(body, {**env, var: INT})
-                u.unify(bt, PROP, "T-Or", "quantifier body")
-                return Exists(var, bf), PROP
-            case Abs(param, ann, body):
-                pty: SimpleType = ann if ann is not None else u.fresh()
-                bf, bt = self.check(body, {**env, param: pty})
-                return Abs(param, pty, bf), Arrow(pty, bt)
-            case Mu(name, ann, body) | Nu(name, ann, body):
-                rule = "T-Mu" if isinstance(f, Mu) else "T-Nu"
-                xty: SimpleType = ann if ann is not None else u.fresh()
-                bf, bt = self.check(body, {**env, name: xty})
-                u.unify(xty, bt, rule, f"fixpoint variable {name} and its body")
-                ctor = Mu if isinstance(f, Mu) else Nu
-                return ctor(name, xty, bf), xty
-            case App(fn, arg):
-                ff, ft = self.check(fn, env)
-                argty = u.fresh()
-                retty = u.fresh()
+        t = type(f)
+        if t is Var:
+            ty = env.get(f.name)
+            if ty is None:
+                raise TypeCheckError("T-Var", f"unbound variable {f.name}")
+            return ty
+        if t is App:
+            ft = u.find(self.infer(f.fn, env))
+            if type(ft) is Arrow:
+                argty, retty = ft.arg, ft.ret
+            else:
+                argty, retty = u.fresh(), u.fresh()
                 u.unify(ft, Arrow(argty, retty), "T-App", "function position")
-                af, at_ = self.check(arg, env)
-                u.unify(argty, at_, "T-App", "argument")
-                return App(ff, af), retty
-            case AppInt(fn, arg):
-                ff, ft = self.check(fn, env)
+            u.unify(argty, self.infer(f.arg, env), "T-App", "argument")
+            return retty
+        if t is AppInt:
+            ft = u.find(self.infer(f.fn, env))
+            if type(ft) is Arrow:
+                u.unify(ft.arg, INT, "T-AppInt", "function position")
+                retty = ft.ret
+            else:
                 retty = u.fresh()
                 u.unify(ft, Arrow(INT, retty), "T-AppInt", "function position")
-                af = self.check_int(arg, env)
-                return AppInt(ff, af), retty
+            self.check_int(f.arg, env)
+            return retty
+        if t is Or or t is And:
+            rule = "T-Or" if t is Or else "T-And"
+            lt = self.infer(f.lhs, env)
+            rt = self.infer(f.rhs, env)
+            u.unify(lt, PROP, rule, "left operand")
+            u.unify(rt, PROP, rule, "right operand")
+            return PROP
+        if t is Ge:
+            self.check_int(f.lhs, env)
+            self.check_int(f.rhs, env)
+            return PROP
+        if t is Abs:
+            pty: SimpleType = f.ty if f.ty is not None else u.fresh()
+            self.binder_types.append(pty)
+            return Arrow(pty, self.infer(f.body, {**env, f.param: pty}))
+        if t is Mu or t is Nu:
+            xty: SimpleType = f.ty if f.ty is not None else u.fresh()
+            self.binder_types.append(xty)
+            bt = self.infer(f.body, {**env, f.name: xty})
+            rule = "T-Mu" if t is Mu else "T-Nu"
+            u.unify(xty, bt, rule, f"fixpoint variable {f.name} and its body")
+            return xty
+        if t is Forall or t is Exists:
+            bt = self.infer(f.body, {**env, f.var: INT})
+            u.unify(bt, PROP, "T-Or", "quantifier body")
+            return PROP
         raise TypeCheckError("T-Var", f"not a formula: {f!r}")
 
     def finalize(self, f: Formula, env: dict[str, SimpleType]) -> Formula:
-        """Resolve type variables on binders and move integer-typed bare
-        variables from App to AppInt."""
-        u = self.u
-        match f:
-            case Abs(param, ty, body):
-                rty = u.resolve(ty)
-                _validate(rty, "T-Abs", f"parameter {param}")
-                return Abs(param, rty, self.finalize(body, {**env, param: rty}))
-            case Mu(name, ty, body) | Nu(name, ty, body):
-                rule = "T-Mu" if isinstance(f, Mu) else "T-Nu"
-                rty = u.resolve(ty)
-                if not is_predicate_type(rty):
-                    raise TypeCheckError(rule, f"fixpoint {name} has type {rty}, not a predicate type")
-                _validate(rty, rule, f"fixpoint {name}")
-                return type(f)(name, rty, self.finalize(body, {**env, name: rty}))
-            case App(fn, arg):
-                ffn = self.finalize(fn, env)
-                if isinstance(arg, Var):
-                    aty = u.resolve(env[arg.name]) if arg.name in env else None
-                    if isinstance(aty, IntType):
-                        return AppInt(ffn, IntVar(arg.name))
-                return App(ffn, self.finalize(arg, env))
+        """Put the resolved type on every binder and move integer-typed bare
+        variables from App to AppInt.  ``env`` holds resolved types.  A
+        node that needs neither is returned as it is (``map_children``)."""
+        t = type(f)
+        if t is Abs:
+            ty = self.next_binder()
+            _validate(ty, "T-Abs", f"parameter {f.param}")
+            body = self.finalize(f.body, {**env, f.param: ty})
+            if body is f.body and ty == f.ty:
+                return f
+            return Abs(f.param, ty, body)
+        if t is Mu or t is Nu:
+            rule = "T-Mu" if t is Mu else "T-Nu"
+            ty = self.next_binder()
+            if not is_predicate_type(ty):
+                raise TypeCheckError(rule, f"fixpoint {f.name} has type {ty}, not a predicate type")
+            _validate(ty, rule, f"fixpoint {f.name}")
+            body = self.finalize(f.body, {**env, f.name: ty})
+            if body is f.body and ty == f.ty:
+                return f
+            return t(f.name, ty, body)
+        if t is App and type(f.arg) is Var:
+            fn = self.finalize(f.fn, env)
+            if type(env[f.arg.name]) is IntType:
+                return AppInt(fn, IntVar(f.arg.name))
+            return f if fn is f.fn else App(fn, f.arg)
         return map_children(f, self.finalize, env)
 
 
@@ -231,7 +260,7 @@ def typecheck(h: Hes) -> Hes:
             ret = Arrow(pty, ret)
         eq_types[eq.name] = ret
 
-    checked_bodies: dict[str, tuple[Formula, list[tuple[str, SimpleType]]]] = {}
+    eq_params: dict[str, list[tuple[str, SimpleType]]] = {}
     for eq in h.equations:
         ty = eq_types[eq.name]
         params = []
@@ -241,11 +270,11 @@ def typecheck(h: Hes) -> Hes:
             params.append((p, t.arg))
             t = t.ret
         env = {**eq_types, **dict(params)}
-        bf, bt = c.check(eq.body, env)
+        bt = c.infer(eq.body, env)
         u.unify(bt, PROP, "T-Mu" if eq.sign.value == "mu" else "T-Nu", f"body of {eq.name}")
-        checked_bodies[eq.name] = (bf, params)
+        eq_params[eq.name] = params
 
-    ef, et = c.check(h.entry, dict(eq_types))
+    et = c.infer(h.entry, dict(eq_types))
     try:
         u.unify(et, PROP, "T-Entry", "entry formula")
     except TypeCheckError:
@@ -253,14 +282,13 @@ def typecheck(h: Hes) -> Hes:
 
     new_eqs = []
     for eq in h.equations:
-        bf, params = checked_bodies[eq.name]
-        rparams = tuple((p, u.resolve(pty)) for p, pty in params)
+        rparams = tuple((p, u.resolve(pty)) for p, pty in eq_params[eq.name])
         env = {**{n: u.resolve(t) for n, t in eq_types.items()}, **dict(rparams)}
         for p, pty in rparams:
             _validate(pty, "T-Abs", f"parameter {p} of {eq.name}")
-        body = c.finalize(bf, env)
+        body = c.finalize(eq.body, env)
         new_eqs.append(Equation(eq.name, rparams, eq.sign, body))
-    entry = c.finalize(ef, {n: u.resolve(t) for n, t in eq_types.items()})
+    entry = c.finalize(h.entry, {n: u.resolve(t) for n, t in eq_types.items()})
     return Hes(tuple(new_eqs), entry)
 
 
