@@ -33,7 +33,8 @@ from typing import Optional
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
     INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP,
-    PropType, SimpleType, Times, Var, is_predicate_type, map_children,
+    PropType, SimpleType, Times, Var, arg_types, arrow, is_predicate_type,
+    map_children,
 )
 
 
@@ -90,6 +91,8 @@ class _Unifier:
         return False
 
     def unify(self, a: SimpleType, b: SimpleType, rule: str, what: str) -> None:
+        if a is b:
+            return
         a, b = self.find(a), self.find(b)
         if a is b:
             return
@@ -251,44 +254,35 @@ def typecheck(h: Hes) -> Hes:
     c = _Checker()
     u = c.u
     eq_types: dict[str, SimpleType] = {}
+    eq_params: dict[str, list[tuple[str, SimpleType]]] = {}
     for eq in h.equations:
         if eq.name in eq_types:
             raise TypeCheckError("T-Var", f"duplicate equation {eq.name}")
         params = [(p, ty if ty is not None else u.fresh()) for p, ty in eq.params]
-        ret: SimpleType = PROP
-        for p, pty in reversed(params):
-            ret = Arrow(pty, ret)
-        eq_types[eq.name] = ret
-
-    eq_params: dict[str, list[tuple[str, SimpleType]]] = {}
-    for eq in h.equations:
-        ty = eq_types[eq.name]
-        params = []
-        t = ty
-        for p, _ in eq.params:
-            assert isinstance(t, Arrow)
-            params.append((p, t.arg))
-            t = t.ret
-        env = {**eq_types, **dict(params)}
-        bt = c.infer(eq.body, env)
-        u.unify(bt, PROP, "T-Mu" if eq.sign.value == "mu" else "T-Nu", f"body of {eq.name}")
         eq_params[eq.name] = params
+        eq_types[eq.name] = arrow([pty for _, pty in params], PROP)
 
-    et = c.infer(h.entry, dict(eq_types))
+    for eq in h.equations:
+        bt = c.infer(eq.body, {**eq_types, **dict(eq_params[eq.name])})
+        u.unify(bt, PROP, "T-Mu" if eq.sign.value == "mu" else "T-Nu", f"body of {eq.name}")
+
+    et = c.infer(h.entry, eq_types)
     try:
         u.unify(et, PROP, "T-Entry", "entry formula")
     except TypeCheckError:
         raise TypeCheckError("T-Entry", f"entry formula must have type prop, got {u.resolve(et)}")
 
+    # resolving an equation's type resolves its parameter types in order,
+    # so the defaults recorded are those of resolving them one by one
+    resolved = {n: u.resolve(t) for n, t in eq_types.items()}
     new_eqs = []
     for eq in h.equations:
-        rparams = tuple((p, u.resolve(pty)) for p, pty in eq_params[eq.name])
-        env = {**{n: u.resolve(t) for n, t in eq_types.items()}, **dict(rparams)}
+        rparams = tuple(zip([p for p, _ in eq.params], arg_types(resolved[eq.name])))
         for p, pty in rparams:
             _validate(pty, "T-Abs", f"parameter {p} of {eq.name}")
-        body = c.finalize(eq.body, env)
+        body = c.finalize(eq.body, {**resolved, **dict(rparams)})
         new_eqs.append(Equation(eq.name, rparams, eq.sign, body))
-    entry = c.finalize(h.entry, {n: u.resolve(t) for n, t in eq_types.items()})
+    entry = c.finalize(h.entry, resolved)
     return Hes(tuple(new_eqs), entry)
 
 
