@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from conftest import all_fixture_names, fixture_text
+from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.printer import PrintError, print_formula, print_hes
 from muhflz.syntax import (
@@ -40,8 +43,21 @@ def test_subtraction_resugars():
     assert "x - 1" in print_hes(h2)
 
 
-@pytest.mark.parametrize("name", all_fixture_names())
+# tests/gen.py instances 0..1259: the benchmark's corpus and external seeds
+GENERATED = "gen0-1259"
+# sha256 over their printed texts, in seed order; recorded before print_hes
+# moved from class patterns to type dispatch, whose output must not change
+GENERATED_SHA256 = "aa7196e3b9ada2d7fdfdec50c1ce7a05065c304cabb65be9e6038d92c4daa6e6"
+
+
+@pytest.mark.parametrize("name", [*all_fixture_names(), GENERATED])
 def test_print_parse_print_stable(name):
-    h = parse_hes(fixture_text(name))
-    once = print_hes(h)
-    assert print_hes(parse_hes(once)) == once
+    if name == GENERATED:
+        hs = [h for _, h in instances(1260)]
+    else:
+        hs = [parse_hes(fixture_text(name))]
+    texts = [print_hes(h) for h in hs]
+    for once in texts:
+        assert print_hes(parse_hes(once)) == once
+    if name == GENERATED:
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == GENERATED_SHA256

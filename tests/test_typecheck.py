@@ -1,10 +1,11 @@
 import pytest
 
-from conftest import fixture_text
+from conftest import all_fixture_names, fixture_text
+from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    Abs, App, AppInt, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu, PROP,
-    Sign, Var,
+    Abs, And, App, AppInt, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu,
+    PROP, Sign, Var,
 )
 from muhflz.typecheck import TypeCheckError, formula_type, typecheck
 
@@ -73,8 +74,26 @@ def test_formula_type_on_annotated_tree():
 
 
 def test_typecheck_idempotent():
-    h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
-    assert typecheck(h) == h
+    # an already-typed system comes back equal, its equation bodies and
+    # entry as the very objects it was given
+    hs = [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
+    hs += [h for _, h in instances(200)]
+    for h in hs:
+        again = typecheck(h)
+        assert again == h
+        assert again.entry is h.entry
+        assert all(a.body is b.body for a, b in zip(again.equations, h.equations))
+
+
+def test_binder_types_follow_visiting_order():
+    # one unannotated lambda object at two positions with different types
+    lam = Abs("g", None, Var("g"))
+    defs = parse_hes("Main =v P1 0;\nP1 x =v x >= 0;\nP2 x y =v x >= y;\n").equations
+    first = AppInt(App(lam, Var("P1")), Lit(0))
+    second = AppInt(AppInt(App(lam, Var("P2")), Lit(0)), Lit(0))
+    h = typecheck(Hes(defs, And(first, second)))
+    assert h.entry.lhs.fn.fn.ty == Arrow(INT, PROP)
+    assert h.entry.rhs.fn.fn.fn.ty == Arrow(INT, Arrow(INT, PROP))
 
 
 @pytest.mark.parametrize(
