@@ -118,10 +118,8 @@ class _Unifier:
 class _Checker:
     def __init__(self):
         self.u = _Unifier()
-        # the type of every Abs/Mu/Nu binder, in the order infer visits
-        # them; finalize visits them in the same order.  Not keyed by id():
-        # one unannotated node object may sit at two positions with
-        # different types.
+        # the type of every Abs/Mu/Nu binder in the order infer visits
+        # them, which is the order finalize visits them in
         self.binder_types: list[SimpleType] = []
         self.finalized = 0
 
@@ -133,8 +131,6 @@ class _Checker:
 
     def check_int(self, e: IntExpr, env: dict[str, SimpleType]) -> None:
         t = type(e)
-        if t is Lit:
-            return
         if t is IntVar:
             ty = env.get(e.name)
             if ty is None:
@@ -145,7 +141,7 @@ class _Checker:
             self.check_int(e.rhs, env)
         elif t is IntAbs:
             self.check_int(e.arg, env)
-        else:
+        elif t is not Lit:
             raise TypeCheckError("T-Int", f"not an integer expression: {e!r}")
 
     def infer(self, f: Formula, env: dict[str, SimpleType]) -> SimpleType:

@@ -136,6 +136,13 @@ def _rebuilt_on_path(old, new, n):
     return rebuilt
 
 
+def _depths(f, d=0):
+    """The depth of every node of ``f``, in pre-order."""
+    yield d
+    for c in _children(f):
+        yield from _depths(c, d + 1)
+
+
 def test_rewriting_one_var_rebuilds_only_its_path():
     row = default_schedule(1).steps[0]
     checked = 0
@@ -143,16 +150,8 @@ def test_rewriting_one_var_rebuilds_only_its_path():
     hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
     for h in hs:
         for f in (hes_to_formula(h), approximate(prepare(h), row)):
-            depth = {}
-
-            def number(g, d):
-                depth[len(depth)] = (g, d)
-                for c in _children(g):
-                    number(c, d + 1)
-
-            number(f, 0)
-            for n, (g, d) in depth.items():
+            for n, (g, depth) in enumerate(zip(subformulas(f), _depths(f))):
                 if type(g) is Var:
-                    assert _rebuilt_on_path(f, _rewrite_at(f, n), n) == d
+                    assert _rebuilt_on_path(f, _rewrite_at(f, n), n) == depth
                     checked += 1
     assert checked > 500
