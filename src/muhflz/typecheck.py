@@ -131,6 +131,8 @@ class _Checker:
 
     def check_int(self, e: IntExpr, env: dict[str, SimpleType]) -> None:
         t = type(e)
+        if t is Lit:
+            return
         if t is IntVar:
             ty = env.get(e.name)
             if ty is None:
@@ -141,7 +143,7 @@ class _Checker:
             self.check_int(e.rhs, env)
         elif t is IntAbs:
             self.check_int(e.arg, env)
-        elif t is not Lit:
+        else:
             raise TypeCheckError("T-Int", f"not an integer expression: {e!r}")
 
     def infer(self, f: Formula, env: dict[str, SimpleType]) -> SimpleType:
