@@ -2,10 +2,12 @@
 (Formula).
 
 ``hes_to_formula`` inlines equations bottom-up: the last equation is turned
-into a fixpoint binder and substituted into every earlier body and the
-entry, so earlier equations end up binding outermost.  Since substitution
-duplicates definitions that are used in several places, every inserted copy
-has its binders refreshed to keep global uniqueness.
+into a fixpoint binder and inserted into every earlier body and the entry,
+so earlier equations end up binding outermost.  Each target gets one copy
+with freshly named binders, and every occurrence in that target shares it.
+So binder names are unique per copy, not across the whole formula: two
+binders with the same name are two positions of one subtree (or of equal
+ones), which is what the name-keyed tags of ``tags`` rely on.
 
 ``formula_to_hes`` is the inverse direction: every fixpoint binder is
 lambda-lifted into a named equation, with enclosing lambda- and
@@ -15,10 +17,10 @@ quantifier-bound variables added as leading parameters.
 from __future__ import annotations
 
 from .syntax import (
-    Abs, AppInt, Arrow, Equation, Formula, Hes, IntType, IntVar, Mu,
+    Abs, App, AppInt, Arrow, Equation, Formula, Hes, IntType, IntVar, Mu,
     NameSupply, Nu, PROP, Sign, SimpleType, Var, alpha_normalize,
     alpha_normalize_formula, arg_types, free_vars, map_children,
-    names_in_formula, names_in_hes, peel, substitute,
+    names_in_formula, names_in_hes, peel, replace_free,
 )
 
 
@@ -62,7 +64,8 @@ def hes_to_formula(h: Hes) -> Formula:
         def inline(target: Formula) -> Formula:
             if eq.name not in free_vars(target):
                 return target
-            return substitute(target, {eq.name: alpha_normalize_formula(closed, supply)})
+            copy = alpha_normalize_formula(closed, supply)
+            return replace_free(target, eq.name, lambda: copy)
 
         bodies = {n: inline(b) for n, b in bodies.items()}
         entry = inline(entry)
@@ -76,33 +79,39 @@ def formula_to_hes(f: Formula, entry_name_hint: str = "Main") -> Hes:
     first), preserving nesting priority."""
 
     supply = NameSupply(names_in_formula(f) | {entry_name_hint})
+    # every binder gets a fresh name, so fixpoint names are unique and each
+    # can name its equation
     f = alpha_normalize_formula(f, supply)
     equations: list[Equation] = []
+    heads: dict[str, Formula] = {}
 
     def lift(g: Formula, env: dict[str, SimpleType]) -> Formula:
         match g:
+            case Var(name) if name in heads:
+                return heads[name]
             case Abs(_, None, _) | Mu(_, None, _) | Nu(_, None, _):
                 raise IllFormed("formula_to_hes requires a typed formula")
             case Mu(name, ty, body) | Nu(name, ty, body):
-                captured = sorted(free_vars(g) & set(env))
-                taken = {e.name for e in equations if e is not None}
-                eqname = name if name not in taken else supply.fresh(name)
+                # free in g once each enclosing fixpoint is replaced by its head
+                fvs = free_vars(g)
+                for n in fvs & heads.keys():
+                    fvs |= free_vars(heads[n])
+                captured = sorted(fvs & set(env))
                 # occurrences of the fixpoint variable (and the lifted
                 # definition itself) take the captured variables first
-                head: Formula = Var(eqname)
+                head: Formula = Var(name)
                 for c in captured:
                     head = AppInt(head, IntVar(c)) if isinstance(env[c], IntType) else App(head, Var(c))
+                heads[name] = head
                 # reserve the slot now: outer fixpoints must precede the
                 # ones lifted out of their bodies
                 slot = len(equations)
                 equations.append(None)  # type: ignore[arg-type]
-                body2 = substitute(body, {name: head}) if name in free_vars(body) else body
-                body2 = lift(body2, env)
                 # peel the parameter lambdas of the fixpoint's own type
-                binders, rest = peel(body2, arg_types(ty), supply)
+                binders, rest = peel(lift(body, env), arg_types(ty), supply)
                 params = [(c, env[c]) for c in captured] + binders
                 sign = Sign.MU if isinstance(g, Mu) else Sign.NU
-                equations[slot] = Equation(eqname, tuple(params), sign, rest)
+                equations[slot] = Equation(name, tuple(params), sign, rest)
                 return head
         return map_children(g, lift, env)
 

@@ -167,13 +167,12 @@ def verify(
             if side.mu_free and side.attempted_params:
                 side.exhausted = True
                 continue
-            key = params if not side.mu_free else "const"
-            if key in side.attempted_params:
+            if params in side.attempted_params:
                 records.append(
                     IterationRecord(side.name, params, BackendVerdict("unknown", "duplicate parameters", 0.0))
                 )
                 continue
-            side.attempted_params.add(key)
+            side.attempted_params.add(params)
 
             try:
                 approx = approximate(side.tags, params, desugar=desugar)

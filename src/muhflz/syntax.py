@@ -2,8 +2,10 @@
 hierarchical equation systems (HES).
 
 All nodes are immutable; passes build new trees.  Binder uniqueness is not
-guaranteed by construction -- run ``alpha_normalize`` before any pass that
-substitutes under binders.
+guaranteed by construction.  ``replace_free`` is the one way to replace a
+variable, and it renames nothing: run ``alpha_normalize`` (or
+``alpha_normalize_formula`` on what is inserted) before a replacement
+under binders could capture.
 
 ``map_children`` is the one place that knows each node's child formulas
 and the binder that scopes them: a rewrite handles the nodes it cares
@@ -347,7 +349,7 @@ def formula_has_int_abs(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and renaming
+# Replacement and renaming
 
 
 class NameSupply:
@@ -399,122 +401,73 @@ def names_in_hes(h: Hes) -> set[str]:
     return out
 
 
-def rename_int(e: IntExpr, mapping: dict[str, IntExpr]) -> IntExpr:
-    match e:
-        case Lit():
-            return e
-        case IntVar(name):
-            return mapping.get(name, e)
-        case Plus(l, r):
-            return Plus(rename_int(l, mapping), rename_int(r, mapping))
-        case Times(l, r):
-            return Times(rename_int(l, mapping), rename_int(r, mapping))
-        case IntAbs(a):
-            return IntAbs(rename_int(a, mapping))
+def rename_int(e: IntExpr, mapping: dict[str, str]) -> IntExpr:
+    """Rename the integer variables of ``e`` by ``mapping``; an expression
+    with nothing to rename is returned as it is."""
+    t = type(e)
+    if t is IntVar:
+        new = mapping.get(e.name)
+        return e if new is None else IntVar(new)
+    if t is Plus or t is Times:
+        l, r = rename_int(e.lhs, mapping), rename_int(e.rhs, mapping)
+        return e if l is e.lhs and r is e.rhs else t(l, r)
+    if t is IntAbs:
+        a = rename_int(e.arg, mapping)
+        return e if a is e.arg else IntAbs(a)
+    if t is Lit:
+        return e
     raise TypeError(f"not an IntExpr: {e!r}")
 
 
-def substitute(f: Formula, mapping: dict[str, Union[Formula, IntExpr]]) -> Formula:
-    """Substitution over alpha-normalized terms.  Integer variables may be
-    mapped to IntExprs; predicate variables to Formulas.  Callers must have
-    made binders globally unique (``alpha_normalize``) -- a binder that
-    would capture a free name of an inserted term raises instead of
-    silently capturing."""
-
-    if not mapping:
+def replace_free(f: Formula, name: str, make: Callable[[], Formula]) -> Formula:
+    """Replace every free occurrence of the variable ``name`` in ``f`` by
+    ``make()``, called once per occurrence, left to right.  A binder that
+    rebinds ``name`` is kept as it is, and so is every subtree without a
+    free occurrence.  Nothing is renamed: the caller keeps the names that
+    ``make`` inserts clear of the binders of ``f``."""
+    t = type(f)
+    if t is Var:
+        return make() if f.name == name else f
+    if (
+        (t is Mu or t is Nu) and f.name == name
+        or t is Abs and f.param == name
+        or (t is Forall or t is Exists) and f.var == name
+    ):
         return f
-    inserted_free: set[str] = set()
-    for v in mapping.values():
-        inserted_free |= free_vars(v) if isinstance(v, Formula) else int_free_vars(v)
-
-    def go(f: Formula, m: dict) -> Formula:
-        if not m:
-            return f
-        im = {k: v for k, v in m.items() if isinstance(v, IntExpr)}
-
-        def bind(name, body, rebuild):
-            if name in inserted_free:
-                raise ValueError(f"capture of {name!r}: alpha-normalize first")
-            m2 = {k: v for k, v in m.items() if k != name}
-            return rebuild(name, go(body, m2))
-
-        match f:
-            case Var(name):
-                v = m.get(name)
-                if v is None:
-                    return f
-                if isinstance(v, IntExpr):
-                    raise ValueError(f"int expression substituted at formula position: {name}")
-                return v
-            case Or(l, r):
-                return Or(go(l, m), go(r, m))
-            case And(l, r):
-                return And(go(l, m), go(r, m))
-            case Mu(name, ty, body):
-                return bind(name, body, lambda n, b: Mu(n, ty, b))
-            case Nu(name, ty, body):
-                return bind(name, body, lambda n, b: Nu(n, ty, b))
-            case Abs(param, ty, body):
-                return bind(param, body, lambda n, b: Abs(n, ty, b))
-            case App(fn, arg):
-                if isinstance(arg, Var) and isinstance(m.get(arg.name), IntExpr):
-                    return AppInt(go(fn, m), m[arg.name])
-                return App(go(fn, m), go(arg, m))
-            case AppInt(fn, arg):
-                return AppInt(go(fn, m), rename_int(arg, im))
-            case Ge(l, r):
-                return Ge(rename_int(l, im), rename_int(r, im))
-            case Forall(var, body):
-                return bind(var, body, lambda n, b: Forall(n, b))
-            case Exists(var, body):
-                return bind(var, body, lambda n, b: Exists(n, b))
-        raise TypeError(f"not a Formula: {f!r}")
-
-    return go(f, dict(mapping))
+    return map_children(f, lambda g, _: replace_free(g, name, make))
 
 
 def alpha_normalize_formula(
     f: Formula, supply: NameSupply, env: Optional[dict[str, str]] = None
 ) -> Formula:
-    """Rename binders so every bound name is globally unique (first
-    occurrence keeps its spelling).  Idempotent."""
-
-    env = env or {}
+    """Rename every binder to a fresh name from ``supply`` (a name the
+    supply has not handed out keeps its spelling) and its bound occurrences
+    with it; ``env`` maps names renamed by an enclosing scope.  Binders are
+    rebuilt; any other node with nothing to rename is kept as it is."""
 
     def go(f: Formula, env: dict[str, str]) -> Formula:
-        def bind(name, body, rebuild):
-            new = supply.fresh(name)
-            b = go(body, {**env, name: new})
-            return rebuild(new, b)
+        t = type(f)
+        if t is Var:
+            new = env.get(f.name)
+            return f if new is None else Var(new)
+        if t is AppInt:
+            fn, arg = go(f.fn, env), rename_int(f.arg, env)
+            return f if fn is f.fn and arg is f.arg else AppInt(fn, arg)
+        if t is Ge:
+            l, r = rename_int(f.lhs, env), rename_int(f.rhs, env)
+            return f if l is f.lhs and r is f.rhs else Ge(l, r)
+        if t is Mu or t is Nu:
+            new = supply.fresh(f.name)
+            return t(new, f.ty, go(f.body, {**env, f.name: new}))
+        if t is Abs:
+            new = supply.fresh(f.param)
+            return Abs(new, f.ty, go(f.body, {**env, f.param: new}))
+        if t is Forall or t is Exists:
+            new = supply.fresh(f.var)
+            return t(new, go(f.body, {**env, f.var: new}))
+        return map_children(f, go, env)
 
-        match f:
-            case Var(name):
-                return Var(env.get(name, name))
-            case Or(l, r):
-                return Or(go(l, env), go(r, env))
-            case And(l, r):
-                return And(go(l, env), go(r, env))
-            case Mu(name, ty, body):
-                return bind(name, body, lambda n, b: Mu(n, ty, b))
-            case Nu(name, ty, body):
-                return bind(name, body, lambda n, b: Nu(n, ty, b))
-            case Abs(param, ty, body):
-                return bind(param, body, lambda n, b: Abs(n, ty, b))
-            case App(fn, arg):
-                return App(go(fn, env), go(arg, env))
-            case AppInt(fn, arg):
-                imap = {k: IntVar(v) for k, v in env.items()}
-                return AppInt(go(fn, env), rename_int(arg, imap))
-            case Ge(l, r):
-                imap = {k: IntVar(v) for k, v in env.items()}
-                return Ge(rename_int(l, imap), rename_int(r, imap))
-            case Forall(var, body):
-                return bind(var, body, lambda n, b: Forall(n, b))
-            case Exists(var, body):
-                return bind(var, body, lambda n, b: Exists(n, b))
-        raise TypeError(f"not a Formula: {f!r}")
-
-    return go(f, env)
+    return go(f, env or {})
 
 
 def alpha_normalize(h: Hes) -> Hes:

@@ -74,10 +74,13 @@ TAG_INT = TagInt()
 
 @dataclass
 class TagDerivation:
-    """Tags for one normalized formula: the formula itself (binders are
-    globally unique after normalization), a tagged argument type per
-    binder, and per least-fixpoint binder the use-side argument types
-    (identical to the binder's own up to outermost tags)."""
+    """Tags for one normalized formula: the formula itself, a tagged
+    argument type per binder name, and per least-fixpoint binder the
+    use-side argument types (identical to the binder's own up to outermost
+    tags).  Binder names are unique within one inlined copy, not across
+    the formula: binders that share a name are equal subtrees, one copy at
+    several positions (see ``convert``), and the last one walked sets the
+    entry for the name."""
 
     formula: Formula
     binder: dict[str, TaggedArg]

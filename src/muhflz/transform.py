@@ -23,8 +23,8 @@ from .syntax import (
     INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, NameSupply, Nu, Or, Plus,
     PROP, Sign, SimpleType, Times, Var, apply_spine, arg_types, arrow,
     canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
-    int_free_vars, map_children, names_in_formula, neg_ge, peel, shift_expr,
-    spine, substitute,
+    int_free_vars, map_children, names_in_formula, neg_ge, peel,
+    replace_free, shift_expr, spine,
 )
 from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
@@ -344,27 +344,12 @@ class _Eliminator:
         if t.tag:
             comp = self.supply.fresh(f"v_{f.name}")
             body = self.tr(f.body, {**delta, f.name: (t, comp)})
-            bound = self._fold(
-                self.p.d_extra, self.scope_terms(self.p.c_extra, free_vars(f), delta)
-            )
-            body = AppInt(Abs(comp, INT, body), bound)
+            body = AppInt(Abs(comp, INT, body), self.companion_expr(f, delta))
         else:
             body = self.tr(f.body, {**delta, f.name: (t, None)})
         return Nu(f.name, _tr_pred_type(t.params), body)
 
     # -- least fixpoints -------------------------------------------------------
-
-    def _replace_var(self, f: Formula, name: str, make) -> Formula:
-        """Replace every free occurrence of ``name``, building the
-        replacement per occurrence (so inserted binders stay unique)."""
-        match f:
-            case Var(n) if n == name:
-                return make()
-            case (
-                Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _) | Exists(n, _)
-            ) if n == name:
-                return f
-        return map_children(f, lambda g, _: self._replace_var(g, name, make))
 
     def tr_mu(self, node: Mu, args: list, delta: dict) -> Formula:
         name = node.name
@@ -428,12 +413,11 @@ class _Eliminator:
         counters = [self.supply.fresh(f"u{i}") for i in reversed(range(k))]
         if k == 1:
             u = counters[0]
-            rest = substitute(
-                rest, {name: AppInt(Var(name), Plus(IntVar(u), Lit(-1)))}
-            )
+            step = AppInt(Var(name), Plus(IntVar(u), Lit(-1)))
+            rest = replace_free(rest, name, lambda: step)
             rest = And(canon_ge(IntVar(u), Lit(1)), self._let_companion(comp_binder, node, delta, rest))
         else:
-            rest = self._replace_var(
+            rest = replace_free(
                 rest, name, lambda: self._chooser(name, counters, inner, delta)
             )
             guarded = self._let_companion(comp_binder, node, delta, rest)
@@ -466,10 +450,7 @@ class _Eliminator:
     ) -> Formula:
         if comp is None:
             return body
-        bound = self._fold(
-            self.p.d_extra, self.scope_terms(self.p.c_extra, free_vars(node), delta)
-        )
-        return AppInt(Abs(comp, INT, body), bound)
+        return AppInt(Abs(comp, INT, body), self.companion_expr(node, delta))
 
     def _chooser(
         self, name: str, counters: list[str], inner: TagPred, delta: dict

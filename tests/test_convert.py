@@ -2,16 +2,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_fixture_names, fixture_text
-from gen import random_instance
+from gen import instances, random_instance
 from muhflz.convert import IllFormed, formula_to_hes, hes_to_formula
 from muhflz.driver import approximate, prepare
 from muhflz.eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
     Abs, App, AppInt, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu, Or,
-    And, PROP, Sign, Var, alpha_normalize, contains_mu, subformulas,
+    And, Exists, Forall, PROP, Sign, Var, alpha_normalize, contains_mu, free_vars,
+    subformulas,
 )
-from muhflz.transform import ApproxParams
+from muhflz.printer import print_hes
+from muhflz.transform import ApproxParams, dual_hes
 from muhflz.typecheck import typecheck
 
 
@@ -89,8 +91,6 @@ def test_undefined_equation_reference_rejected():
 
 @pytest.mark.parametrize("name", all_fixture_names())
 def test_fixture_inlining_closes_the_formula(name):
-    from muhflz.syntax import free_vars
-
     h = typecheck(parse_hes(fixture_text(name)))
     f = hes_to_formula(h)
     assert free_vars(f) == set()
@@ -126,3 +126,67 @@ def test_alpha_normalize_idempotent_on_fixtures():
         h = parse_hes(fixture_text(name))
         once = alpha_normalize(h)
         assert alpha_normalize(once) == once
+
+
+def test_lifting_passes_captured_variables_through_an_enclosing_head():
+    # Z uses X, whose head takes the quantified y: Z must take y as well
+    f = Forall("y", Nu("X", PROP, And(
+        Ge(IntVar("y"), Lit(0)), Nu("Z", PROP, And(Var("X"), Var("Z")))
+    )))
+    h = formula_to_hes(f)
+    assert print_hes(h) == (
+        "Main =v forall y_2. X_2 y_2;\n"
+        "X_2 y_2 =v y_2 >= 0 /\\ Z_2 y_2;\n"
+        "Z_2 y_2 =v X_2 y_2 /\\ Z_2 y_2;\n"
+    )
+    typecheck(h)
+
+
+def test_lifting_captures_a_predicate_variable():
+    pred = Arrow(INT, PROP)
+    f = App(
+        Abs("p", pred, Nu("X", PROP, And(AppInt(Var("p"), Lit(0)), Var("X")))),
+        Abs("y", INT, Ge(IntVar("y"), Lit(0))),
+    )
+    h = formula_to_hes(f)
+    (eq,) = h.equations
+    assert eq.params == (("p_2", pred),)
+    dom = Domain(-2, 2)
+    f2 = hes_to_formula(typecheck(h))
+    assert check_validity_bounded(f, dom) == check_validity_bounded(f2, dom)
+
+
+def test_inlining_makes_one_copy_per_target():
+    # Main uses X2 twice, one use nested in the other's argument, and X1
+    # is inlined into Main after X2: both uses must stay one object
+    h = typecheck(parse_hes(
+        "Main =v X2 (\\a. X2 (\\b. b >= a) (a + 1)) 0 \\/ X1 (\\c. c >= 0);\n"
+        "X1 p =v p (-1);\n"
+        "X2 p x =u -1 >= x \\/ X2 p (x + 1);\n"
+    ))
+    f = hes_to_formula(h)
+    uses = [g for g in subformulas(f) if isinstance(g, Mu)]
+    assert len(uses) == 2
+    assert uses[0] is uses[1]
+
+
+def _inputs():
+    hs = [h for _, h in instances(200)]
+    return hs + [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
+
+
+def test_binders_that_share_a_name_are_equal_subtrees():
+    binders = shared = 0
+    for h in _inputs():
+        for g in (h, dual_hes(h)):
+            first = {}
+            for node in subformulas(hes_to_formula(g)):
+                match node:
+                    case Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _) | Exists(n, _):
+                        binders += 1
+                        if n in first:
+                            assert node == first[n], n
+                            shared += 1
+                        else:
+                            first[n] = node
+    assert binders > 1_000 and shared > 200

@@ -9,8 +9,9 @@ from muhflz.convert import hes_to_formula
 from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, IntVar,
-    Mu, Nu, Or, Var, map_children, subformulas,
+    INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge,
+    IntVar, Lit, Mu, Nu, Or, Var, free_vars, map_children, replace_free,
+    subformulas,
 )
 from muhflz.typecheck import typecheck
 
@@ -155,3 +156,87 @@ def test_rewriting_one_var_rebuilds_only_its_path():
                     assert _rebuilt_on_path(f, _rewrite_at(f, n), n) == depth
                     checked += 1
     assert checked > 500
+
+
+# ---------------------------------------------------------------------------
+# replace_free's contract
+
+
+def _free_count(f, name):
+    """How often ``name`` occurs free in ``f``, by its own recursion."""
+    match f:
+        case Var(n):
+            return int(n == name)
+        case Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _) | Exists(n, _) if n == name:
+            return 0
+    return sum(_free_count(c, name) for c in _children(f))
+
+
+def _counting_make():
+    made = []
+
+    def make():
+        made.append(Var(f"made{len(made)}"))
+        return made[-1]
+
+    return make, made
+
+
+def _check_replaced(before, after, name, made):
+    """Walk ``before`` and ``after`` in parallel: a subtree without a free
+    ``name`` must come back as itself, and the free occurrences must be
+    the made objects, in order."""
+    if name not in free_vars(before):
+        assert after is before
+        return
+    if type(before) is Var:
+        assert after is made.pop(0)
+        return
+    assert type(after) is type(before)
+    for fld in dataclasses.fields(before):
+        if fld.type != "Formula":
+            assert getattr(after, fld.name) == getattr(before, fld.name)
+    kb, ka = _children(before), _children(after)
+    assert len(kb) == len(ka)
+    for b, a in zip(kb, ka):
+        _check_replaced(b, a, name, made)
+
+
+def test_replace_free_makes_one_object_per_occurrence_and_shares_the_rest():
+    row = default_schedule(1).steps[0]
+    hs = [h for _, h in instances(200)]
+    hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
+    binders = occurrences = 0
+    for h in hs:
+        for f in (hes_to_formula(h), approximate(prepare(h), row)):
+            for g in subformulas(f):
+                if type(g) is not Mu and type(g) is not Nu:
+                    continue
+                make, made = _counting_make()
+                out = replace_free(g.body, g.name, make)
+                assert len(made) == _free_count(g.body, g.name)
+                occurrences += len(made)
+                _check_replaced(g.body, out, g.name, made)
+                assert not made
+                binders += 1
+    assert binders > 400 and occurrences > 400
+
+
+def test_replace_free_stops_at_every_binder_that_rebinds_the_name():
+    x = Var("x")
+    shadowed = [
+        Abs("x", INT, x),
+        Mu("x", PROP, x),
+        Nu("x", PROP, x),
+        Forall("x", And(x, Ge(IntVar("x"), Lit(0)))),
+        Exists("x", x),
+    ]
+    f = x
+    for b in shadowed:
+        f = Or(f, And(b, x))
+    make, made = _counting_make()
+    out = replace_free(f, "x", make)
+    assert len(made) == _free_count(f, "x") == 6
+    inside = [g for g in subformulas(out) if any(g is b for b in shadowed)]
+    assert len(inside) == len(shadowed)
+    _check_replaced(f, out, "x", made)
