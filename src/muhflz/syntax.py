@@ -3,9 +3,9 @@ hierarchical equation systems (HES).
 
 All nodes are immutable; passes build new trees.  Binder uniqueness is not
 guaranteed by construction.  ``replace_free`` is the one way to replace a
-variable, and it renames nothing: run ``alpha_normalize`` (or
-``alpha_normalize_formula`` on what is inserted) before a replacement
-under binders could capture.
+variable, and it renames nothing: where a binder could capture what it
+inserts, rename first (``alpha_normalize``, or ``alpha_normalize_formula``
+on what is inserted).
 
 ``map_children`` is the one place that knows each node's child formulas
 and the binder that scopes them: a rewrite handles the nodes it cares
@@ -440,10 +440,10 @@ def replace_free(f: Formula, name: str, make: Callable[[], Formula]) -> Formula:
 def alpha_normalize_formula(
     f: Formula, supply: NameSupply, env: Optional[dict[str, str]] = None
 ) -> Formula:
-    """Rename every binder to a fresh name from ``supply`` (a name the
-    supply has not handed out keeps its spelling) and its bound occurrences
-    with it; ``env`` maps names renamed by an enclosing scope.  Binders are
-    rebuilt; any other node with nothing to rename is kept as it is."""
+    """Rename every binder to ``supply.fresh`` of its name, and its bound
+    occurrences with it; ``env`` maps names renamed by an enclosing scope.
+    Binders are rebuilt; any other node with nothing to rename is kept as
+    it is."""
 
     def go(f: Formula, env: dict[str, str]) -> Formula:
         t = type(f)

@@ -170,14 +170,12 @@ def test_inlining_makes_one_copy_per_target():
     assert uses[0] is uses[1]
 
 
-def _inputs():
-    hs = [h for _, h in instances(200)]
-    return hs + [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
-
-
 def test_binders_that_share_a_name_are_equal_subtrees():
+    # the tag derivation keys binders by name
+    hs = [h for _, h in instances(200)]
+    hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
     binders = shared = 0
-    for h in _inputs():
+    for h in hs:
         for g in (h, dual_hes(h)):
             first = {}
             for node in subformulas(hes_to_formula(g)):
