@@ -41,7 +41,7 @@ class External:
     def __post_init__(self):
         if not self.command:
             raise ValueError("empty external command")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:  # also false for NaN
             raise ValueError("timeout must be positive")
 
 

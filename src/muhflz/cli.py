@@ -52,8 +52,9 @@ def _checked_backend(ns: argparse.Namespace) -> BackendSpec:
         raise ValueError("--max-iterations must be at least 1")
     if ns.counters is not None and ns.counters < 1:
         raise ValueError("--counters must be at least 1")
-    if ns.timeout <= 0:
-        raise ValueError("--timeout must be positive")
+    for flag, seconds in (("--deadline", ns.deadline), ("--timeout", ns.timeout)):
+        if not seconds > 0:  # also false for NaN
+            raise ValueError(f"{flag} must be a positive number")
     command = ns.backend
     if command is None:
         command = os.environ.get("MUHFLZ_BACKEND") or "builtin"
@@ -173,7 +174,7 @@ def _run_text(
             return 0
         row = default_schedule(1).steps[0]
         params = override_counters(row, no_extra_args=ns.no_extra_args, counters=ns.counters)
-        approx = approximate(tags, params, desugar=ns.no_quantifiers)
+        approx = approximate(tags, params)
         sys.stdout.write(print_hes(formula_to_hes(approx)))
         return 0
 

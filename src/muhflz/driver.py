@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .backend import BackendSpec, BackendVerdict, External, solve
@@ -82,19 +82,22 @@ class VerdictReport:
 def prepare(h: Hes, *, all_f: bool = False, desugar: bool = False) -> TagDerivation:
     """Close a typed system into one formula, desugar its quantifiers if
     asked, eta-expand partially applied least fixpoints and infer tags.  The
-    derivation's ``formula`` is the prepared formula, reused for every row."""
+    derivation's ``formula`` is the prepared formula, reused for every row,
+    and its ``desugar`` carries the flag to ``approximate``."""
     f = hes_to_formula(h)
     if desugar:
         f = desugar_quantifiers(f)
-    return infer_tags_formula(eta_expand_mu_partials(f), all_f=all_f)
+    der = infer_tags_formula(eta_expand_mu_partials(f), all_f=all_f)
+    return replace(der, desugar=desugar)
 
 
-def approximate(der: TagDerivation, params: ApproxParams, *, desugar: bool = False) -> Formula:
+def approximate(der: TagDerivation, params: ApproxParams) -> Formula:
     """The closed nu-only approximation of ``der.formula`` at ``params``, its
-    quantifiers desugared if asked.  The built-in backend evaluates it as
-    is; ``formula_to_hes`` lowers it for an external solver."""
+    quantifiers desugared if ``der`` was prepared so.  The built-in backend
+    evaluates it as is; ``formula_to_hes`` lowers it for an external
+    solver."""
     g = eliminate_abs(transform_formula(der.formula, der, params))
-    if desugar:
+    if der.desugar:
         g = desugar_quantifiers(g)
     return g
 
@@ -175,7 +178,7 @@ def verify(
             side.attempted_params.add(params)
 
             try:
-                approx = approximate(side.tags, params, desugar=desugar)
+                approx = approximate(side.tags, params)
                 if isinstance(spec, External):
                     approx = formula_to_hes(approx)
             except (IterationCap, RangeEscape) as e:
@@ -201,31 +204,7 @@ def verify(
 
 def emit_report(r: VerdictReport, format: str = "text") -> str:
     if format == "json":
-        payload = {
-            "outcome": r.outcome,
-            "winning_side": r.winning_side,
-            "reason": r.reason,
-            "total_elapsed_s": r.total_elapsed_s,
-            "iterations": [
-                {
-                    "side": it.side,
-                    "params": {
-                        "c": it.params.c,
-                        "d": it.params.d,
-                        "c_extra": it.params.c_extra,
-                        "d_extra": it.params.d_extra,
-                        "counters": it.params.counters,
-                    },
-                    "verdict": {
-                        "outcome": it.verdict.outcome,
-                        "detail": it.verdict.detail,
-                        "elapsed_s": it.verdict.elapsed_s,
-                    },
-                }
-                for it in r.iterations
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(r), indent=2)
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     lines = [r.outcome]
@@ -244,28 +223,10 @@ def emit_report(r: VerdictReport, format: str = "text") -> str:
 
 def report_from_json(text: str) -> VerdictReport:
     data = json.loads(text)
-    its = tuple(
+    data["iterations"] = tuple(
         IterationRecord(
-            it["side"],
-            ApproxParams(
-                it["params"]["c"],
-                it["params"]["d"],
-                it["params"]["c_extra"],
-                it["params"]["d_extra"],
-                it["params"]["counters"],
-            ),
-            BackendVerdict(
-                it["verdict"]["outcome"],
-                it["verdict"]["detail"],
-                it["verdict"]["elapsed_s"],
-            ),
+            it["side"], ApproxParams(**it["params"]), BackendVerdict(**it["verdict"])
         )
         for it in data["iterations"]
     )
-    return VerdictReport(
-        data["outcome"],
-        data["winning_side"],
-        its,
-        data["total_elapsed_s"],
-        data.get("reason", ""),
-    )
+    return VerdictReport(**data)

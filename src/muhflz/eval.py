@@ -25,6 +25,11 @@ Where the window boundary is crossed:
 
 Validity verdicts are therefore relative to the window; no claim about
 unbounded Z-validity is made here.
+
+Nothing walks the formula before evaluation starts: what evaluation needs
+to know about a node is worked out the first time it reaches the node and
+kept on the context (``_EvalContext.facts_of``).  Each function value
+caches one forced table, whose escaping entries are ``_ESC``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .syntax import (
     IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP, PropType,
     SimpleType, Times, Var, arg_types, arrow, free_vars,
 )
+from .typecheck import TypeCheckError, formula_type
 
 
 class RangeEscape(Exception):
@@ -77,9 +83,9 @@ class BoundedResult(Enum):
 
 
 class _Esc:
-    """Sentinel for a table entry whose computation left the window.  Only
-    appears in tables used as identity keys; applying a value at such an
-    entry raises RangeEscape."""
+    """Sentinel for a forced table entry whose computation left the window:
+    two values escaping at the same points are identified.  Applying a
+    table at such an entry raises RangeEscape."""
 
     __slots__ = ()
 
@@ -129,13 +135,13 @@ def _reach(values, base: tuple = ()) -> tuple:
 
 
 class _Intensional:
-    """A function value held as syntax plus captured values.  ``table`` and
-    ``key_table`` cache its forced tables without and with ``for_key``;
-    ``reach`` (the fixpoint instances it captures) is computed on first
-    use.  All three are exact because captured environments and argument
-    tuples are never mutated after construction."""
+    """A function value held as syntax plus captured values.  ``key_table``
+    caches its one forced table and ``reach`` (the fixpoint instances it
+    captures) is computed on first use.  Both are exact because captured
+    environments and argument tuples are never mutated after
+    construction."""
 
-    __slots__ = ("_reach", "table", "key_table")
+    __slots__ = ("_reach", "key_table")
 
 
 class Closure(_Intensional):
@@ -146,7 +152,7 @@ class Closure(_Intensional):
     __slots__ = ("param", "body", "names", "vals", "ty")
 
     def __init__(self, param, body, names: tuple, vals: tuple, ty):
-        self._reach = self.table = self.key_table = None
+        self._reach = self.key_table = None
         self.param = param
         self.body = body
         self.names = names
@@ -165,7 +171,7 @@ class FixPartial(_Intensional):
     __slots__ = ("inst", "args")
 
     def __init__(self, inst: "_FixInstance", args: tuple):
-        self._reach = self.table = self.key_table = None
+        self._reach = self.key_table = None
         self.inst = inst
         self.args = args
 
@@ -349,9 +355,9 @@ class _EvalContext:
         self.deadline = deadline
         self.instances: dict = {}
         self.forced_partials: dict = {}
-        self._fv_cache: dict[int, frozenset] = {}
-        self._ty_cache: dict[int, SimpleType] = {}
-        self._captured: dict[int, tuple] = {}
+        # per node, what evaluation needs beyond its fields (``facts_of``);
+        # keyed by id(), as the formulas evaluated here outlive the context
+        self.facts: dict[int, tuple] = {}
 
     def tick(self):
         self.steps += 1
@@ -361,60 +367,27 @@ class _EvalContext:
             if time.monotonic() > self.deadline:
                 raise IterationCap("deadline")
 
-    def fv(self, f: Formula) -> frozenset:
-        got = self._fv_cache.get(id(f))
-        if got is None:
-            got = frozenset(free_vars(f))
-            self._fv_cache[id(f)] = got
-        return got
-
-    def annotate_types(self, f: Formula, env: dict[str, SimpleType]) -> SimpleType:
-        """Record the simple type of every subterm (binders must carry
-        annotations, i.e. the formula went through typecheck)."""
-        match f:
-            case Var(name):
-                ty = env[name]
-            case Or(l, r) | And(l, r):
-                self.annotate_types(l, env)
-                self.annotate_types(r, env)
-                ty = PROP
-            case Ge():
-                ty = PROP
-            case Forall(var, body) | Exists(var, body):
-                self.annotate_types(body, {**env, var: INT})
-                ty = PROP
-            case Abs(param, pty, body):
-                if pty is None:
-                    raise ValueError("evaluator needs typed binders; run typecheck")
-                ty = Arrow(pty, self.annotate_types(body, {**env, param: pty}))
-            case Mu(name, xty, body) | Nu(name, xty, body):
-                if xty is None:
-                    raise ValueError("evaluator needs typed binders; run typecheck")
-                self.annotate_types(body, {**env, name: xty})
-                ty = xty
-            case App(fn, arg):
-                fty = self.annotate_types(fn, env)
-                self.annotate_types(arg, env)
-                assert isinstance(fty, Arrow), f"application of {fty}"
-                ty = fty.ret
-            case AppInt(fn, _):
-                fty = self.annotate_types(fn, env)
-                assert isinstance(fty, Arrow), f"application of {fty}"
-                ty = fty.ret
-            case _:
-                raise TypeError(f"not a Formula: {f!r}")
-        self._ty_cache[id(f)] = ty
-        return ty
-
-    def node_type(self, f: Formula) -> SimpleType:
-        return self._ty_cache[id(f)]
-
-    def captured(self, f: Abs) -> tuple:
-        """The sorted names a closure of ``f`` captures."""
-        got = self._captured.get(id(f))
-        if got is None:
-            got = tuple(sorted(self.fv(f.body) - {f.param}))
-            self._captured[id(f)] = got
+    def facts_of(self, f: Union[Abs, Mu, Nu], env: dict) -> tuple:
+        """Work out and record the static facts of ``f`` the first time
+        evaluation reaches it: for an ``Abs`` the sorted names its closures
+        capture and their type, for a ``Mu``/``Nu`` whether it is recursive
+        and the sorted names its instance is keyed by."""
+        if f.ty is None:
+            raise ValueError("evaluator needs typed binders; run typecheck")
+        free = free_vars(f.body)
+        if isinstance(f, Abs):
+            names = tuple(sorted(free - {f.param}))
+            tys = {}
+            for n in names:
+                v = env[n]
+                tys[n] = PROP if isinstance(v, bool) else INT if isinstance(v, int) else v.ty
+            try:
+                got = (names, formula_type(f, tys))
+            except TypeCheckError as e:
+                raise ValueError(f"evaluator needs typed binders: {e}") from None
+        else:
+            got = (f.name in free, tuple(sorted(free - {f.name})))
+        self.facts[id(f)] = got
         return got
 
     # -- window crossings ----------------------------------------------------
@@ -428,41 +401,32 @@ class _EvalContext:
 
     # -- canonical keys -------------------------------------------------------
 
-    def force_table(self, v, ty: Optional[SimpleType] = None, *, for_key: bool = False) -> Table:
-        """Extensional table of a function value.  With ``for_key`` an
-        entry whose computation escapes the window is recorded as a
-        sentinel (two values escaping at the same points are identified);
-        without it the escape propagates."""
+    def force_table(self, v, ty: Optional[SimpleType] = None) -> Table:
+        """Extensional table of a function value.  An entry whose
+        computation escapes the window is recorded as ``_ESC``."""
         if isinstance(v, Table):
             return v
-        got = v.key_table if for_key else v.table
-        if got is not None:
-            return got
+        if v.key_table is not None:
+            return v.key_table
         # values are rebuilt on every body evaluation: cache by content (a
         # closure's captured names are fixed by its body)
         if isinstance(v, Closure):
-            cache_key = (id(v.body), for_key, *map(self.config_key, v.vals))
+            cache_key = (id(v.body), *map(self.config_key, v.vals))
         else:
-            cache_key = (id(v.inst), for_key, *map(self.config_key, v.args))
+            cache_key = (id(v.inst), *map(self.config_key, v.args))
         t = self.forced_partials.get(cache_key)
         if t is None:
             ty = ty if ty is not None else v.ty
             assert isinstance(ty, Arrow), f"cannot force {ty}"
             entries = []
             for a in enumerate_type(ty.arg, self.dom):
-                if for_key:
-                    try:
-                        entries.append(self.config_key(apply_value(self, v, a), ty.ret))
-                    except RangeEscape:
-                        entries.append(_ESC)
-                else:
+                try:
                     entries.append(self.config_key(apply_value(self, v, a), ty.ret))
+                except RangeEscape:
+                    entries.append(_ESC)
             t = intern_table(ty, self.dom, tuple(entries))
             self.forced_partials[cache_key] = t
-        if for_key:
-            v.key_table = t
-        else:
-            v.table = t
+        v.key_table = t
         return t
 
     def config_key(self, v, ty: Optional[SimpleType] = None):
@@ -486,9 +450,7 @@ class _EvalContext:
                 )
             assert isinstance(v, FixPartial)
             return ("fixp", id(v.inst), tuple(self.config_key(a) for a in v.args))
-        if v.key_table is not None:
-            return v.key_table
-        return self.force_table(v, ty, for_key=True)
+        return self.force_table(v, ty)
 
     def stamp(self, values, skip=None) -> tuple:
         """The versions of the in-flight instances ``values`` reach, other
@@ -500,14 +462,14 @@ class _EvalContext:
         }
         return tuple(sorted(vers)) if vers else ()
 
-    def instance(self, node, env: dict) -> "_FixInstance":
-        """The one instance of ``node`` under ``env``'s key.  When an
-        in-flight instance its environment reaches has moved on, it
+    def instance(self, node, names: tuple, env: dict) -> "_FixInstance":
+        """The one instance of ``node`` keyed by ``env`` at ``names``.  When
+        an in-flight instance its environment reaches has moved on, it
         restarts in place; mid-solve, it answers with its current iterate
         and the enclosing solve's next pass restarts it."""
-        names = sorted(env)
+        env = {n: env[n] for n in names}
         key = (id(node), tuple((n, self.config_key(env[n])) for n in names))
-        stamp = self.stamp([env[n] for n in names])
+        stamp = self.stamp(env.values())
         inst = self.instances.get(key)
         if inst is None:
             inst = self.instances[key] = _FixInstance(self, node, env, stamp)
@@ -540,14 +502,13 @@ class _FixInstance:
     has cleared the argument tuples (which may capture the instance)."""
 
     __slots__ = (
-        "_ctx", "node", "env", "sign", "name", "body", "param_tys", "arity",
+        "_ctx", "env", "sign", "name", "body", "param_tys", "arity",
         "asg", "argvals", "stamps", "stamp", "version", "mid_solve",
         "_env_reach",
     )
 
     def __init__(self, ctx: _EvalContext, node, env: dict, stamp: tuple):
         self._ctx = weakref.ref(ctx)
-        self.node = node
         self.env = env
         self.sign = "mu" if isinstance(node, Mu) else "nu"
         self.name = node.name
@@ -724,8 +685,8 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
                     return True
             return False
         case Abs(param, _, body):
-            names = ctx.captured(f)
-            return Closure(param, body, names, tuple([env[n] for n in names]), ctx.node_type(f))
+            names, ty = ctx.facts.get(id(f)) or ctx.facts_of(f, env)
+            return Closure(param, body, names, tuple([env[n] for n in names]), ty)
         case App(fn, arg):
             fv = eval_formula(ctx, fn, env)
             av = eval_formula(ctx, arg, env)
@@ -733,12 +694,12 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
         case AppInt(fn, arg):
             fv = eval_formula(ctx, fn, env)
             return apply_value(ctx, fv, eval_int(ctx, arg, env))
-        case Mu(name, _, body) | Nu(name, _, body):
-            if name not in ctx.fv(body):
-                # not recursive: the fixpoint is its body
+        case Mu(_, _, body) | Nu(_, _, body):
+            recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f, env)
+            if not recursive:
+                # the fixpoint is its body
                 return eval_formula(ctx, body, env)
-            names = ctx.fv(f)
-            inst = ctx.instance(f, {n: env[n] for n in names})
+            inst = ctx.instance(f, names, env)
             if inst.arity == 0:
                 return inst.full_query(())
             return FixPartial(inst, ())
@@ -750,15 +711,15 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
 
 
 def make_context(
-    f: Formula,
     dom: Domain,
     *,
     step_limit: int = 20_000_000,
     deadline: Optional[float] = None,
 ) -> _EvalContext:
-    ctx = _EvalContext(dom, step_limit=step_limit, deadline=deadline)
-    ctx.annotate_types(f, {})
-    return ctx
+    """A fresh context for evaluating formulas with ``eval_formula``.  It
+    walks no formula: what evaluation needs to know about a node is worked
+    out the first time evaluation reaches it."""
+    return _EvalContext(dom, step_limit=step_limit, deadline=deadline)
 
 
 def evaluate(
@@ -770,15 +731,18 @@ def evaluate(
 ) -> SemValue:
     """Denotation of the closed formula ``f`` over the window.  Prop
     results are bools, Int results ints, predicate results canonical
-    ``Table``s."""
+    ``Table``s.  Raises RangeEscape where a predicate's table has an entry
+    that left the window."""
 
     # a module-level call: the benchmark tracer and the tests wrap make_context
-    ctx = make_context(f, dom, step_limit=step_limit, deadline=deadline)
+    ctx = make_context(dom, step_limit=step_limit, deadline=deadline)
     try:
         v = eval_formula(ctx, f, {})
-        if isinstance(v, (bool, int, Table)):
-            return v
-        return ctx.force_table(v)
+        if isinstance(v, _Intensional):
+            v = ctx.force_table(v)
+        if isinstance(v, Table) and _ESC in v.entries:
+            raise RangeEscape("table entry left the window")
+        return v
     finally:
         # argument tuples may capture partial applications of their own
         # instance; without them the context is acyclic and is freed as

@@ -265,6 +265,7 @@ class _Parser:
 
     def atom(self) -> Formula:
         mark = self.pos
+        occ_mark = len(self.occurrences)
         try:
             lhs = self.iexpr()
             t = self.peek()
@@ -277,6 +278,7 @@ class _Parser:
         except ParseError:
             pass
         self.pos = mark
+        del self.occurrences[occ_mark:]
         return self.application()
 
     @staticmethod

@@ -86,6 +86,8 @@ class TagDerivation:
     binder: dict[str, TaggedArg]
     mu_outer: dict[str, tuple[TaggedArg, ...]]
     all_f: bool = False
+    # whether approximations desugar their quantifiers; not in ``to_json``
+    desugar: bool = False
 
     def to_json(self) -> str:
         def enc(t: TaggedArg):

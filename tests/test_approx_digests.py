@@ -47,7 +47,7 @@ def _digest(h) -> str:
             der = prepare(h, all_f=all_f, desugar=desugar)
             sha.update(der.to_json().encode())
             for row in ROWS:
-                approx = approximate(der, row, desugar=desugar)
+                approx = approximate(der, row)
                 sha.update(print_hes(formula_to_hes(approx)).encode())
     return sha.hexdigest()
 

@@ -47,6 +47,12 @@ def test_mu_rejected_before_dispatch():
         solve(External(("/nonexistent/solver",)), h)
 
 
+@pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
+def test_external_timeout_must_be_positive(seconds):
+    with pytest.raises(ValueError):
+        External(("/nonexistent/solver",), timeout_s=seconds)
+
+
 def test_backend_input_kind_mismatch_rejected():
     # the built-in backend takes the closed formula, an external solver
     # the equation system it is printed from

@@ -160,6 +160,20 @@ def test_invalid_option_value_exits_3(flags, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("muhflz: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--timeout", "nan"],
+    ["--timeout", "nan", "--backend", "true"],
+    ["--deadline", "nan"],
+    ["--deadline", "0"],
+], ids=["timeout_nan", "timeout_nan_external", "deadline_nan", "deadline_0"])
+def test_seconds_must_be_a_positive_number(flags, capsys):
+    code = run(["prove", str(FIXTURES / "countdown.hes"), *flags])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("muhflz: ") and "positive" in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "muhflz.cli"],

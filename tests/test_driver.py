@@ -9,12 +9,14 @@ from gen import instances
 from muhflz.backend import Builtin
 from muhflz.convert import hes_to_formula
 from muhflz.driver import (
-    Schedule, default_schedule, emit_report, report_from_json, verify,
+    Schedule, approximate, default_schedule, emit_report, prepare,
+    report_from_json, verify,
 )
 from muhflz.eval import (
     _INTERN, BoundedResult, Domain, IterationCap, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
+from muhflz.syntax import Exists, Forall, Mu, subformulas
 from muhflz.transform import ApproxParams
 from muhflz.typecheck import typecheck
 
@@ -94,6 +96,15 @@ def test_report_json_round_trips():
     r = _verify("countdown_scaled.hes", -8, 8)
     back = report_from_json(emit_report(r, "json"))
     assert back == r
+
+
+def test_approximate_desugars_as_prepared():
+    # the derivation carries the desugar flag: a solver declared without
+    # quantifiers gets neither quantifiers nor least fixpoints
+    h = typecheck(parse_hes(r"Main =v exists x. F x; F y =u y >= 2 \/ F (y - 1);"))
+    row = default_schedule(1).steps[0]
+    g = approximate(prepare(h, desugar=True), row)
+    assert not any(isinstance(s, (Exists, Forall, Mu)) for s in subformulas(g))
 
 
 def test_unknown_report_carries_reason():

@@ -158,7 +158,7 @@ def test_kleene_result_is_a_fixpoint():
         (App(somewhere, Abs("y", INT, Ge(IntVar("y"), Lit(3)))), Domain(-4, 4)),
     )
     for f, dom in cases:
-        ctx = make_context(f, dom)
+        ctx = make_context(dom)
         assert eval_formula(ctx, f, {}) is True
         for inst in ctx.instances.values():
             for key in list(inst.asg):
@@ -181,7 +181,7 @@ def test_non_recursive_instances_keep_nothing():
     # escaped where that escapes.
     f = _hes(SUCC_PRED)
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
-        ctx = make_context(f, dom)
+        ctx = make_context(dom)
         assert eval_formula(ctx, f, {}) is True
         insts = list(ctx.instances.values())
         assert sorted((i.name.rsplit("_", 1)[0], i.sign) for i in insts) == [
@@ -218,12 +218,12 @@ Succ x k =v x (\y. k (y + 1));
 """
     dom = Domain(0, 4)
     f = _hes(program.format(""))
-    ctx = make_context(f, dom)
+    ctx = make_context(dom)
     assert eval_formula(ctx, f, {}) is True
     assert not ctx.instances and not ctx.forced_partials
 
     f = _hes(program.format(r" /\ G p"))
-    ctx = make_context(f, dom)
+    ctx = make_context(dom)
     assert eval_formula(ctx, f, {}) is True
     (g,) = ctx.instances.values()
     ((key, (p,)),) = g.argvals.items()
@@ -258,7 +258,7 @@ H s =v s (\k. k 4) (\y. y >= 1) /\ G (s (\k. k 4));
 G p =v p (\y. y >= 1);
 Succ x k =v x (\y. k (y + 1));
 """)
-    ctx = make_context(f, Domain(0, 4), step_limit=10_000)
+    ctx = make_context(Domain(0, 4), step_limit=10_000)
     assert eval_formula(ctx, f, {}) is True
     assert not ctx.forced_partials
 
@@ -294,7 +294,7 @@ def test_nested_fixpoint_restarts_in_place():
         f = _hes(text)
         for lo, hi in ((-3, 3), (0, 4)):
             for strict in (True, False):
-                ctx = make_context(f, Domain(lo, hi, strict), step_limit=20_000)
+                ctx = make_context(Domain(lo, hi, strict), step_limit=20_000)
                 assert eval_formula(ctx, f, {}) is want
                 assert len(ctx.instances) <= 2
                 assert ctx.steps < 100
@@ -400,3 +400,37 @@ def test_concurrent_style_isolation():
     assert evaluate(f1, dom=dom) is True
     assert evaluate(f2, dom=dom) is False
     assert evaluate(f1, dom=dom) is True
+
+
+@pytest.mark.parametrize("f", [
+    Abs("y", None, Ge(IntVar("y"), Lit(0))),
+    Abs("x", INT, Abs("y", None, Ge(IntVar("y"), IntVar("x")))),
+    AppInt(Mu("x", None, Abs("y", INT, AppInt(Var("x"), IntVar("y")))), Lit(0)),
+    AppInt(Nu("x", None, Abs("y", INT, Ge(IntVar("y"), Lit(0)))), Lit(0)),
+], ids=["abs", "abs_in_abs", "mu", "nu"])
+def test_untyped_binder_reached_is_a_value_error(f):
+    with pytest.raises(ValueError, match="typed binders"):
+        evaluate(f, dom=Domain(0, 4))
+
+
+def _escapes_above_2(*params):
+    # \params. \y. y <= 2 \/ N (y + 10), with N a recursive greatest
+    # fixpoint: for y >= 3 its argument leaves 0..4 and N's key escapes
+    n = Nu("n", Arrow(INT, PROP), Abs("z", INT, AppInt(Var("n"), Plus(IntVar("z"), Lit(1)))))
+    f = Abs("y", INT, Or(Ge(Lit(2), IntVar("y")), AppInt(n, Plus(IntVar("y"), Lit(10)))))
+    for p in reversed(params):
+        f = Abs(p, INT, f)
+    return f
+
+
+def test_predicate_result_with_an_escaping_entry_is_a_range_escape():
+    with pytest.raises(RangeEscape):
+        evaluate(_escapes_above_2(), dom=Domain(0, 4))
+
+
+def test_predicate_result_keeps_escapes_of_nested_tables():
+    t = evaluate(_escapes_above_2("x"), dom=Domain(0, 4))
+    assert isinstance(t, Table)
+    for inner in t.entries:
+        assert isinstance(inner, Table)
+        assert inner.entries == (True, True, True, _ESC, _ESC)

@@ -36,7 +36,7 @@ SUCC_PRED_WINDOWS = {
 
 
 def _run(f, dom: Domain, step_limit: int = 20_000_000) -> list:
-    ctx = make_context(f, dom, step_limit=step_limit)
+    ctx = make_context(dom, step_limit=step_limit)
     try:
         result = "valid" if eval_formula(ctx, f, {}) is True else "invalid"
     except RangeEscape:

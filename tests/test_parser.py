@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_fixture_names, fixture_text
-from gen import random_instance
+from gen import instances, random_instance
 from muhflz.parser import (
-    MAX_NESTING, NestingTooDeep, ParseError, parse_formula, parse_hes,
+    MAX_NESTING, NestingTooDeep, ParseError, _Parser, parse_formula, parse_hes,
 )
 from muhflz.printer import print_hes
 from muhflz.syntax import (
@@ -145,3 +145,15 @@ def test_deep_nesting_is_a_parse_error():
                 parse_hes(text)
             assert isinstance(e.value, ParseError)
             assert e.value.line == 1 and e.value.col > MAX_NESTING
+
+
+def test_each_occurrence_is_recorded_once():
+    # a failed integer-expression attempt must not leave its identifier
+    # occurrences behind
+    texts = [fixture_text(name) for name in all_fixture_names()]
+    texts += [print_hes(h) for _, h in instances(200)]
+    for text in texts:
+        p = _Parser(text)
+        p.parse_hes()
+        triples = [occ[:3] for occ in p.occurrences]
+        assert len(triples) == len(set(triples)), text
