@@ -15,44 +15,49 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from .printer import print_hes
-from .syntax import Formula, Hes, Sign, contains_mu
+from .syntax import Formula, Hes, Node, Sign, contains_mu, set_field
 
 # not called here any more; perfbench/spans.py still wraps these two names
 from .convert import hes_to_formula  # noqa: F401
 from .typecheck import typecheck  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Builtin:
-    dom: Domain
+class Builtin(Node):
+    __slots__ = ("dom",)
+
+    def __init__(self, dom: Domain):
+        set_field(self, "dom", dom)
 
 
-@dataclass(frozen=True)
-class External:
-    command: tuple[str, ...]
-    timeout_s: float = 60.0
-    supports_quantifiers: bool = True
+class External(Node):
+    __slots__ = ("command", "timeout_s", "supports_quantifiers")
 
-    def __post_init__(self):
-        if not self.command:
+    def __init__(
+        self, command: tuple[str, ...], timeout_s: float = 60.0, supports_quantifiers: bool = True
+    ):
+        if not command:
             raise ValueError("empty external command")
-        if not self.timeout_s > 0:  # also false for NaN
+        if not timeout_s > 0:  # also false for NaN
             raise ValueError("timeout must be positive")
+        set_field(self, "command", command)
+        set_field(self, "timeout_s", timeout_s)
+        set_field(self, "supports_quantifiers", supports_quantifiers)
 
 
 BackendSpec = Union[Builtin, External]
 
 
-@dataclass(frozen=True)
-class BackendVerdict:
-    outcome: str  # "valid" | "invalid" | "unknown"
-    detail: str = ""
-    elapsed_s: float = 0.0
+class BackendVerdict(Node):
+    __slots__ = ("outcome", "detail", "elapsed_s")  # outcome: "valid" | "invalid" | "unknown"
+
+    def __init__(self, outcome: str, detail: str = "", elapsed_s: float = 0.0):
+        set_field(self, "outcome", outcome)
+        set_field(self, "detail", detail)
+        set_field(self, "elapsed_s", elapsed_s)
 
 
 def _reject_mu(problem: Union[Formula, Hes]) -> None:

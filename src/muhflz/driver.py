@@ -13,15 +13,13 @@ coefficients.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .backend import BackendSpec, BackendVerdict, External, solve
 from .convert import formula_to_hes, hes_to_formula
 from .eval import IterationCap, RangeEscape
-from .syntax import Formula, Hes, contains_mu
+from .syntax import Formula, Hes, Node, contains_mu, set_field
 from .tags import TagDerivation, infer_tags_formula
 from .transform import (
     ApproxParams, desugar_quantifiers, dual_hes, eliminate_abs,
@@ -30,9 +28,11 @@ from .transform import (
 from .typecheck import typecheck
 
 
-@dataclass(frozen=True)
-class Schedule:
-    steps: tuple[ApproxParams, ...]
+class Schedule(Node):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[ApproxParams, ...]):
+        set_field(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -63,20 +63,33 @@ def default_schedule(max_iterations: int) -> Schedule:
     return Schedule(tuple(steps))
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    side: str  # "prover" | "disprover"
-    params: ApproxParams
-    verdict: BackendVerdict
+class IterationRecord(Node):
+    __slots__ = ("side", "params", "verdict")  # side: "prover" | "disprover"
+
+    def __init__(self, side: str, params: ApproxParams, verdict: BackendVerdict):
+        set_field(self, "side", side)
+        set_field(self, "params", params)
+        set_field(self, "verdict", verdict)
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    outcome: str  # "valid" | "invalid" | "unknown"
-    winning_side: str  # "prover" | "disprover" | "none"
-    iterations: tuple[IterationRecord, ...]
-    total_elapsed_s: float
-    reason: str = ""
+class VerdictReport(Node):
+    # outcome: "valid" | "invalid" | "unknown"; winning_side: "prover" |
+    # "disprover" | "none"
+    __slots__ = ("outcome", "winning_side", "iterations", "total_elapsed_s", "reason")
+
+    def __init__(
+        self,
+        outcome: str,
+        winning_side: str,
+        iterations: tuple[IterationRecord, ...],
+        total_elapsed_s: float,
+        reason: str = "",
+    ):
+        set_field(self, "outcome", outcome)
+        set_field(self, "winning_side", winning_side)
+        set_field(self, "iterations", iterations)
+        set_field(self, "total_elapsed_s", total_elapsed_s)
+        set_field(self, "reason", reason)
 
 
 def prepare(h: Hes, *, all_f: bool = False, desugar: bool = False) -> TagDerivation:
@@ -88,7 +101,7 @@ def prepare(h: Hes, *, all_f: bool = False, desugar: bool = False) -> TagDerivat
     if desugar:
         f = desugar_quantifiers(f)
     der = infer_tags_formula(eta_expand_mu_partials(f), all_f=all_f)
-    return replace(der, desugar=desugar)
+    return TagDerivation(der.formula, der.binder, der.mu_outer, der.all_f, desugar)
 
 
 def approximate(der: TagDerivation, params: ApproxParams) -> Formula:
@@ -108,7 +121,9 @@ def override_counters(
     """A schedule row with its counter count overridden: one counter
     without companion arguments, else ``counters`` when given."""
     k = 1 if no_extra_args else counters
-    return params if k is None else replace(params, counters=k)
+    if k is None:
+        return params
+    return ApproxParams(params.c, params.d, params.c_extra, params.d_extra, k)
 
 
 class _Side:
@@ -204,7 +219,25 @@ def verify(
 
 def emit_report(r: VerdictReport, format: str = "text") -> str:
     if format == "json":
-        return json.dumps(asdict(r), indent=2)
+        import json
+
+        return json.dumps(
+            {
+                "outcome": r.outcome,
+                "winning_side": r.winning_side,
+                "iterations": [
+                    {
+                        "side": it.side,
+                        "params": _as_dict(it.params),
+                        "verdict": _as_dict(it.verdict),
+                    }
+                    for it in r.iterations
+                ],
+                "total_elapsed_s": r.total_elapsed_s,
+                "reason": r.reason,
+            },
+            indent=2,
+        )
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     lines = [r.outcome]
@@ -221,7 +254,13 @@ def emit_report(r: VerdictReport, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _as_dict(record: Node) -> dict:
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 def report_from_json(text: str) -> VerdictReport:
+    import json
+
     data = json.loads(text)
     data["iterations"] = tuple(
         IterationRecord(

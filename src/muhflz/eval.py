@@ -37,14 +37,13 @@ from __future__ import annotations
 import functools
 import time
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, INT, IntAbs,
     IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP, PropType,
-    SimpleType, Times, Var, arg_types, arrow, free_vars,
+    Node, SimpleType, Times, Var, arg_types, arrow, free_vars, set_field,
 )
 from .typecheck import TypeCheckError, formula_type
 
@@ -62,15 +61,15 @@ class IterationCap(Exception):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class Domain:
-    lo: int
-    hi: int
-    strict: bool = True
+class Domain(Node):
+    __slots__ = ("lo", "hi", "strict")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: int, hi: int, strict: bool = True):
+        if lo > hi:
             raise ValueError("empty domain")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "strict", strict)
 
     def values(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -323,19 +322,6 @@ def table_index(dom: Domain, arg_ty: SimpleType, k) -> Optional[int]:
     if isinstance(k, int):
         return k - dom.lo
     return enum_index(arg_ty, dom).get(k)
-
-
-def is_monotone_table(t: Table, dom: Domain) -> bool:
-    ty = t.ty
-    args = enumerate_type(ty.arg, dom)
-    n = len(args)
-    for i in range(n):
-        for j in range(n):
-            if value_leq(ty.arg, args[i], args[j]) and not value_leq(
-                ty.ret, t.entries[i], t.entries[j]
-            ):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,12 @@ entry formula of the Hes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
     Abs, And, App, AppInt, Equation, Exists, FALSE, Forall, Formula, Hes,
-    IntExpr, IntVar, Lit, Or, Plus, Sign, Times, TRUE, Var, canon_ge,
-    inc_expr,
+    IntExpr, IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge,
+    inc_expr, set_field,
 )
 
 
@@ -55,12 +54,14 @@ class NestingTooDeep(ParseError):
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Tok(Node):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 _TOKEN_RE = re.compile(

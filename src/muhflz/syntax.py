@@ -1,8 +1,12 @@
 """Core AST for HFL(Z): formulas, integer expressions, simple types, and
 hierarchical equation systems (HES).
 
-All nodes are immutable; passes build new trees.  Binder uniqueness is not
-guaranteed by construction.  ``replace_free`` is the one way to replace a
+All nodes are immutable; passes build new trees.  Every node, like every
+other record in muhflz, is a ``Node``: a slotted class with no instance
+``__dict__`` whose ``__setattr__`` and ``__delattr__`` raise
+``AttributeError``, so a field is stored once, by ``__init__`` through
+``set_field``, and never changed.  Binder uniqueness is not guaranteed by
+construction.  ``replace_free`` is the one way to replace a
 variable, and it renames nothing: where a binder could capture what it
 inserts, rename first (``alpha_normalize``, or ``alpha_normalize_formula``
 on what is inserted).
@@ -19,35 +23,94 @@ subtree, not the position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
+
+
+# ---------------------------------------------------------------------------
+# Immutable records
+
+
+class Node:
+    """Base of every immutable record in muhflz.  A subclass declares its
+    fields as ``__slots__`` and stores them in a plain ``__init__`` with
+    ``set_field``; ``Node`` supplies the rest, built once per class and
+    with no generated code: ``__match_args__`` (the fields, in order),
+    equality (same class, equal fields), ``hash`` (the hash of the field
+    tuple), a ``Class(field=value, ...)`` repr, and guards that raise
+    ``AttributeError`` on assigning or deleting an attribute."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = cls.__slots__
+        if len(names) > 1:
+            cls._fields = attrgetter(*names)
+        elif names:
+            get = attrgetter(*names)
+            cls._fields = staticmethod(lambda node: (get(node),))
+        else:
+            cls._fields = staticmethod(lambda node: ())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past the guards
+        return self.__class__, self._fields(self)
+
+
+# stores one field of a Node under construction; a module-level name, so
+# that an ``__init__`` pays one global lookup per field
+set_field = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Simple types
 
 
-class SimpleType:
+class SimpleType(Node):
     """Base class for simple types: Int, Prop, or Arrow."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class IntType(SimpleType):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
 class PropType(SimpleType):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "prop"
 
 
-@dataclass(frozen=True)
 class Arrow(SimpleType):
-    arg: SimpleType
-    ret: SimpleType
+    __slots__ = ("arg", "ret")
+
+    def __init__(self, arg: SimpleType, ret: SimpleType):
+        set_field(self, "arg", arg)
+        set_field(self, "ret", ret)
 
     def __str__(self) -> str:
         a = str(self.arg)
@@ -82,114 +145,150 @@ def arrow(args: list[SimpleType], ret: SimpleType) -> SimpleType:
 # Integer expressions
 
 
-class IntExpr:
+class IntExpr(Node):
     """Base class for integer expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Lit(IntExpr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class IntVar(IntExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Plus(IntExpr):
-    lhs: IntExpr
-    rhs: IntExpr
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: IntExpr, rhs: IntExpr):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Times(IntExpr):
-    lhs: IntExpr
-    rhs: IntExpr
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: IntExpr, rhs: IntExpr):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class IntAbs(IntExpr):
     """Absolute value |e|.  Internal to the transformation pipeline; never
     part of anything handed to a backend or the printer."""
 
-    arg: IntExpr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: IntExpr):
+        set_field(self, "arg", arg)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 
 
-class Formula:
+class Formula(Node):
     """Base class for HFL(Z) formulas."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Mu(Formula):
-    name: str
-    ty: Optional[SimpleType]
-    body: Formula
+    __slots__ = ("name", "ty", "body")
+
+    def __init__(self, name: str, ty: Optional[SimpleType], body: Formula):
+        set_field(self, "name", name)
+        set_field(self, "ty", ty)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Nu(Formula):
-    name: str
-    ty: Optional[SimpleType]
-    body: Formula
+    __slots__ = ("name", "ty", "body")
+
+    def __init__(self, name: str, ty: Optional[SimpleType], body: Formula):
+        set_field(self, "name", name)
+        set_field(self, "ty", ty)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Abs(Formula):
-    param: str
-    ty: Optional[SimpleType]
-    body: Formula
+    __slots__ = ("param", "ty", "body")
+
+    def __init__(self, param: str, ty: Optional[SimpleType], body: Formula):
+        set_field(self, "param", param)
+        set_field(self, "ty", ty)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class App(Formula):
-    fn: Formula
-    arg: Formula
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Formula, arg: Formula):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class AppInt(Formula):
-    fn: Formula
-    arg: IntExpr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Formula, arg: IntExpr):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Ge(Formula):
-    lhs: IntExpr
-    rhs: IntExpr
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: IntExpr, rhs: IntExpr):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        set_field(self, "var", var)
+        set_field(self, "body", body)
 
 
 TRUE = Ge(Lit(0), Lit(0))
@@ -205,21 +304,31 @@ class Sign(Enum):
     NU = "nu"
 
 
-@dataclass(frozen=True)
-class Equation:
-    name: str
-    params: tuple[tuple[str, Optional[SimpleType]], ...]
-    sign: Sign
-    body: Formula
+class Equation(Node):
+    __slots__ = ("name", "params", "sign", "body")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[tuple[str, Optional[SimpleType]], ...],
+        sign: Sign,
+        body: Formula,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "sign", sign)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Hes:
+class Hes(Node):
     """Ordered fixpoint equations plus an entry formula.  Earlier equations
     bind outermost."""
 
-    equations: tuple[Equation, ...]
-    entry: Formula
+    __slots__ = ("equations", "entry")
+
+    def __init__(self, equations: tuple[Equation, ...], entry: Formula):
+        set_field(self, "equations", equations)
+        set_field(self, "entry", entry)
 
     def equation(self, name: str) -> Equation:
         for eq in self.equations:

@@ -22,13 +22,12 @@ always exists; ``TagInferenceError`` is kept as a defensive signal only.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
     Abs, And, App, AppInt, Exists, Forall, Formula, Ge, INT, IntType,
-    Mu, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
+    Mu, Node, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
+    set_field,
 )
 
 
@@ -40,15 +39,18 @@ class TagInferenceError(Exception):
 # Resolved tagged types
 
 
-class TaggedArg:
+class TaggedArg(Node):
     """A tagged argument type: TagInt, or TagPred(params, tag)."""
+
+    __slots__ = ()
 
     def erase(self) -> SimpleType:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class TagInt(TaggedArg):
+    __slots__ = ()
+
     def erase(self) -> SimpleType:
         return INT
 
@@ -56,10 +58,12 @@ class TagInt(TaggedArg):
         return "int"
 
 
-@dataclass(frozen=True)
 class TagPred(TaggedArg):
-    params: tuple[TaggedArg, ...]
-    tag: bool  # True = T (companion present)
+    __slots__ = ("params", "tag")  # tag: True = T (companion present)
+
+    def __init__(self, params: tuple[TaggedArg, ...], tag: bool):
+        set_field(self, "params", params)
+        set_field(self, "tag", tag)
 
     def erase(self) -> SimpleType:
         return arrow([p.erase() for p in self.params], PROP)
@@ -72,8 +76,7 @@ class TagPred(TaggedArg):
 TAG_INT = TagInt()
 
 
-@dataclass
-class TagDerivation:
+class TagDerivation(Node):
     """Tags for one normalized formula: the formula itself, a tagged
     argument type per binder name, and per least-fixpoint binder the
     use-side argument types (identical to the binder's own up to outermost
@@ -82,14 +85,26 @@ class TagDerivation:
     several positions (see ``convert``), and the last one walked sets the
     entry for the name."""
 
-    formula: Formula
-    binder: dict[str, TaggedArg]
-    mu_outer: dict[str, tuple[TaggedArg, ...]]
-    all_f: bool = False
-    # whether approximations desugar their quantifiers; not in ``to_json``
-    desugar: bool = False
+    __slots__ = ("formula", "binder", "mu_outer", "all_f", "desugar")
+
+    def __init__(
+        self,
+        formula: Formula,
+        binder: dict[str, TaggedArg],
+        mu_outer: dict[str, tuple[TaggedArg, ...]],
+        all_f: bool = False,
+        # whether approximations desugar their quantifiers; not in ``to_json``
+        desugar: bool = False,
+    ):
+        set_field(self, "formula", formula)
+        set_field(self, "binder", binder)
+        set_field(self, "mu_outer", mu_outer)
+        set_field(self, "all_f", all_f)
+        set_field(self, "desugar", desugar)
 
     def to_json(self) -> str:
+        import json
+
         def enc(t: TaggedArg):
             if isinstance(t, TagInt):
                 return "int"

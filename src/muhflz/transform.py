@@ -15,16 +15,15 @@ equations only for an external solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
-    INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, NameSupply, Nu, Or, Plus,
-    PROP, Sign, SimpleType, Times, Var, apply_spine, arg_types, arrow,
+    INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, NameSupply, Node, Nu, Or,
+    Plus, PROP, Sign, SimpleType, Times, Var, apply_spine, arg_types, arrow,
     canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
     int_free_vars, map_children, names_in_formula, neg_ge, peel,
-    replace_free, shift_expr, spine,
+    replace_free, set_field, shift_expr, spine,
 )
 from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
@@ -39,23 +38,23 @@ class AbsInIllegalPosition(Exception):
     """An absolute value survived outside an argument position."""
 
 
-@dataclass(frozen=True)
-class ApproxParams:
+class ApproxParams(Node):
     """One approximation attempt: (c, d) scale the unfolding budgets,
     (c_extra, d_extra) the companion arguments, and ``counters`` is the
     number of unfolding counters per least fixpoint."""
 
-    c: int
-    d: int
-    c_extra: int
-    d_extra: int
-    counters: int = 1
+    __slots__ = ("c", "d", "c_extra", "d_extra", "counters")
 
-    def __post_init__(self):
-        if min(self.c, self.d, self.c_extra, self.d_extra) < 0:
+    def __init__(self, c: int, d: int, c_extra: int, d_extra: int, counters: int = 1):
+        if min(c, d, c_extra, d_extra) < 0:
             raise ValueError("coefficients must be non-negative")
-        if self.counters < 1:
+        if counters < 1:
             raise ValueError("at least one counter")
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "c_extra", c_extra)
+        set_field(self, "d_extra", d_extra)
+        set_field(self, "counters", counters)
 
 
 # ---------------------------------------------------------------------------

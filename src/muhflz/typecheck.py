@@ -27,14 +27,13 @@ The pass makes two walks over each equation body and the entry:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
     INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP,
     PropType, SimpleType, Times, Var, arg_types, arrow, is_predicate_type,
-    map_children,
+    map_children, set_field,
 )
 
 
@@ -44,11 +43,16 @@ class TypeCheckError(Exception):
         super().__init__(f"[{rule}] {message}")
 
 
-@dataclass(eq=False)
 class _TyVar(SimpleType):
-    """Inference-only placeholder; resolved away before the pass returns."""
+    """Inference-only placeholder; resolved away before the pass returns.
+    Equal only to itself."""
 
-    id: int
+    __slots__ = ("id",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, id: int):
+        set_field(self, "id", id)
 
     def __str__(self) -> str:
         return f"'t{self.id}"

@@ -6,11 +6,11 @@ import pytest
 import muhflz.eval
 from conftest import FIXTURES, fixture_text, tracked_fix_instances
 from gen import instances
-from muhflz.backend import Builtin
+from muhflz.backend import BackendVerdict, Builtin
 from muhflz.convert import hes_to_formula
 from muhflz.driver import (
-    Schedule, approximate, default_schedule, emit_report, prepare,
-    report_from_json, verify,
+    IterationRecord, Schedule, VerdictReport, approximate, default_schedule,
+    emit_report, prepare, report_from_json, verify,
 )
 from muhflz.eval import (
     _INTERN, BoundedResult, Domain, IterationCap, check_validity_bounded,
@@ -96,6 +96,18 @@ def test_report_json_round_trips():
     r = _verify("countdown_scaled.hes", -8, 8)
     back = report_from_json(emit_report(r, "json"))
     assert back == r
+
+
+def test_report_json_matches_the_recorded_bytes():
+    # report_golden.json was written by the asdict-based emitter
+    r = VerdictReport("invalid", "disprover", (
+        IterationRecord("prover", ApproxParams(1, 2, 1, 1), BackendVerdict("unknown", "iteration cap: step-cap", 0.25)),
+        IterationRecord("disprover", ApproxParams(1, 2, 1, 1, 2), BackendVerdict("valid", "", 1.5)),
+        IterationRecord("prover", ApproxParams(1, 16, 1, 1), BackendVerdict("unknown", 'stderr: "bad" \u00e9', 0.0)),
+    ), 2.125, "")
+    text = emit_report(r, "json")
+    assert text.encode("utf-8") == (FIXTURES.parent / "tests" / "report_golden.json").read_bytes()
+    assert report_from_json(text) == r
 
 
 def test_approximate_desugars_as_prepared():

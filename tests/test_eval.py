@@ -10,7 +10,7 @@ from muhflz.eval import (
     BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
     _ENUM_CACHE_SIZE, _ESC, _enumeration, apply_value,
     check_validity_bounded, enum_index, enumerate_type, eval_formula,
-    evaluate, is_monotone_table, make_context, value_leq,
+    evaluate, make_context, value_leq,
 )
 from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
@@ -19,6 +19,19 @@ from muhflz.syntax import (
 from muhflz.parser import parse_hes
 from muhflz.transform import dualize
 from muhflz.typecheck import typecheck
+
+
+def is_monotone_table(t: Table, dom: Domain) -> bool:
+    ty = t.ty
+    args = enumerate_type(ty.arg, dom)
+    n = len(args)
+    for i in range(n):
+        for j in range(n):
+            if value_leq(ty.arg, args[i], args[j]) and not value_leq(
+                ty.ret, t.entries[i], t.entries[j]
+            ):
+                return False
+    return True
 
 
 def _countdown_mu():

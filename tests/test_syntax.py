@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import all_fixture_names, fixture_text
@@ -57,13 +55,20 @@ def test_subformulas_is_the_recursive_preorder():
 _FIELD_VALUES = {"str": "v", "IntExpr": IntVar("n"), "Optional[SimpleType]": Arrow(INT, PROP)}
 
 
+def _fields(kind):
+    """(name, annotation) of each field of a node class, in order: the
+    names from ``__match_args__``, the types from ``__init__``."""
+    annotations = kind.__init__.__annotations__
+    return [(name, annotations[name]) for name in kind.__match_args__]
+
+
 def _sample(kind):
     """A node of ``kind`` whose every formula field holds a distinct
-    application, built from the dataclass fields so that a new node kind
-    needs no entry here."""
+    application, built from the fields so that a new node kind needs no
+    entry here."""
     return kind(*(
-        App(Var(f"f{i}"), Var(f"a{i}")) if fld.type == "Formula" else _FIELD_VALUES[fld.type]
-        for i, fld in enumerate(dataclasses.fields(kind))
+        App(Var(f"f{i}"), Var(f"a{i}")) if ty == "Formula" else _FIELD_VALUES[ty]
+        for i, (_, ty) in enumerate(_fields(kind))
     ))
 
 
@@ -88,7 +93,7 @@ def test_map_children_returns_an_unchanged_node_itself(kind, env):
         return g
 
     assert map_children(f, same, env) is f
-    fields = [getattr(f, fld.name) for fld in dataclasses.fields(kind) if fld.type == "Formula"]
+    fields = [getattr(f, name) for name, ty in _fields(kind) if ty == "Formula"]
     assert len(seen) == len(fields)
     assert all(a is b for a, b in zip(seen, fields))
 
@@ -193,9 +198,9 @@ def _check_replaced(before, after, name, made):
         assert after is made.pop(0)
         return
     assert type(after) is type(before)
-    for fld in dataclasses.fields(before):
-        if fld.type != "Formula":
-            assert getattr(after, fld.name) == getattr(before, fld.name)
+    for field, ty in _fields(type(before)):
+        if ty != "Formula":
+            assert getattr(after, field) == getattr(before, field)
     kb, ka = _children(before), _children(after)
     assert len(kb) == len(ka)
     for b, a in zip(kb, ka):
