@@ -25,7 +25,7 @@ from .transform import (
     dualize, desugar_quantifiers, eliminate_abs, eta_expand_mu_partials,
 )
 from .backend import (
-    BackendSpec, BackendVerdict, Builtin, External, solve,
+    BackendSpec, BackendVerdict, Builtin, External, lower, solve,
 )
 from .driver import (
     Schedule, VerdictReport, approximate, default_schedule, emit_report,

@@ -1,6 +1,7 @@
-"""Uniform interface over nu-only validity checkers: the built-in bounded
-evaluator, which takes the closed formula, or an external solver process
-fed the equation system in the HES text format.
+"""Uniform interface over nu-only validity checkers.  ``solve`` takes the
+closed nu-only formula for both: the built-in bounded evaluator evaluates
+it as is, and an external solver process is fed ``lower`` of it, the
+equation system in the HES text format.
 
 External protocol: the system is written to a temporary .hes file whose
 path is appended to the configured argv; the first stdout line that is
@@ -17,9 +18,11 @@ import tempfile
 import time
 from typing import Optional, Union
 
+from .convert import formula_to_hes
 from .eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from .printer import print_hes
-from .syntax import Formula, Hes, Node, Sign, contains_mu, set_field
+from .syntax import Formula, Hes, Node, contains_mu, set_field
+from .transform import desugar_quantifiers
 
 # not called here any more; perfbench/spans.py still wraps these two names
 from .convert import hes_to_formula  # noqa: F401
@@ -60,31 +63,32 @@ class BackendVerdict(Node):
         set_field(self, "elapsed_s", elapsed_s)
 
 
-def _reject_mu(problem: Union[Formula, Hes]) -> None:
-    formulas: tuple = (problem,)
-    if isinstance(problem, Hes):
-        for eq in problem.equations:
-            if eq.sign is Sign.MU:
-                raise ValueError(f"backend given a mu-equation: {eq.name}")
-        formulas = (problem.entry, *(eq.body for eq in problem.equations))
-    if any(contains_mu(f) for f in formulas):
+def _reject_mu(f: Formula) -> None:
+    if contains_mu(f):
         raise ValueError("backend given a formula containing a least fixpoint")
 
 
-def solve(
-    spec: BackendSpec, problem: Union[Formula, Hes], *, deadline: Optional[float] = None
-) -> BackendVerdict:
-    """Check validity of a nu-only problem: a closed formula for the
-    built-in backend, an equation system for an external solver.  'valid'/
+def lower(f: Formula, *, quantifiers: bool) -> Hes:
+    """The equation system an external solver receives for the closed
+    nu-only formula ``f``: its quantifiers desugared into greatest-fixpoint
+    walkers unless the solver has ``quantifiers``, then every fixpoint
+    binder lambda-lifted into an equation."""
+    if not quantifiers:
+        f = desugar_quantifiers(f)
+    _reject_mu(f)
+    return formula_to_hes(f)
+
+
+def solve(spec: BackendSpec, f: Formula, *, deadline: Optional[float] = None) -> BackendVerdict:
+    """Check validity of a closed nu-only formula: evaluated by the
+    built-in backend, ``lower``-ed for an external solver.  'valid'/
     'invalid' only when the backend affirmed/refuted; everything else is
     'unknown'."""
-    if isinstance(problem, Hes) == isinstance(spec, Builtin):
-        raise TypeError(f"{type(spec).__name__} backend given a {type(problem).__name__}")
-    _reject_mu(problem)
-    start = time.monotonic()
     if isinstance(spec, Builtin):
+        _reject_mu(f)
+        start = time.monotonic()
         try:
-            result = check_validity_bounded(problem, spec.dom, deadline=deadline)
+            result = check_validity_bounded(f, spec.dom, deadline=deadline)
         except IterationCap as e:
             return BackendVerdict("unknown", f"iteration cap: {e.reason}", time.monotonic() - start)
         elapsed = time.monotonic() - start
@@ -94,6 +98,8 @@ def solve(
             return BackendVerdict("invalid", "", elapsed)
         return BackendVerdict("unknown", "range escape", elapsed)
 
+    problem = lower(f, quantifiers=spec.supports_quantifiers)
+    start = time.monotonic()
     timeout = spec.timeout_s
     if deadline is not None:
         timeout = min(timeout, max(deadline - time.monotonic(), 0.01))

@@ -5,8 +5,8 @@
 Exit codes: 0 valid, 1 invalid, 2 unknown, 3 usage/parse/type error.
 The --emit modes bypass solving and print an artifact instead:
 ``nu`` the nu-only system an external solver receives on the first
-prover step, ``tags`` that step's tag-derivation dump, ``dual`` the
-dualized system.
+prover step (``backend.lower`` of its approximation), ``tags`` that
+step's tag-derivation dump, ``dual`` the dualized system.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import re
 import shlex
 import sys
 
-from .backend import BackendSpec, Builtin, External
-from .convert import formula_to_hes
+from .backend import BackendSpec, Builtin, External, lower
 from .driver import (
     approximate, default_schedule, emit_report, override_counters, prepare,
     verify,
@@ -175,7 +174,7 @@ def _run_text(
         row = default_schedule(1).steps[0]
         params = override_counters(row, no_extra_args=ns.no_extra_args, counters=ns.counters)
         approx = approximate(tags, params)
-        sys.stdout.write(print_hes(formula_to_hes(approx)))
+        sys.stdout.write(print_hes(lower(approx, quantifiers=not ns.no_quantifiers)))
         return 0
 
     report = verify(

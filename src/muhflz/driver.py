@@ -8,7 +8,8 @@ approximation are never conclusive (the approximation only
 under-approximates) and just advance that side's iteration.  Each side
 runs ``prepare`` once and ``approximate`` per parameter row, so successive
 approximations share one tag derivation and differ only in the
-coefficients.
+coefficients.  ``backend.solve`` takes each approximation as it is, for
+either backend.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import time
 from typing import Optional
 
 from .backend import BackendSpec, BackendVerdict, External, solve
-from .convert import formula_to_hes, hes_to_formula
-from .eval import IterationCap, RangeEscape
+from .convert import hes_to_formula
+# unused here; perfbench/spans.py wraps this name, so it stays importable
+from .convert import formula_to_hes  # noqa: F401
 from .syntax import Formula, Hes, Node, contains_mu, set_field
 from .tags import TagDerivation, infer_tags_formula
 from .transform import (
@@ -95,24 +97,18 @@ class VerdictReport(Node):
 def prepare(h: Hes, *, all_f: bool = False, desugar: bool = False) -> TagDerivation:
     """Close a typed system into one formula, desugar its quantifiers if
     asked, eta-expand partially applied least fixpoints and infer tags.  The
-    derivation's ``formula`` is the prepared formula, reused for every row,
-    and its ``desugar`` carries the flag to ``approximate``."""
+    derivation's ``formula`` is the prepared formula, reused for every row;
+    an existential desugars into a least fixpoint, which then gets a budget."""
     f = hes_to_formula(h)
     if desugar:
         f = desugar_quantifiers(f)
-    der = infer_tags_formula(eta_expand_mu_partials(f), all_f=all_f)
-    return TagDerivation(der.formula, der.binder, der.mu_outer, der.all_f, desugar)
+    return infer_tags_formula(eta_expand_mu_partials(f), all_f=all_f)
 
 
 def approximate(der: TagDerivation, params: ApproxParams) -> Formula:
-    """The closed nu-only approximation of ``der.formula`` at ``params``, its
-    quantifiers desugared if ``der`` was prepared so.  The built-in backend
-    evaluates it as is; ``formula_to_hes`` lowers it for an external
-    solver."""
-    g = eliminate_abs(transform_formula(der.formula, der, params))
-    if der.desugar:
-        g = desugar_quantifiers(g)
-    return g
+    """The closed nu-only approximation of ``der.formula`` at ``params``,
+    which ``solve`` takes for either backend."""
+    return eliminate_abs(transform_formula(der.formula, der, params))
 
 
 def override_counters(
@@ -192,16 +188,7 @@ def verify(
                 continue
             side.attempted_params.add(params)
 
-            try:
-                approx = approximate(side.tags, params)
-                if isinstance(spec, External):
-                    approx = formula_to_hes(approx)
-            except (IterationCap, RangeEscape) as e:
-                records.append(
-                    IterationRecord(side.name, params, BackendVerdict("unknown", f"transform failed: {e}", 0.0))
-                )
-                continue
-            verdict = solve(spec, approx, deadline=step_deadline)
+            verdict = solve(spec, approximate(side.tags, params), deadline=step_deadline)
             records.append(IterationRecord(side.name, params, verdict))
             if verdict.outcome == "valid":
                 if side.name == "prover":

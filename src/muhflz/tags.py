@@ -85,7 +85,7 @@ class TagDerivation(Node):
     several positions (see ``convert``), and the last one walked sets the
     entry for the name."""
 
-    __slots__ = ("formula", "binder", "mu_outer", "all_f", "desugar")
+    __slots__ = ("formula", "binder", "mu_outer", "all_f")
 
     def __init__(
         self,
@@ -93,14 +93,11 @@ class TagDerivation(Node):
         binder: dict[str, TaggedArg],
         mu_outer: dict[str, tuple[TaggedArg, ...]],
         all_f: bool = False,
-        # whether approximations desugar their quantifiers; not in ``to_json``
-        desugar: bool = False,
     ):
         set_field(self, "formula", formula)
         set_field(self, "binder", binder)
         set_field(self, "mu_outer", mu_outer)
         set_field(self, "all_f", all_f)
-        set_field(self, "desugar", desugar)
 
     def to_json(self) -> str:
         import json

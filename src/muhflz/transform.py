@@ -8,8 +8,9 @@ equation-by-equation): a least fixpoint referenced from another equation
 must have its counter threaded through that equation, which only the
 nested-binder view gets right.  Every rewrite here is formula to formula;
 ``driver.prepare`` and ``driver.approximate`` chain them into the
-pipeline, and ``convert.formula_to_hes`` lifts an approximation into
-equations only for an external solver.
+pipeline.  ``backend.lower`` is the one step that only external solvers
+need: it desugars an approximation's quantifiers when the solver lacks
+them and lifts the result into equations.
 """
 
 from __future__ import annotations

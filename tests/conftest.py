@@ -6,10 +6,23 @@ import weakref
 import pytest
 
 import muhflz.eval
+from muhflz.eval import Domain
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+LOOP = FIXTURES.parent / "perfbench" / "loop.hes"
+
+# the evaluable fixtures, each with the window and the verdict that README
+# "Fixtures" and the file's header document
+DOCUMENTED = {
+    "countdown": (Domain(-6, 6), "valid"),
+    "countdown_scaled": (Domain(-8, 8), "valid"),
+    "fib_termination": (Domain(-5, 5), "valid"),
+    "partial_apply": (Domain(-6, 6), "valid"),
+    "succ_chain": (Domain(0, 10), "valid"),
+    "inner_outer_loop": (Domain(0, 8), "valid"),
+}
 
 
 @pytest.fixture(scope="session")

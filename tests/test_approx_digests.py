@@ -4,8 +4,9 @@ approximation pipeline produces for it, recorded in ``approx_digests.json``.
 For each input -- ``instances(100)``, every fixture and
 ``perfbench/loop.hes``, each as written and dualized -- the digest covers,
 for every combination of ``all_f`` and ``desugar``, the tag-derivation
-JSON of ``prepare`` and the lifted, printed approximation of schedule rows
-1, 2 and 5.
+JSON of ``prepare`` and the printed ``lower`` of the approximation of
+schedule rows 1, 2 and 5, its quantifiers desugared with the input's: the
+text an external solver receives.
 
 A refactor of the rewrites must leave every digest unchanged.  After a
 deliberate change of what the pipeline emits, regenerate the file with
@@ -16,9 +17,9 @@ import hashlib
 import json
 import pathlib
 
-from conftest import FIXTURES, all_fixture_names, fixture_text
+from conftest import LOOP, all_fixture_names, fixture_text
 from gen import instances
-from muhflz.convert import formula_to_hes
+from muhflz.backend import lower
 from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.parser import parse_hes
 from muhflz.printer import print_hes
@@ -26,7 +27,6 @@ from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
 GOLDEN = pathlib.Path(__file__).parent / "approx_digests.json"
-LOOP = FIXTURES.parent / "perfbench" / "loop.hes"
 
 CORPUS_COUNT = 100
 ROWS = tuple(default_schedule(5).steps[i] for i in (0, 1, 4))
@@ -48,7 +48,7 @@ def _digest(h) -> str:
             sha.update(der.to_json().encode())
             for row in ROWS:
                 approx = approximate(der, row)
-                sha.update(print_hes(formula_to_hes(approx)).encode())
+                sha.update(print_hes(lower(approx, quantifiers=not desugar)).encode())
     return sha.hexdigest()
 
 

@@ -5,8 +5,7 @@ import textwrap
 import pytest
 
 from conftest import fixture_text
-from muhflz.backend import BackendVerdict, Builtin, External, solve
-from muhflz.convert import formula_to_hes
+from muhflz.backend import BackendVerdict, Builtin, External, lower, solve
 from muhflz.driver import approximate, prepare
 from muhflz.eval import Domain
 from muhflz.parser import parse_hes
@@ -17,10 +16,6 @@ from muhflz.typecheck import typecheck
 def _approx(name, c, d):
     h = typecheck(parse_hes(fixture_text(name)))
     return approximate(prepare(h), ApproxParams(c, d, c, d))
-
-
-def _lowered(name, c, d):
-    return formula_to_hes(_approx(name, c, d))
 
 
 def test_builtin_countdown_valid():
@@ -44,23 +39,21 @@ def test_mu_rejected_before_dispatch():
     with pytest.raises(ValueError):
         solve(Builtin(Domain(-4, 4)), prepare(h).formula)
     with pytest.raises(ValueError):
-        solve(External(("/nonexistent/solver",)), h)
+        solve(External(("/nonexistent/solver",)), prepare(h).formula)
+    # an existential desugars into a least-fixpoint walker, which no
+    # solver may receive
+    g = prepare(typecheck(parse_hes("Main =v exists x. x >= 0;"))).formula
+    assert solve(Builtin(Domain(-4, 4)), g).outcome == "valid"
+    with pytest.raises(ValueError):
+        lower(g, quantifiers=False)
+    with pytest.raises(ValueError):
+        solve(External(("/nonexistent/solver",), supports_quantifiers=False), g)
 
 
 @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
 def test_external_timeout_must_be_positive(seconds):
     with pytest.raises(ValueError):
         External(("/nonexistent/solver",), timeout_s=seconds)
-
-
-def test_backend_input_kind_mismatch_rejected():
-    # the built-in backend takes the closed formula, an external solver
-    # the equation system it is printed from
-    f = _approx("countdown.hes", 1, 1)
-    with pytest.raises(TypeError):
-        solve(Builtin(Domain(-4, 4)), formula_to_hes(f))
-    with pytest.raises(TypeError):
-        solve(External(("/nonexistent/solver",)), f)
 
 
 def _stub(tmp_path, body: str) -> External:
@@ -71,21 +64,21 @@ def _stub(tmp_path, body: str) -> External:
 
 
 def test_external_verdict_parsing(tmp_path):
-    h = _lowered("countdown.hes", 1, 1)
-    assert solve(_stub(tmp_path, 'echo "  VALID  "\n'), h).outcome == "valid"
-    assert solve(_stub(tmp_path, 'echo noise\necho invalid\n'), h).outcome == "invalid"
-    v = solve(_stub(tmp_path, 'echo unknown\n'), h)
+    f = _approx("countdown.hes", 1, 1)
+    assert solve(_stub(tmp_path, 'echo "  VALID  "\n'), f).outcome == "valid"
+    assert solve(_stub(tmp_path, 'echo noise\necho invalid\n'), f).outcome == "invalid"
+    v = solve(_stub(tmp_path, 'echo unknown\n'), f)
     assert v.outcome == "unknown"
 
 
 def test_external_garbage_is_unknown(tmp_path):
-    v = solve(_stub(tmp_path, 'echo maybe\nexit 7\n'), _lowered("countdown.hes", 1, 1))
+    v = solve(_stub(tmp_path, 'echo maybe\nexit 7\n'), _approx("countdown.hes", 1, 1))
     assert v.outcome == "unknown"
     assert "exit 7" in v.detail
 
 
 def test_external_timeout_is_unknown(tmp_path):
-    v = solve(_stub(tmp_path, "sleep 30\n"), _lowered("countdown.hes", 1, 1))
+    v = solve(_stub(tmp_path, "sleep 30\n"), _approx("countdown.hes", 1, 1))
     # the driver deadline is tighter than the sleep
     assert v.outcome == "unknown"
 
@@ -95,11 +88,11 @@ def test_external_receives_the_hes_file(tmp_path):
         tmp_path,
         'grep -q "=v" "$1" && echo valid || echo unknown\n',
     )
-    assert solve(ext, _lowered("countdown.hes", 1, 1)).outcome == "valid"
+    assert solve(ext, _approx("countdown.hes", 1, 1)).outcome == "valid"
 
 
 def test_external_missing_binary_is_unknown():
-    v = solve(External(("/nonexistent/solver",), timeout_s=2.0), _lowered("countdown.hes", 1, 1))
+    v = solve(External(("/nonexistent/solver",), timeout_s=2.0), _approx("countdown.hes", 1, 1))
     assert v.outcome == "unknown"
 
 
@@ -108,6 +101,6 @@ def test_external_timeout_capped_by_deadline(tmp_path):
 
     ext = _stub(tmp_path, "sleep 30\n")
     t0 = time.monotonic()
-    v = solve(ext, _lowered("countdown.hes", 1, 1), deadline=time.monotonic() + 1.0)
+    v = solve(ext, _approx("countdown.hes", 1, 1), deadline=time.monotonic() + 1.0)
     assert v.outcome == "unknown"
     assert time.monotonic() - t0 < 10

@@ -6,7 +6,7 @@ import pytest
 import muhflz.eval
 from conftest import FIXTURES, fixture_text, tracked_fix_instances
 from gen import instances
-from muhflz.backend import BackendVerdict, Builtin
+from muhflz.backend import BackendVerdict, Builtin, lower
 from muhflz.convert import hes_to_formula
 from muhflz.driver import (
     IterationRecord, Schedule, VerdictReport, approximate, default_schedule,
@@ -16,7 +16,7 @@ from muhflz.eval import (
     _INTERN, BoundedResult, Domain, IterationCap, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
-from muhflz.syntax import Exists, Forall, Mu, subformulas
+from muhflz.syntax import Exists, Forall, Mu, Sign, subformulas
 from muhflz.transform import ApproxParams
 from muhflz.typecheck import typecheck
 
@@ -110,13 +110,18 @@ def test_report_json_matches_the_recorded_bytes():
     assert report_from_json(text) == r
 
 
-def test_approximate_desugars_as_prepared():
-    # the derivation carries the desugar flag: a solver declared without
-    # quantifiers gets neither quantifiers nor least fixpoints
+def test_lower_desugars_what_prepare_left():
+    # prepare desugars the input's quantifiers and lower the approximation's:
+    # a solver declared without quantifiers gets neither quantifiers nor
+    # least fixpoints
     h = typecheck(parse_hes(r"Main =v exists x. F x; F y =u y >= 2 \/ F (y - 1);"))
     row = default_schedule(1).steps[0]
     g = approximate(prepare(h, desugar=True), row)
-    assert not any(isinstance(s, (Exists, Forall, Mu)) for s in subformulas(g))
+    assert any(isinstance(s, Forall) for s in subformulas(g)), "a budget quantifier is left"
+    out = lower(g, quantifiers=False)
+    assert all(eq.sign is Sign.NU for eq in out.equations)
+    bodies = (out.entry, *(eq.body for eq in out.equations))
+    assert not any(isinstance(s, (Exists, Forall, Mu)) for b in bodies for s in subformulas(b))
 
 
 def test_unknown_report_carries_reason():

@@ -47,7 +47,7 @@ def _samples():
         Equation("X", (("x", INT), ("p", Arrow(INT, PROP))), Sign.MU, body),
         Hes((Equation("Y", (), Sign.NU, Var("Y")),), Var("Y")),
         _TyVar(3), Domain(-3, 3, False), _Tok("ident", "X'", 2, 5), row,
-        TagInt(), tag, TagDerivation(body, {"p": tag}, {"X": (TagInt(),)}, True, False),
+        TagInt(), tag, TagDerivation(body, {"p": tag}, {"X": (TagInt(),)}, True),
         Builtin(Domain(0, 10)), External(("sh", "-c", "x"), 2.5, False), verdict,
         Schedule((row, ApproxParams(1, 16, 1, 1))), IterationRecord("prover", row, verdict),
         VerdictReport("unknown", "none", (IterationRecord("prover", row, verdict),), 1.25, "timeout"),
