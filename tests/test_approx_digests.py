@@ -6,7 +6,10 @@ For each input -- ``instances(100)``, every fixture and
 for every combination of ``all_f`` and ``desugar``, the tag-derivation
 JSON of ``prepare`` and the printed ``lower`` of the approximation of
 schedule rows 1, 2 and 5, its quantifiers desugared with the input's: the
-text an external solver receives.
+text an external solver receives.  The fixtures and ``loop.hes`` get a
+second digest, keyed ``<input>@k3``, of the same at
+``ApproxParams(1, 2, 1, 1, 3)``: ``--counters 3``, where one disjunct of the
+recursion chooser resets two counters.
 
 A refactor of the rewrites must leave every digest unchanged.  After a
 deliberate change of what the pipeline emits, regenerate the file with
@@ -23,30 +26,35 @@ from muhflz.backend import lower
 from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.parser import parse_hes
 from muhflz.printer import print_hes
-from muhflz.transform import dual_hes
+from muhflz.transform import ApproxParams, dual_hes
 from muhflz.typecheck import typecheck
 
 GOLDEN = pathlib.Path(__file__).parent / "approx_digests.json"
 
 CORPUS_COUNT = 100
 ROWS = tuple(default_schedule(5).steps[i] for i in (0, 1, 4))
+K3_ROWS = (ApproxParams(1, 2, 1, 1, 3),)
 
 
-def _inputs():
-    for seed, h in instances(CORPUS_COUNT):
-        yield f"gen{seed}", h
+def _files():
     for name in all_fixture_names():
         yield name.removesuffix(".hes"), typecheck(parse_hes(fixture_text(name)))
     yield "loop", typecheck(parse_hes(LOOP.read_text(encoding="utf-8")))
 
 
-def _digest(h) -> str:
+def _inputs():
+    for seed, h in instances(CORPUS_COUNT):
+        yield f"gen{seed}", h
+    yield from _files()
+
+
+def _digest(h, rows=ROWS) -> str:
     sha = hashlib.sha256()
     for all_f in (False, True):
         for desugar in (False, True):
             der = prepare(h, all_f=all_f, desugar=desugar)
             sha.update(der.to_json().encode())
-            for row in ROWS:
+            for row in rows:
                 approx = approximate(der, row)
                 sha.update(print_hes(lower(approx, quantifiers=not desugar)).encode())
     return sha.hexdigest()
@@ -57,6 +65,9 @@ def measure() -> dict:
     for name, h in _inputs():
         out[name] = _digest(h)
         out[f"{name}~dual"] = _digest(dual_hes(h))
+    for name, h in _files():
+        out[f"{name}@k3"] = _digest(h, K3_ROWS)
+        out[f"{name}~dual@k3"] = _digest(dual_hes(h), K3_ROWS)
     return out
 
 

@@ -4,20 +4,25 @@ evaluator on a fixed set of inputs, recorded in ``eval_counters.json``.
 Any change to how the evaluator keys values, memoizes fixpoint instances
 or forces tables must leave both the results and the counters unchanged.
 The counters are ``(steps, fixpoint instances, table keys, forced
-tables)``.  After a deliberate change of evaluator work, regenerate the
-file with ``PYTHONPATH=src python tests/test_eval_counters.py``.
+tables)``.  The inputs are original systems and, keyed ``<input>@row<i>``,
+the shipped approximations of schedule rows 1 and 2, so that a rewrite
+which changes only which nodes an approximation shares shows up here too.
+After a deliberate change of evaluator work, regenerate the file with
+``PYTHONPATH=src python tests/test_eval_counters.py``.
 """
 
 import json
 import pathlib
 
-from conftest import SUCC_PRED, fixture_text
+from conftest import DOCUMENTED, SUCC_PRED, fixture_text
 from gen import instances
 from muhflz.convert import hes_to_formula
+from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.eval import (
     Domain, IterationCap, RangeEscape, eval_formula, make_context,
 )
 from muhflz.parser import parse_hes
+from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
 GOLDEN = pathlib.Path(__file__).parent / "eval_counters.json"
@@ -33,6 +38,13 @@ SUCC_PRED_WINDOWS = {
     "succ_pred": Domain(0, 4),
     "succ_pred_clamping": Domain(0, 4, strict=False),
 }
+# approximations: the first corpus instances and these fixtures, each as
+# written and dualized, at the first two schedule rows
+APPROX_CORPUS_COUNT = 100
+APPROX_FIXTURES = ("countdown", "countdown_scaled", "fib_termination", "partial_apply")
+APPROX_ROWS = default_schedule(2).steps
+APPROX_CORPUS_STEP_LIMIT = 20_000
+APPROX_FIXTURE_STEP_LIMIT = 50_000
 
 
 def _run(f, dom: Domain, step_limit: int = 20_000_000) -> list:
@@ -52,6 +64,14 @@ def _run(f, dom: Domain, step_limit: int = 20_000_000) -> list:
     ]
 
 
+def _approximations(name: str, h):
+    """``(key, formula)`` for the approximations of ``h`` and of its dual."""
+    for side, g in ((name, h), (f"{name}~dual", dual_hes(h))):
+        der = prepare(g)
+        for i, row in enumerate(APPROX_ROWS, 1):
+            yield f"{side}@row{i}", approximate(der, row)
+
+
 def measure() -> dict:
     out = {}
     for seed, h in instances(CORPUS_COUNT):
@@ -62,6 +82,13 @@ def measure() -> dict:
     f = hes_to_formula(typecheck(parse_hes(SUCC_PRED)))
     for name, dom in SUCC_PRED_WINDOWS.items():
         out[name] = _run(f, dom)
+    for seed, h in instances(APPROX_CORPUS_COUNT):
+        for key, f in _approximations(f"gen{seed}", h):
+            out[key] = _run(f, CORPUS_WINDOW, APPROX_CORPUS_STEP_LIMIT)
+    for name in APPROX_FIXTURES:
+        h = typecheck(parse_hes(fixture_text(f"{name}.hes")))
+        for key, f in _approximations(name, h):
+            out[key] = _run(f, DOCUMENTED[name][0], APPROX_FIXTURE_STEP_LIMIT)
     return out
 
 

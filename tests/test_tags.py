@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import fixture_text
+from conftest import all_fixture_names, fixture_text
+from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.syntax import Arrow, INT, PROP
 from muhflz.driver import prepare
 from muhflz.tags import TAG_INT, TagInt, TagPred
+from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
 
@@ -108,6 +110,32 @@ def test_all_f_mode():
     for t in der.binder.values():
         if isinstance(t, TagPred):
             assert not t.tag
+
+
+def _tag_inputs():
+    for name in all_fixture_names():
+        yield name, typecheck(parse_hes(fixture_text(name)))
+    for seed, h in instances(100):
+        yield f"gen{seed}", h
+
+
+@pytest.mark.parametrize("all_f", [False, True])
+def test_use_side_predicate_tags_follow_all_f(all_f):
+    # mu-elimination relies on this: every predicate argument of a least
+    # fixpoint carries a companion, unless all_f turns every tag off
+    seen, wrong = 0, []
+    for name, h in _tag_inputs():
+        for side, g in ((name, h), (f"{name}~dual", dual_hes(h))):
+            for desugar in (False, True):
+                der = prepare(g, all_f=all_f, desugar=desugar)
+                assert der.all_f == all_f
+                for mu, params in der.mu_outer.items():
+                    for t in params:
+                        if isinstance(t, TagPred):
+                            seen += 1
+                            if t.tag != (not der.all_f):
+                                wrong.append((side, desugar, mu))
+    assert seen and not wrong
 
 
 def test_json_dump_is_parseable():
