@@ -13,8 +13,8 @@ Unknown with a diagnostic.
 from __future__ import annotations
 
 import os
+# module level, unlike tempfile below: perfbench/spans.py replaces this name
 import subprocess
-import tempfile
 import time
 from typing import Optional, Union
 
@@ -97,6 +97,8 @@ def solve(spec: BackendSpec, f: Formula, *, deadline: Optional[float] = None) ->
         if result is BoundedResult.INVALID:
             return BackendVerdict("invalid", "", elapsed)
         return BackendVerdict("unknown", "range escape", elapsed)
+
+    import tempfile  # only the external path writes a file
 
     problem = lower(f, quantifiers=spec.supports_quantifiers)
     start = time.monotonic()

@@ -11,10 +11,21 @@ nested-binder view gets right.  Every rewrite here is formula to formula;
 pipeline.  ``backend.lower`` is the one step that only external solvers
 need: it desugars an approximation's quantifiers when the solver lacks
 them and lifts the result into equations.
+
+In the least-fixpoint elimination each construction has one helper.
+``_Eliminator.companion`` makes every companion binder (the integer that
+travels with a T-tagged predicate), ``bind`` extends the scope with a
+binder and its companion, and ``let_companion`` binds a companion to its
+value.  ``_apply_tagged`` applies a head to arguments with their
+companions, and ``_tr_type`` is a binder's type after elimination.
+``magnitude`` is the budget term c*|x| of an integer or c*v_x of a
+companion, and ``_forall_at_least`` quantifies a budget or a counter reset
+under its sign-bound premise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
@@ -209,24 +220,47 @@ def desugar_quantifiers(f: Formula) -> Formula:
 # Least-fixpoint elimination
 
 
+def _carries(t: TaggedArg) -> bool:
+    """Whether a binder or argument of tagged type ``t`` has a companion."""
+    return isinstance(t, TagPred) and t.tag
+
+
+def _tr_type(t: TaggedArg) -> SimpleType:
+    """The type of a binder of tagged type ``t`` after elimination; its
+    companion, if any, is bound just before it."""
+    return INT if isinstance(t, TagInt) else arrow(_tr_param_types(t.params), PROP)
+
+
 def _tr_param_types(params: tuple[TaggedArg, ...]) -> list[SimpleType]:
     out: list[SimpleType] = []
     for p in params:
-        if isinstance(p, TagInt):
+        if _carries(p):
             out.append(INT)
-        else:
-            inner = arrow(_tr_param_types(p.params), PROP)
-            if p.tag:
-                out.append(INT)
-            out.append(inner)
+        out.append(_tr_type(p))
     return out
 
 
-def _tr_pred_type(params: tuple[TaggedArg, ...]) -> SimpleType:
-    return arrow(_tr_param_types(params), PROP)
+def _apply_tagged(head: Formula, args: list) -> Formula:
+    """``head`` applied to ``(argument, companion)`` pairs in order; a
+    companion that is not None is passed just before its argument."""
+    flat: list = []
+    for a, comp in args:
+        if comp is not None:
+            flat.append(comp)
+        flat.append(a)
+    return apply_spine(head, flat)
+
+
+def _lambdas(binders: list[tuple[str, SimpleType]], body: Formula) -> Formula:
+    for n, ty in reversed(binders):
+        body = Abs(n, ty, body)
+    return body
 
 
 class _Eliminator:
+    """The scope ``delta`` maps each bound name to its tagged type and the
+    name of its companion binder (None if it has none)."""
+
     def __init__(self, der: TagDerivation, params: ApproxParams, supply: NameSupply):
         self.der = der
         self.p = params
@@ -253,6 +287,26 @@ class _Eliminator:
             case _:
                 return ()
 
+    # -- binders and companions -----------------------------------------------
+
+    def companion(self, name: str, t: TaggedArg) -> Optional[str]:
+        """A fresh companion binder for a binder ``name`` of tagged type
+        ``t``, or None if ``t`` carries no companion."""
+        return self.supply.fresh(f"v_{name}") if _carries(t) else None
+
+    def bind(self, name: str, t: TaggedArg, delta: dict) -> tuple[Optional[str], dict]:
+        """The companion binder of ``name`` and the scope extended by it."""
+        comp = self.companion(name, t)
+        return comp, {**delta, name: (t, comp)}
+
+    def let_companion(
+        self, comp: Optional[str], f: Formula, delta: dict, body: Formula
+    ) -> Formula:
+        """``body`` with ``comp``, if any, bound to the companion value of ``f``."""
+        if comp is None:
+            return body
+        return AppInt(Abs(comp, INT, body), self.companion_expr(f, delta))
+
     # -- budget expressions ---------------------------------------------------
 
     def _scaled(self, c: int, term: IntExpr) -> Optional[IntExpr]:
@@ -263,28 +317,24 @@ class _Eliminator:
         return Times(Lit(c), term)
 
     def _fold(self, d: int, terms: list[Optional[IntExpr]]) -> IntExpr:
-        acc: Optional[IntExpr] = None
-        for t in terms:
-            if t is not None:
-                acc = t if acc is None else Plus(acc, t)
-        if acc is None:
-            return Lit(d)
-        return shift_expr(acc, d)
+        present = [t for t in terms if t is not None]
+        return shift_expr(functools.reduce(Plus, present), d) if present else Lit(d)
 
-    def scope_terms(self, c: int, names, delta: dict) -> list[Optional[IntExpr]]:
-        """Contributions of in-scope variables: c*|x| for integers, c*v_x
-        for companion-carrying predicates."""
-        out = []
-        for n in sorted(names):
-            entry = delta.get(n)
-            if entry is None:
-                continue
-            t, comp = entry
-            if isinstance(t, TagInt):
-                out.append(self._scaled(c, IntAbs(IntVar(n))))
-            elif t.tag and comp is not None:
-                out.append(self._scaled(c, IntVar(comp)))
-        return out
+    def magnitude(self, c: int, name: str, t: TaggedArg, comp: Optional[str]) -> Optional[IntExpr]:
+        """c*|x| for an integer ``x``, c*v_x for a predicate with companion
+        ``v_x``, nothing for a predicate without one."""
+        if isinstance(t, TagInt):
+            return self._scaled(c, IntAbs(IntVar(name)))
+        return None if comp is None else self._scaled(c, IntVar(comp))
+
+    def scope_terms(self, c: int, names, delta: dict, kind: type = TaggedArg) -> list:
+        """The magnitudes of the in-scope variables among ``names`` whose
+        tagged type is a ``kind``, by name."""
+        return [
+            self.magnitude(c, n, *delta[n])
+            for n in sorted(names)
+            if n in delta and isinstance(delta[n][0], kind)
+        ]
 
     def companion_expr(self, arg: Formula, delta: dict) -> IntExpr:
         """The extra integer passed alongside a T-tagged argument."""
@@ -300,234 +350,126 @@ class _Eliminator:
                 head, args = spine(f)
                 if isinstance(head, Mu):
                     return self.tr_mu(head, args, delta)
-                return self.tr_spine(head, args, delta)
+                out = self.tr(head, delta)
+                return _apply_tagged(out, self.tr_args(args, self.view(head), delta))
             case Mu():
                 return self.tr_mu(f, [], delta)
-            case Forall(v, b):
-                return Forall(v, self.tr(b, {**delta, v: (TAG_INT, None)}))
-            case Exists(v, b):
-                return Exists(v, self.tr(b, {**delta, v: (TAG_INT, None)}))
-            case Abs():
-                return self.tr_abs(f, delta)
-            case Nu():
-                return self.tr_nu(f, delta)
+            case Forall(v, b) | Exists(v, b):
+                _, scope = self.bind(v, TAG_INT, delta)
+                return type(f)(v, self.tr(b, scope))
+            case Abs(p, _, b):
+                t = self.der.binder[p]
+                comp, scope = self.bind(p, t, delta)
+                out = Abs(p, _tr_type(t), self.tr(b, scope))
+                return out if comp is None else Abs(comp, INT, out)
+            case Nu(n, _, b):
+                t = self.der.binder[n]
+                comp, scope = self.bind(n, t, delta)
+                return Nu(n, _tr_type(t), self.let_companion(comp, f, delta, self.tr(b, scope)))
         return map_children(f, self.tr, delta)
 
-    def tr_abs(self, f: Abs, delta: dict) -> Formula:
-        t = self.der.binder[f.param]
-        if isinstance(t, TagInt):
-            body = self.tr(f.body, {**delta, f.param: (TAG_INT, None)})
-            return Abs(f.param, INT, body)
-        if t.tag:
-            comp = self.supply.fresh(f"v_{f.param}")
-            body = self.tr(f.body, {**delta, f.param: (t, comp)})
-            return Abs(comp, INT, Abs(f.param, _tr_pred_type(t.params), body))
-        body = self.tr(f.body, {**delta, f.param: (t, None)})
-        return Abs(f.param, _tr_pred_type(t.params), body)
-
-    def tr_spine(self, head: Formula, args: list, delta: dict) -> Formula:
-        positions = self.view(head)
-        out = self.tr(head, delta)
-        for i, a in enumerate(args):
+    def tr_args(self, args: list, positions, delta: dict) -> list:
+        """Each argument transformed, paired with its companion value where
+        its position carries one."""
+        out = []
+        for a, pos in zip(args, itertools.chain(positions, itertools.repeat(None))):
             if isinstance(a, IntExpr):
-                out = AppInt(out, a)
-                continue
-            pos = positions[i] if i < len(positions) else None
-            if isinstance(pos, TagPred) and pos.tag:
-                out = AppInt(out, self.companion_expr(a, delta))
-            out = App(out, self.tr(a, delta))
+                out.append((a, None))
+            else:
+                comp = self.companion_expr(a, delta) if _carries(pos) else None
+                out.append((self.tr(a, delta), comp))
         return out
-
-    def tr_nu(self, f: Nu, delta: dict) -> Formula:
-        t = self.der.binder[f.name]
-        assert isinstance(t, TagPred)
-        if t.tag:
-            comp = self.supply.fresh(f"v_{f.name}")
-            body = self.tr(f.body, {**delta, f.name: (t, comp)})
-            body = AppInt(Abs(comp, INT, body), self.companion_expr(f, delta))
-        else:
-            body = self.tr(f.body, {**delta, f.name: (t, None)})
-        return Nu(f.name, _tr_pred_type(t.params), body)
 
     # -- least fixpoints -------------------------------------------------------
 
     def tr_mu(self, node: Mu, args: list, delta: dict) -> Formula:
         name = node.name
         inner = self.der.binder[name]
-        assert isinstance(inner, TagPred)
         outer = self.der.mu_outer[name]
-        n_params = len(outer)
-        if len(args) != n_params:
+        if len(args) != len(outer):
             raise PartialMuApplication(
-                f"least fixpoint {name} applied to {len(args)} of {n_params} arguments"
+                f"least fixpoint {name} applied to {len(args)} of {len(outer)} arguments"
             )
-
-        # transformed arguments and their companion expressions
-        comp_exprs: list[Optional[IntExpr]] = []
-        tr_args: list = []
-        for a, pos in zip(args, outer):
-            if isinstance(a, IntExpr):
-                comp_exprs.append(None)
-                tr_args.append(a)
-            else:
-                assert isinstance(pos, TagPred)
-                if not pos.tag and not self.der.all_f:
-                    raise ValueError(
-                        f"derivation left a predicate argument of {name} untagged"
-                    )
-                comp_exprs.append(
-                    self.companion_expr(a, delta) if pos.tag else None
-                )
-                tr_args.append(self.tr(a, delta))
+        # every predicate argument is T-tagged on the use side (unless all_f)
+        tr_args = self.tr_args(args, outer, delta)
 
         # initial unfolding budget, over the fully applied occurrence:
         # |x| for every integer variable free in it, v_x for companion-
         # carrying predicates referenced by the body, and the companion
         # expression of every predicate argument
+        c = self.p.c
         occ_fvs = set(free_vars(node))
         for a in args:
             occ_fvs |= int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a)
-        terms: list[Optional[IntExpr]] = []
-        for x in sorted(occ_fvs):
-            entry = delta.get(x)
-            if entry is not None and isinstance(entry[0], TagInt):
-                terms.append(self._scaled(self.p.c, IntAbs(IntVar(x))))
-        for x in sorted(free_vars(node)):
-            entry = delta.get(x)
-            if entry is None:
-                continue
-            t, comp = entry
-            if isinstance(t, TagPred) and t.tag and comp is not None:
-                terms.append(self._scaled(self.p.c, IntVar(comp)))
-        for ce in comp_exprs:
-            if ce is not None:
-                terms.append(self._scaled(self.p.c, ce))
-        budget = self._fold(self.p.d, terms)
+        budget = self._fold(
+            self.p.d,
+            self.scope_terms(c, occ_fvs, delta, TagInt)
+            + self.scope_terms(c, free_vars(node), delta, TagPred)
+            + [self._scaled(c, ce) for _, ce in tr_args if ce is not None],
+        )
 
         # transform the body under the inner tagging
-        comp_binder = self.supply.fresh(f"v_{name}") if inner.tag else None
-        body = self.tr(node.body, {**delta, name: (inner, comp_binder)})
-        binders, rest = peel(body, _tr_param_types(inner.params), self.supply)
+        comp, scope = self.bind(name, inner, delta)
+        binders, rest = peel(self.tr(node.body, scope), _tr_param_types(inner.params), self.supply)
 
         k = self.p.counters
         counters = [self.supply.fresh(f"u{i}") for i in reversed(range(k))]
         if k == 1:
-            u = counters[0]
-            step = AppInt(Var(name), Plus(IntVar(u), Lit(-1)))
+            step = AppInt(Var(name), Plus(IntVar(counters[0]), Lit(-1)))
             rest = replace_free(rest, name, lambda: step)
-            rest = And(canon_ge(IntVar(u), Lit(1)), self._let_companion(comp_binder, node, delta, rest))
+            guards = [canon_ge(IntVar(counters[0]), Lit(1))]
         else:
-            rest = replace_free(
-                rest, name, lambda: self._chooser(name, counters, inner, delta)
-            )
-            guarded = self._let_companion(comp_binder, node, delta, rest)
-            for u in reversed(counters):
-                guarded = And(canon_ge(IntVar(u), Lit(0)), guarded)
-            rest = guarded
+            rest = replace_free(rest, name, lambda: self._chooser(name, counters, inner))
+            guards = [canon_ge(IntVar(u), Lit(0)) for u in counters]
+        rest = self.let_companion(comp, node, delta, rest)
+        for g in reversed(guards):
+            rest = And(g, rest)
+        rest = _lambdas([(u, INT) for u in counters] + binders, rest)
+        core = Nu(name, arrow([INT] * k + _tr_param_types(inner.params), PROP), rest)
 
-        for p, ty in reversed(binders):
-            rest = Abs(p, ty, rest)
-        for u in reversed(counters):
-            rest = Abs(u, INT, rest)
-        core_ty = arrow([INT] * k + _tr_param_types(inner.params), PROP)
-        core: Formula = Nu(name, core_ty, rest)
+        # the occurrence: initial budget(s), then the arguments, each with
+        # its companion where the inner tagging takes one
+        return _apply_tagged(core, [(budget, None)] * k + [
+            (a, ce if _carries(pos) else None) for (a, ce), pos in zip(tr_args, inner.params)
+        ])
 
-        # the occurrence: initial budget(s), then the arguments
-        for _ in range(k):
-            core = AppInt(core, budget)
-        for a, ce, pos_inner in zip(tr_args, comp_exprs, inner.params):
-            if isinstance(a, IntExpr):
-                core = AppInt(core, a)
-                continue
-            if isinstance(pos_inner, TagPred) and pos_inner.tag:
-                assert ce is not None
-                core = AppInt(core, ce)
-            core = App(core, a)
-        return core
-
-    def _let_companion(
-        self, comp: Optional[str], node: Mu, delta: dict, body: Formula
-    ) -> Formula:
-        if comp is None:
-            return body
-        return AppInt(Abs(comp, INT, body), self.companion_expr(node, delta))
-
-    def _chooser(
-        self, name: str, counters: list[str], inner: TagPred, delta: dict
-    ) -> Formula:
+    def _chooser(self, name: str, counters: list[str], inner: TagPred) -> Formula:
         """The multi-counter recursion chooser: decrement one counter and
         reset all lower ones, universally quantified with a shared lower
         bound over the current counters and new argument magnitudes."""
-        k = len(counters)
-        fresh_params: list[tuple[str, Optional[str], TaggedArg]] = []
+        fresh_params = []
         for pos in inner.params:
-            if isinstance(pos, TagInt):
-                fresh_params.append((self.supply.fresh("y"), None, pos))
-            else:
-                y = self.supply.fresh("y")
-                c = self.supply.fresh(f"v_{y}") if pos.tag else None
-                fresh_params.append((y, c, pos))
-
-        # magnitudes of the new arguments: |y| for ints, companions for
-        # tagged predicates
-        mags: list[Optional[IntExpr]] = []
-        for y, c, pos in fresh_params:
-            if isinstance(pos, TagInt):
-                mags.append(self._scaled(self.p.c, IntAbs(IntVar(y))))
-            elif c is not None:
-                mags.append(self._scaled(self.p.c, IntVar(c)))
-        counter_terms = [self._scaled(self.p.c, IntVar(u)) for u in counters]
-        reset_bound = self._fold(self.p.d, counter_terms + mags)
-
-        def call(counter_exprs: list[IntExpr]) -> Formula:
-            out: Formula = Var(name)
-            for e in counter_exprs:
-                out = AppInt(out, e)
-            for y, c, pos in fresh_params:
-                if isinstance(pos, TagInt):
-                    out = AppInt(out, IntVar(y))
-                else:
-                    if isinstance(pos, TagPred) and pos.tag:
-                        out = AppInt(out, IntVar(c))
-                    out = App(out, Var(y))
-            return out
+            y = self.supply.fresh("y")
+            fresh_params.append((y, pos, self.companion(y, pos)))
+        c = self.p.c
+        reset_bound = self._fold(
+            self.p.d,
+            [self._scaled(c, IntVar(u)) for u in counters]
+            + [self.magnitude(c, y, pos, comp) for y, pos, comp in fresh_params],
+        )
 
         disjuncts: list[Formula] = []
-        for j in range(k):  # j = 0 decrements the highest counter
-            dec_idx = j
-            resets = [self.supply.fresh("r") for _ in range(k - 1 - j)]
-            exprs: list[IntExpr] = []
-            for i, u in enumerate(counters):
-                if i < dec_idx:
-                    exprs.append(IntVar(u))
-                elif i == dec_idx:
-                    exprs.append(Plus(IntVar(u), Lit(-1)))
-            exprs.extend(IntVar(r) for r in resets)
-            body = call(exprs)
+        for j in range(len(counters)):  # j = 0 decrements the highest counter
+            resets = [self.supply.fresh("r") for _ in range(len(counters) - 1 - j)]
+            exprs = [IntVar(u) for u in counters[:j]] + [Plus(IntVar(counters[j]), Lit(-1))]
+            exprs += [IntVar(r) for r in resets]
+            body = _apply_tagged(Var(name), [(e, None) for e in exprs] + [
+                (IntVar(y), None) if isinstance(pos, TagInt)
+                else (Var(y), None if comp is None else IntVar(comp))
+                for y, pos, comp in fresh_params
+            ])
             if resets:
-                # the shared lower bound may mention |y'| terms; premises
-                # are comparisons, so expand the sign combinations here
-                bounds = sign_bounds(reset_bound)
-                prem: Optional[Formula] = None
-                for r in resets:
-                    for b in bounds:
-                        ng = neg_ge(IntVar(r), b)
-                        prem = ng if prem is None else Or(prem, ng)
-                body = Or(prem, body)
-                for r in reversed(resets):
-                    body = Forall(r, body)
+                body = _forall_at_least(resets, reset_bound, body)
             disjuncts.append(body)
         out = disjuncts[-1]
         for d in reversed(disjuncts[:-1]):
             out = Or(d, out)
-        for y, c, pos in reversed(fresh_params):
-            if isinstance(pos, TagInt):
-                out = Abs(y, INT, out)
-            else:
-                out = Abs(y, _tr_pred_type(pos.params), out)
-                if c is not None:
-                    out = Abs(c, INT, out)
-        return out
+        binders = []
+        for y, pos, comp in fresh_params:
+            if comp is not None:
+                binders.append((comp, INT))
+            binders.append((y, _tr_type(pos)))
+        return _lambdas(binders, out)
 
 
 def transform_formula(
@@ -596,6 +538,18 @@ def sign_bounds(e: IntExpr) -> list[IntExpr]:
     return out
 
 
+def _forall_at_least(names: list[str], e: IntExpr, body: Formula) -> Formula:
+    """``body`` for every value of each of ``names`` that is at least ``e``:
+    the premise ``u < b`` for each name ``u`` and sign bound ``b`` of ``e``,
+    one disjunction under one universal per name."""
+    bounds = sign_bounds(e)
+    prem = functools.reduce(Or, [neg_ge(IntVar(u), b) for u in names for b in bounds])
+    out: Formula = Or(prem, body)
+    for u in reversed(names):
+        out = Forall(u, out)
+    return out
+
+
 def eliminate_abs(f: Formula) -> Formula:
     """Replace each application argument containing absolute values with a
     universally quantified integer bounded below by every sign combination
@@ -627,11 +581,7 @@ def eliminate_abs(f: Formula) -> Formula:
         for q, t in pads:
             inner = AppInt(inner, IntVar(q)) if isinstance(t, IntType) else App(inner, Var(q))
         for u, e in reversed(pending):
-            prem: Optional[Formula] = None
-            for b in sign_bounds(e):
-                ng = neg_ge(IntVar(u), b)
-                prem = ng if prem is None else Or(prem, ng)
-            inner = Forall(u, Or(prem, inner)) if prem is not None else inner
+            inner = _forall_at_least([u], e, inner)
         for q, t in reversed(pads):
             inner = Abs(q, t, inner)
         return inner

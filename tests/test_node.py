@@ -210,3 +210,12 @@ def test_import_makes_no_dataclass_and_loads_no_json():
     assert n_mods >= 11 and n_classes >= 34
     assert dataclasses == "[]"
     assert loaded == "[]"
+
+
+def test_import_loads_no_tempfile():
+    # only the external path writes a file; -S keeps site's own imports out
+    src = pathlib.Path(muhflz.__file__).resolve().parent.parent
+    code = f"import sys\nsys.path.insert(0, {str(src)!r})\nimport muhflz\nprint('tempfile' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
