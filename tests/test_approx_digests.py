@@ -2,11 +2,12 @@
 approximation pipeline produces for it, recorded in ``approx_digests.json``.
 
 For each input -- ``instances(100)``, every fixture and
-``perfbench/loop.hes``, each as written and dualized -- the digest covers,
+``perfbench/loop.hes`` and the ``ELIMINATION_EDGES`` texts, each as written
+and dualized -- the digest covers,
 for every combination of ``all_f`` and ``desugar``, the tag-derivation
 JSON of ``prepare`` and the printed ``lower`` of the approximation of
 schedule rows 1, 2 and 5, its quantifiers desugared with the input's: the
-text an external solver receives.  The fixtures and ``loop.hes`` get a
+text an external solver receives.  The inputs other than the corpus get a
 second digest, keyed ``<input>@k3``, of the same at
 ``ApproxParams(1, 2, 1, 1, 3)``: ``--counters 3``, where one disjunct of the
 recursion chooser resets two counters.
@@ -20,7 +21,7 @@ import hashlib
 import json
 import pathlib
 
-from conftest import LOOP, all_fixture_names, fixture_text
+from conftest import ELIMINATION_EDGES, LOOP, all_fixture_names, fixture_text
 from gen import instances
 from muhflz.backend import lower
 from muhflz.driver import approximate, default_schedule, prepare
@@ -40,6 +41,8 @@ def _files():
     for name in all_fixture_names():
         yield name.removesuffix(".hes"), typecheck(parse_hes(fixture_text(name)))
     yield "loop", typecheck(parse_hes(LOOP.read_text(encoding="utf-8")))
+    for name, text in ELIMINATION_EDGES.items():
+        yield name, typecheck(parse_hes(text))
 
 
 def _inputs():

@@ -14,7 +14,7 @@ After a deliberate change of evaluator work, regenerate the file with
 import json
 import pathlib
 
-from conftest import DOCUMENTED, SUCC_PRED, fixture_text
+from conftest import DOCUMENTED, ELIMINATION_EDGES, SUCC_PRED, fixture_text
 from gen import instances
 from muhflz.convert import hes_to_formula
 from muhflz.driver import approximate, default_schedule, prepare
@@ -38,8 +38,9 @@ SUCC_PRED_WINDOWS = {
     "succ_pred": Domain(0, 4),
     "succ_pred_clamping": Domain(0, 4, strict=False),
 }
-# approximations: the first corpus instances and these fixtures, each as
-# written and dualized, at the first two schedule rows
+# approximations: the first corpus instances, these fixtures and the
+# ELIMINATION_EDGES texts (on the corpus window), each as written and
+# dualized, at the first two schedule rows
 APPROX_CORPUS_COUNT = 100
 APPROX_FIXTURES = ("countdown", "countdown_scaled", "fib_termination", "partial_apply")
 APPROX_ROWS = default_schedule(2).steps
@@ -89,6 +90,9 @@ def measure() -> dict:
         h = typecheck(parse_hes(fixture_text(f"{name}.hes")))
         for key, f in _approximations(name, h):
             out[key] = _run(f, DOCUMENTED[name][0], APPROX_FIXTURE_STEP_LIMIT)
+    for name, text in ELIMINATION_EDGES.items():
+        for key, f in _approximations(name, typecheck(parse_hes(text))):
+            out[key] = _run(f, CORPUS_WINDOW, APPROX_CORPUS_STEP_LIMIT)
     return out
 
 
