@@ -28,8 +28,8 @@ from .backend import (
     BackendSpec, BackendVerdict, Builtin, External, lower, solve,
 )
 from .driver import (
-    Schedule, VerdictReport, approximate, default_schedule, emit_report,
-    prepare, report_from_json, verify,
+    VerdictReport, approximate, default_schedule, emit_report, prepare,
+    report_from_json, verify,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,8 @@
 Exit codes: 0 valid, 1 invalid, 2 unknown, 3 usage/parse/type error.
 The --emit modes bypass solving and print an artifact instead:
 ``nu`` the nu-only system an external solver receives on the first
-prover step (``backend.lower`` of its approximation), ``tags`` that
+prover step (``backend.lower`` of its approximation at the first row of
+the schedule ``verify`` walks), ``tags`` that
 step's tag-derivation dump, ``dual`` the dualized system.
 """
 
@@ -166,25 +167,21 @@ def _run_text(
         print(f"muhflz: {path}: {e}", file=sys.stderr)
         return _USAGE_EXIT
 
+    rows = tuple(
+        override_counters(row, no_extra_args=ns.no_extra_args, counters=ns.counters)
+        for row in default_schedule(ns.max_iterations)
+    )
     if ns.emit is not None:
         tags = prepare(typed, all_f=ns.no_extra_args, desugar=ns.no_quantifiers)
         if ns.emit == "tags":
             sys.stdout.write(tags.to_json() + "\n")
             return 0
-        row = default_schedule(1).steps[0]
-        params = override_counters(row, no_extra_args=ns.no_extra_args, counters=ns.counters)
-        approx = approximate(tags, params)
+        approx = approximate(tags, rows[0])
         sys.stdout.write(print_hes(lower(approx, quantifiers=not ns.no_quantifiers)))
         return 0
 
     report = verify(
-        typed,
-        spec,
-        default_schedule(ns.max_iterations),
-        deadline_s=ns.deadline,
-        mode=mode,
-        no_extra_args=ns.no_extra_args,
-        counters_override=ns.counters,
+        typed, spec, rows, deadline_s=ns.deadline, mode=mode, no_extra_args=ns.no_extra_args
     )
     sys.stdout.write(emit_report(report, ns.report))
     return _OUTCOME_EXIT[report.outcome]

@@ -17,10 +17,10 @@ quantifier-bound variables added as leading parameters.
 from __future__ import annotations
 
 from .syntax import (
-    Abs, App, AppInt, Arrow, Equation, Formula, Hes, IntType, IntVar, Mu,
-    NameSupply, Nu, PROP, Sign, SimpleType, Var, alpha_normalize,
-    alpha_normalize_formula, arg_types, free_vars, map_children,
-    names_in_formula, names_in_hes, peel, replace_free,
+    Abs, Equation, Formula, Hes, Mu, NameSupply, Nu, PROP, Sign, SimpleType,
+    Var, alpha_normalize, alpha_normalize_formula, apply_vars, arg_types,
+    arrow, free_vars, lambdas, map_children, names_in_formula, names_in_hes,
+    peel, replace_free,
 )
 
 
@@ -29,12 +29,10 @@ class IllFormed(Exception):
 
 
 def _equation_type(eq: Equation) -> SimpleType:
-    ty: SimpleType = PROP
-    for _, pty in reversed(eq.params):
-        if pty is None:
-            raise IllFormed(f"equation {eq.name} is untyped; run typecheck first")
-        ty = Arrow(pty, ty)
-    return ty
+    types = [pty for _, pty in eq.params]
+    if None in types:
+        raise IllFormed(f"equation {eq.name} is untyped; run typecheck first")
+    return arrow(types, PROP)
 
 
 def hes_to_formula(h: Hes) -> Formula:
@@ -55,9 +53,7 @@ def hes_to_formula(h: Hes) -> Formula:
     bodies = {eq.name: eq.body for eq in h.equations}
     entry = h.entry
     for eq in reversed(h.equations):
-        body = bodies.pop(eq.name)
-        for p, pty in reversed(eq.params):
-            body = Abs(p, pty, body)
+        body = lambdas(eq.params, bodies.pop(eq.name))
         ctor = Mu if eq.sign is Sign.MU else Nu
         closed = ctor(eq.name, _equation_type(eq), body)
 
@@ -72,13 +68,13 @@ def hes_to_formula(h: Hes) -> Formula:
     return entry
 
 
-def formula_to_hes(f: Formula, entry_name_hint: str = "Main") -> Hes:
+def formula_to_hes(f: Formula) -> Hes:
     """Lambda-lift every fixpoint binder of a closed, typed formula into an
     equation.  Captured lambda/quantifier variables become extra leading
     parameters; equation order follows the traversal (outer fixpoints
     first), preserving nesting priority."""
 
-    supply = NameSupply(names_in_formula(f) | {entry_name_hint})
+    supply = NameSupply(names_in_formula(f) | {"Main"})
     # every binder gets a fresh name, so fixpoint names are unique and each
     # can name its equation
     f = alpha_normalize_formula(f, supply)
@@ -96,20 +92,17 @@ def formula_to_hes(f: Formula, entry_name_hint: str = "Main") -> Hes:
                 fvs = free_vars(g)
                 for n in fvs & heads.keys():
                     fvs |= free_vars(heads[n])
-                captured = sorted(fvs & set(env))
+                captured = [(c, env[c]) for c in sorted(fvs & set(env))]
                 # occurrences of the fixpoint variable (and the lifted
                 # definition itself) take the captured variables first
-                head: Formula = Var(name)
-                for c in captured:
-                    head = AppInt(head, IntVar(c)) if isinstance(env[c], IntType) else App(head, Var(c))
-                heads[name] = head
+                head = heads[name] = apply_vars(Var(name), captured)
                 # reserve the slot now: outer fixpoints must precede the
                 # ones lifted out of their bodies
                 slot = len(equations)
                 equations.append(None)  # type: ignore[arg-type]
                 # peel the parameter lambdas of the fixpoint's own type
                 binders, rest = peel(lift(body, env), arg_types(ty), supply)
-                params = [(c, env[c]) for c in captured] + binders
+                params = captured + binders
                 sign = Sign.MU if isinstance(g, Mu) else Sign.NU
                 equations[slot] = Equation(name, tuple(params), sign, rest)
                 return head

@@ -30,20 +30,10 @@ from .transform import (
 from .typecheck import typecheck
 
 
-class Schedule(Node):
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[ApproxParams, ...]):
-        set_field(self, "steps", steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def default_schedule(max_iterations: int) -> Schedule:
-    """The standard parameter schedule: an explicit four-row prefix, then
-    all four coefficients double every two iterations while the counter
-    count keeps alternating between 1 and 2."""
+def default_schedule(max_iterations: int) -> tuple[ApproxParams, ...]:
+    """The standard parameter schedule, one row per iteration: an explicit
+    four-row prefix, then all four coefficients double every two
+    iterations while the counter count keeps alternating between 1 and 2."""
     if max_iterations < 1:
         raise ValueError("need at least one iteration")
     steps = []
@@ -62,7 +52,7 @@ def default_schedule(max_iterations: int) -> Schedule:
             ApproxParams(scale, 16 * scale, scale, scale, 1 if i % 2 == 0 else 2)
         )
         i += 1
-    return Schedule(tuple(steps))
+    return tuple(steps)
 
 
 class IterationRecord(Node):
@@ -108,7 +98,7 @@ def prepare(h: Hes, *, all_f: bool = False, desugar: bool = False) -> TagDerivat
 def approximate(der: TagDerivation, params: ApproxParams) -> Formula:
     """The closed nu-only approximation of ``der.formula`` at ``params``,
     which ``solve`` takes for either backend."""
-    return eliminate_abs(transform_formula(der.formula, der, params))
+    return eliminate_abs(transform_formula(der, params))
 
 
 def override_counters(
@@ -134,16 +124,17 @@ class _Side:
 def verify(
     h: Hes,
     spec: BackendSpec,
-    schedule: Optional[Schedule] = None,
+    schedule: Optional[tuple[ApproxParams, ...]] = None,
     deadline_s: float = 60.0,
     *,
     mode: str = "both",
     no_extra_args: bool = False,
-    counters_override: Optional[int] = None,
 ) -> VerdictReport:
-    """Race prover and disprover over the schedule (strict round-robin,
-    prover first).  The first 'valid' backend verdict decides; exhausting
-    the schedule or the deadline yields Unknown."""
+    """Race prover and disprover over the schedule's rows (strict
+    round-robin, prover first; ``default_schedule(8)`` when none is given).
+    ``no_extra_args`` runs every row with one counter.  The first 'valid'
+    backend verdict decides; exhausting the schedule or the deadline yields
+    Unknown."""
 
     start = time.monotonic()
     hard_deadline = start + deadline_s
@@ -166,15 +157,15 @@ def verify(
             outcome, winner, tuple(records), time.monotonic() - start, reason
         )
 
-    for i, params in enumerate(schedule.steps):
-        params = override_counters(params, no_extra_args=no_extra_args, counters=counters_override)
+    for i, params in enumerate(schedule):
+        params = override_counters(params, no_extra_args=no_extra_args)
         for side in sides:
             if side.exhausted:
                 continue
             now = time.monotonic()
             if now >= hard_deadline:
                 return report("unknown", "none", "timeout")
-            remaining_steps = len(schedule.steps) - i
+            remaining_steps = len(schedule) - i
             budget = (hard_deadline - now) / (2 * remaining_steps)
             step_deadline = min(now + max(budget, 0.05), hard_deadline)
 

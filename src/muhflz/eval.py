@@ -388,10 +388,9 @@ class _EvalContext:
     # -- canonical keys -------------------------------------------------------
 
     def force_table(self, v, ty: Optional[SimpleType] = None) -> Table:
-        """Extensional table of a function value.  An entry whose
-        computation escapes the window is recorded as ``_ESC``."""
-        if isinstance(v, Table):
-            return v
+        """Extensional table of a closure or partial application.  An
+        entry whose computation escapes the window is recorded as
+        ``_ESC``."""
         if v.key_table is not None:
             return v.key_table
         # values are rebuilt on every body evaluation: cache by content (a
@@ -531,9 +530,6 @@ class _FixInstance:
             r = self._env_reach = _reach(self.env.values())
         return r
 
-    def init_value(self) -> bool:
-        return self.sign == "nu"
-
     def full_query(self, values: tuple) -> bool:
         ctx = self.ctx
         try:
@@ -547,7 +543,7 @@ class _FixInstance:
         # solved must not survive that fixpoint's updates
         stamp = ctx.stamp(values, self)
         if key not in self.asg or self.stamps[key] != stamp:
-            self.asg[key] = self.init_value()
+            self.asg[key] = self.sign == "nu"
             self.argvals[key] = values
             self.stamps[key] = stamp
             self.version += 1

@@ -27,9 +27,9 @@ import re
 from typing import Optional, Union
 
 from .syntax import (
-    Abs, And, App, AppInt, Equation, Exists, FALSE, Forall, Formula, Hes,
-    IntExpr, IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge,
-    inc_expr, set_field,
+    And, App, AppInt, Equation, Exists, FALSE, Forall, Formula, Hes, IntExpr,
+    IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge, inc_expr,
+    lambdas, set_field,
 )
 
 
@@ -242,9 +242,7 @@ class _Parser:
             self.scope.extend(params)
             body = self.formula()
             del self.scope[len(self.scope) - len(params):]
-            for p in reversed(params):
-                body = Abs(p, None, body)
-            return body
+            return lambdas([(p, None) for p in params], body)
         return self.disj()
 
     def _at_binder(self) -> bool:

@@ -19,13 +19,19 @@ rewrite's result shares every subtree it did not change with its input,
 and one object may sit at several positions of a tree (or of several
 trees).  Code that keys anything by ``id()`` of a node therefore keys the
 subtree, not the position.
+
+``lambdas`` and ``apply_vars`` are the only builders of lambda spines and
+of applications to bound variables.  Eta-expansion is the two together:
+apply fresh variables by type, then bind them in new lambdas; ``peel``
+does it where a body has fewer leading lambdas than its type has
+parameters.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -599,25 +605,39 @@ def alpha_normalize(h: Hes) -> Hes:
     return Hes(tuple(new_eqs), entry)
 
 
+# ---------------------------------------------------------------------------
+# Lambda spines and eta-expansion
+
+
+def lambdas(binders: Sequence[tuple[str, Optional[SimpleType]]], body: Formula) -> Formula:
+    """``body`` under one lambda per ``(name, type)`` binder, the first
+    outermost."""
+    for n, ty in reversed(binders):
+        body = Abs(n, ty, body)
+    return body
+
+
+def apply_vars(head: Formula, binders: Iterable[tuple[str, SimpleType]]) -> Formula:
+    """``head`` applied to the variable of each ``(name, type)`` binder in
+    order: an integer variable where the type is Int."""
+    for n, ty in binders:
+        head = AppInt(head, IntVar(n)) if isinstance(ty, IntType) else App(head, Var(n))
+    return head
+
+
 def peel(
     body: Formula, want: list[SimpleType], supply: NameSupply
 ) -> tuple[list[tuple[str, SimpleType]], Formula]:
     """Split ``body`` into one leading parameter binder per type in
     ``want`` and the residue.  Where ``body`` is not a lambda spine that
-    long, a fresh parameter from ``supply`` is applied to the residue
+    long, fresh parameters ``z`` from ``supply`` are applied to the residue
     instead."""
     binders: list[tuple[str, SimpleType]] = []
-    rest = body
-    for ty in want:
-        match rest:
-            case Abs(p, pt, b):
-                binders.append((p, pt if pt is not None else ty))
-                rest = b
-            case _:
-                z = supply.fresh("z")
-                binders.append((z, ty))
-                rest = AppInt(rest, IntVar(z)) if isinstance(ty, IntType) else App(rest, Var(z))
-    return binders, rest
+    while len(binders) < len(want) and isinstance(body, Abs):
+        binders.append((body.param, body.ty if body.ty is not None else want[len(binders)]))
+        body = body.body
+    pads = [(supply.fresh("z"), ty) for ty in want[len(binders):]]
+    return binders + pads, apply_vars(body, pads)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class TagInt(TaggedArg):
     def erase(self) -> SimpleType:
         return INT
 
-    def __str__(self) -> str:
-        return "int"
-
 
 class TagPred(TaggedArg):
     __slots__ = ("params", "tag")  # tag: True = T (companion present)
@@ -67,10 +64,6 @@ class TagPred(TaggedArg):
 
     def erase(self) -> SimpleType:
         return arrow([p.erase() for p in self.params], PROP)
-
-    def __str__(self) -> str:
-        inner = " -> ".join([f"({p})" if isinstance(p, TagPred) else str(p) for p in self.params] + ["prop"])
-        return f"({inner}, {'T' if self.tag else 'F'})"
 
 
 TAG_INT = TagInt()

@@ -20,7 +20,9 @@ value.  ``_apply_tagged`` applies a head to arguments with their
 companions, and ``_tr_type`` is a binder's type after elimination.
 ``magnitude`` is the budget term c*|x| of an integer or c*v_x of a
 companion, and ``_forall_at_least`` quantifies a budget or a counter reset
-under its sign-bound premise.
+under its sign-bound premise.  Every lambda spine and every application
+to bound variables, eta-expansion included, is built by ``syntax.lambdas``
+and ``syntax.apply_vars``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from typing import Optional
 
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
-    INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, NameSupply, Node, Nu, Or,
-    Plus, PROP, Sign, SimpleType, Times, Var, apply_spine, arg_types, arrow,
-    canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
-    int_free_vars, map_children, names_in_formula, neg_ge, peel,
+    INT, IntAbs, IntExpr, IntVar, Lit, Mu, NameSupply, Node, Nu, Or, Plus,
+    PROP, Sign, SimpleType, Times, Var, apply_spine, apply_vars, arg_types,
+    arrow, canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
+    int_free_vars, lambdas, map_children, names_in_formula, neg_ge, peel,
     replace_free, set_field, shift_expr, spine,
 )
 from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
@@ -115,64 +117,37 @@ def dual_hes(h: Hes) -> Hes:
 def eta_expand_mu_partials(f: Formula) -> Formula:
     """Wrap every under-applied occurrence of a least-fixpoint predicate
     (a mu binder or a variable bound by one) in lambdas so that the
-    occurrence becomes syntactically fully applied.  Requires a typed
-    formula."""
+    occurrence becomes syntactically fully applied.  The arity is read off
+    the mu's type annotation; a binder that rebinds the name ends the
+    mu's scope."""
 
     supply = NameSupply(names_in_formula(f))
 
-    def wrap(t: Formula, missing: list[SimpleType]) -> Formula:
-        names = [supply.fresh("y") for _ in missing]
-        body = t
-        for n, ty in zip(names, missing):
-            body = AppInt(body, IntVar(n)) if isinstance(ty, IntType) else App(body, Var(n))
-        for n, ty in reversed(list(zip(names, missing))):
-            body = Abs(n, ty, body)
-        return body
-
-    def go_head(g: Formula, env, mu_vars) -> Formula:
-        """Spine heads are rebuilt without the standalone-occurrence wrap;
-        the spine itself decides whether it is under-applied."""
-        match g:
-            case Mu(n, ty, b):
-                return Mu(n, ty, go(b, {**env, n: ty}, mu_vars | {n}))
-            case Var():
-                return g
-            case _:
-                return go(g, env, mu_vars)
-
-    def go(g: Formula, env: dict[str, SimpleType], mu_vars: set[str]) -> Formula:
-        match g:
-            case App() | AppInt():
-                head, args = spine(g)
-                head2 = go_head(head, env, mu_vars)
-                args2 = [
-                    a if isinstance(a, IntExpr) else go(a, env, mu_vars) for a in args
-                ]
-                rebuilt = apply_spine(head2, args2)
-                headed_mu = isinstance(head, Mu) or (
-                    isinstance(head, Var) and head.name in mu_vars
-                )
-                if headed_mu:
-                    ty = formula_type(head, env)
-                    missing = arg_types(ty)[len(args):]
-                    if missing:
-                        return wrap(rebuilt, missing)
-                return rebuilt
-            case Var(name):
-                if name in mu_vars:
-                    missing = arg_types(env[name])
-                    if missing:
-                        return wrap(g, missing)
-                return g
-            case Mu(n, ty, b):
-                out = Mu(n, ty, go(b, {**env, n: ty}, mu_vars | {n}))
-                missing = arg_types(ty)
-                if missing:
-                    return wrap(out, missing)
+    def go(g: Formula, mus: dict[str, SimpleType]) -> Formula:
+        t = type(g)
+        if t is App or t is AppInt or t is Var or t is Mu:
+            # a lone variable or mu is a spine without arguments
+            head, args = spine(g)
+            ty = None
+            if type(head) is Mu:
+                ty = head.ty
+                head = Mu(head.name, ty, go(head.body, {**mus, head.name: ty}))
+            elif type(head) is Var:
+                ty = mus.get(head.name)
+            else:
+                head = go(head, mus)
+            out = apply_spine(head, [a if isinstance(a, IntExpr) else go(a, mus) for a in args])
+            if ty is None:
                 return out
-        return map_children(g, lambda h, env: go(h, env, mu_vars), env)
+            ys = [(supply.fresh("y"), a) for a in arg_types(ty)[len(args):]]
+            return lambdas(ys, apply_vars(out, ys))
+        if t is Abs or t is Nu or t is Forall or t is Exists:
+            bound = g.param if t is Abs else g.name if t is Nu else g.var
+            if bound in mus:
+                mus = {n: ty for n, ty in mus.items() if n != bound}
+        return map_children(g, lambda h, _: go(h, mus))
 
-    return go(f, {}, set())
+    return go(f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +224,6 @@ def _apply_tagged(head: Formula, args: list) -> Formula:
             flat.append(comp)
         flat.append(a)
     return apply_spine(head, flat)
-
-
-def _lambdas(binders: list[tuple[str, SimpleType]], body: Formula) -> Formula:
-    for n, ty in reversed(binders):
-        body = Abs(n, ty, body)
-    return body
 
 
 class _Eliminator:
@@ -424,7 +393,7 @@ class _Eliminator:
         rest = self.let_companion(comp, node, delta, rest)
         for g in reversed(guards):
             rest = And(g, rest)
-        rest = _lambdas([(u, INT) for u in counters] + binders, rest)
+        rest = lambdas([(u, INT) for u in counters] + binders, rest)
         core = Nu(name, arrow([INT] * k + _tr_param_types(inner.params), PROP), rest)
 
         # the occurrence: initial budget(s), then the arguments, each with
@@ -469,16 +438,14 @@ class _Eliminator:
             if comp is not None:
                 binders.append((comp, INT))
             binders.append((y, _tr_type(pos)))
-        return _lambdas(binders, out)
+        return lambdas(binders, out)
 
 
-def transform_formula(
-    f: Formula, der: TagDerivation, params: ApproxParams
-) -> Formula:
-    """Counter-guarded elimination of least fixpoints on a normalized
-    formula; output may contain absolute values (see eliminate_abs)."""
-    supply = NameSupply(names_in_formula(f))
-    return _Eliminator(der, params, supply).tr(f, {})
+def transform_formula(der: TagDerivation, params: ApproxParams) -> Formula:
+    """Counter-guarded elimination of least fixpoints on the normalized
+    ``der.formula``; output may contain absolute values (see eliminate_abs)."""
+    supply = NameSupply(names_in_formula(der.formula))
+    return _Eliminator(der, params, supply).tr(der.formula, {})
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +544,10 @@ def eliminate_abs(f: Formula) -> Formula:
 
         ty = formula_type(apply_spine(head, args), env)
         pads = [(supply.fresh("q"), t) for t in arg_types(ty)]
-        inner: Formula = apply_spine(head2, final_args)
-        for q, t in pads:
-            inner = AppInt(inner, IntVar(q)) if isinstance(t, IntType) else App(inner, Var(q))
+        inner = apply_vars(apply_spine(head2, final_args), pads)
         for u, e in reversed(pending):
             inner = _forall_at_least([u], e, inner)
-        for q, t in reversed(pads):
-            inner = Abs(q, t, inner)
-        return inner
+        return lambdas(pads, inner)
 
     def go(g: Formula, env: dict) -> Formula:
         match g:

@@ -84,7 +84,7 @@ def test_criterion_1_worked_examples():
     h = _load("partial_apply.hes")
     raw = hes_to_formula(h)
     with pytest.raises(PartialMuApplication):
-        transform_formula(raw, infer_tags_formula(raw), ApproxParams(1, 2, 1, 1))
+        transform_formula(infer_tags_formula(raw), ApproxParams(1, 2, 1, 1))
 
     # companion arguments are what make the higher-order chain provable
     r = _verify("succ_chain.hes", 0, 10)
@@ -118,7 +118,7 @@ def test_criterion_2_soundness(corpus):
     for seed, h in corpus:
         try:
             tags = prepare(h)
-            approx = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
+            approx = transform_formula(tags, ApproxParams(1, 2, 1, 1))
             orig = check_validity_bounded(hes_to_formula(h), STRICT3, step_limit=400_000)
             tr = check_validity_bounded(approx, STRICT3, step_limit=400_000)
         except IterationCap:
@@ -150,11 +150,11 @@ def test_criterion_3_monotonicity(corpus):
         try:
             tags = prepare(h)  # one derivation for both steps
             small = check_validity_bounded(
-                transform_formula(tags.formula, tags, ApproxParams(1, 1, 1, 1)),
+                transform_formula(tags, ApproxParams(1, 1, 1, 1)),
                 STRICT3, step_limit=400_000,
             )
             large = check_validity_bounded(
-                transform_formula(tags.formula, tags, ApproxParams(2, 3, 2, 3)),
+                transform_formula(tags, ApproxParams(2, 3, 2, 3)),
                 STRICT3, step_limit=400_000,
             )
         except IterationCap:
@@ -216,7 +216,7 @@ def test_criterion_4_semantic_preservation(corpus):
             pass
         try:
             tags = prepare(h)
-            direct = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
+            direct = transform_formula(tags, ApproxParams(1, 2, 1, 1))
             a = check_validity_bounded(direct, STRICT3, step_limit=300_000)
             b = check_validity_bounded(
                 eliminate_abs(direct), STRICT3, step_limit=300_000
@@ -280,7 +280,7 @@ def test_criterion_5_structure_and_goldens(corpus):
 
 
 def test_criterion_6_schedule():
-    s = default_schedule(8).steps
+    s = default_schedule(8)
     assert s[0] == ApproxParams(1, 2, 1, 1, 1)
     assert s[1] == ApproxParams(1, 2, 1, 1, 2)
     assert s[2] == ApproxParams(1, 16, 1, 1, 1)

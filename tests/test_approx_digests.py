@@ -33,7 +33,7 @@ from muhflz.typecheck import typecheck
 GOLDEN = pathlib.Path(__file__).parent / "approx_digests.json"
 
 CORPUS_COUNT = 100
-ROWS = tuple(default_schedule(5).steps[i] for i in (0, 1, 4))
+ROWS = tuple(default_schedule(5)[i] for i in (0, 1, 4))
 K3_ROWS = (ApproxParams(1, 2, 1, 1, 3),)
 
 

@@ -9,7 +9,7 @@ from gen import instances
 from muhflz.backend import BackendVerdict, Builtin, lower
 from muhflz.convert import hes_to_formula
 from muhflz.driver import (
-    IterationRecord, Schedule, VerdictReport, approximate, default_schedule,
+    IterationRecord, VerdictReport, approximate, default_schedule,
     emit_report, prepare, report_from_json, verify,
 )
 from muhflz.eval import (
@@ -22,7 +22,7 @@ from muhflz.typecheck import typecheck
 
 
 def test_schedule_prefix_matches_table():
-    s = default_schedule(4).steps
+    s = default_schedule(4)
     assert s[0] == ApproxParams(1, 2, 1, 1, 1)
     assert s[1] == ApproxParams(1, 2, 1, 1, 2)
     assert s[2] == ApproxParams(1, 16, 1, 1, 1)
@@ -30,7 +30,7 @@ def test_schedule_prefix_matches_table():
 
 
 def test_schedule_doubles_every_two_and_alternates():
-    s = default_schedule(10).steps
+    s = default_schedule(10)
     assert s[4] == ApproxParams(2, 32, 2, 2, 1)
     assert s[5] == ApproxParams(2, 32, 2, 2, 2)
     assert s[6] == ApproxParams(4, 64, 4, 4, 1)
@@ -79,7 +79,7 @@ def test_schedule_exhaustion_is_unknown():
     # valid over Z but every bounded budget fails on the scaled window
     h = typecheck(parse_hes(fixture_text("succ_chain.hes")))
     r = verify(
-        h, Builtin(Domain(0, 10)), Schedule((ApproxParams(0, 1, 0, 1),)),
+        h, Builtin(Domain(0, 10)), (ApproxParams(0, 1, 0, 1),),
         deadline_s=30, mode="prove",
     )
     assert r.outcome == "unknown"
@@ -115,7 +115,7 @@ def test_lower_desugars_what_prepare_left():
     # a solver declared without quantifiers gets neither quantifiers nor
     # least fixpoints
     h = typecheck(parse_hes(r"Main =v exists x. F x; F y =u y >= 2 \/ F (y - 1);"))
-    row = default_schedule(1).steps[0]
+    row = default_schedule(1)[0]
     g = approximate(prepare(h, desugar=True), row)
     assert any(isinstance(s, Forall) for s in subformulas(g)), "a budget quantifier is left"
     out = lower(g, quantifiers=False)
@@ -127,7 +127,7 @@ def test_lower_desugars_what_prepare_left():
 def test_unknown_report_carries_reason():
     h = typecheck(parse_hes(fixture_text("succ_chain.hes")))
     r = verify(
-        h, Builtin(Domain(0, 10)), Schedule((ApproxParams(0, 1, 0, 1),)),
+        h, Builtin(Domain(0, 10)), (ApproxParams(0, 1, 0, 1),),
         deadline_s=30, mode="prove",
     )
     import json
@@ -140,9 +140,7 @@ def test_unknown_report_carries_reason():
 def test_verdicts_agree_with_bounded_oracle():
     # budgets with c=0 stay inside the window, so a non-unknown driver
     # verdict must match direct evaluation of the original formula
-    schedule = Schedule(
-        (ApproxParams(0, 1, 0, 1), ApproxParams(0, 2, 0, 2), ApproxParams(0, 3, 0, 3))
-    )
+    schedule = (ApproxParams(0, 1, 0, 1), ApproxParams(0, 2, 0, 2), ApproxParams(0, 3, 0, 3))
     dom = Domain(-3, 3)
     checked = 0
     for seed, h in instances(80):

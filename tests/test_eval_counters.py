@@ -43,7 +43,7 @@ SUCC_PRED_WINDOWS = {
 # dualized, at the first two schedule rows
 APPROX_CORPUS_COUNT = 100
 APPROX_FIXTURES = ("countdown", "countdown_scaled", "fib_termination", "partial_apply")
-APPROX_ROWS = default_schedule(2).steps
+APPROX_ROWS = default_schedule(2)
 APPROX_CORPUS_STEP_LIMIT = 20_000
 APPROX_FIXTURE_STEP_LIMIT = 50_000
 

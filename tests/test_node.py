@@ -15,7 +15,7 @@ import pytest
 
 import muhflz
 from muhflz.backend import BackendVerdict, Builtin, External
-from muhflz.driver import IterationRecord, Schedule, VerdictReport
+from muhflz.driver import IterationRecord, VerdictReport
 from muhflz.eval import Domain
 from muhflz.parser import _Tok
 from muhflz.syntax import (
@@ -49,7 +49,7 @@ def _samples():
         _TyVar(3), Domain(-3, 3, False), _Tok("ident", "X'", 2, 5), row,
         TagInt(), tag, TagDerivation(body, {"p": tag}, {"X": (TagInt(),)}, True),
         Builtin(Domain(0, 10)), External(("sh", "-c", "x"), 2.5, False), verdict,
-        Schedule((row, ApproxParams(1, 16, 1, 1))), IterationRecord("prover", row, verdict),
+        IterationRecord("prover", row, verdict),
         VerdictReport("unknown", "none", (IterationRecord("prover", row, verdict),), 1.25, "timeout"),
     ]
 
@@ -91,7 +91,7 @@ def _positional(x):
 
 def test_every_node_class_has_a_sample():
     assert {type(x) for x in SAMPLES} == _node_classes()
-    assert len(SAMPLES) == 34
+    assert len(SAMPLES) == 33
 
 
 @pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)

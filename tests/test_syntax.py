@@ -35,7 +35,7 @@ def _preorder(f):
 def test_subformulas_is_the_recursive_preorder():
     hs = [h for _, h in instances(100)]
     hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
-    row = default_schedule(1).steps[0]
+    row = default_schedule(1)[0]
     nodes = 0
     for h in hs:
         f = hes_to_formula(h)
@@ -150,7 +150,7 @@ def _depths(f, d=0):
 
 
 def test_rewriting_one_var_rebuilds_only_its_path():
-    row = default_schedule(1).steps[0]
+    row = default_schedule(1)[0]
     checked = 0
     hs = [h for _, h in instances(200)]
     hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
@@ -208,7 +208,7 @@ def _check_replaced(before, after, name, made):
 
 
 def test_replace_free_makes_one_object_per_occurrence_and_shares_the_rest():
-    row = default_schedule(1).steps[0]
+    row = default_schedule(1)[0]
     hs = [h for _, h in instances(200)]
     hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
     binders = occurrences = 0

@@ -87,6 +87,21 @@ def test_fully_applied_is_fixed_point():
     assert eta_expand_mu_partials(f) == f
 
 
+def test_binder_that_rebinds_a_mu_name_ends_its_scope():
+    # mu X. \x. x >= 0 \/ (\X. X) X (x - 1), applied to 3: the outer X is
+    # the least fixpoint and is expanded; inside \X the name is the lambda's
+    # parameter, which stays as it is
+    pred = Arrow(INT, PROP)
+    rebind = Abs("X", pred, Var("X"))
+    step = AppInt(App(rebind, Var("X")), Plus(IntVar("x"), Lit(-1)))
+    f = AppInt(Mu("X", pred, Abs("x", INT, Or(Ge(IntVar("x"), Lit(0)), step))), Lit(3))
+    g = eta_expand_mu_partials(f)
+    head, args = spine(g.fn.body.body.rhs)
+    assert head is rebind
+    assert isinstance(args[0], Abs) and args[0].body == AppInt(Var("X"), IntVar(args[0].param))
+    assert check_validity_bounded(g, DOM3) == check_validity_bounded(f, DOM3)
+
+
 def test_arity_three_partial_agrees_with_original():
     text = (
         "Main =v G (F 1 2);\n"
@@ -219,7 +234,7 @@ def test_eta_precondition_enforced():
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
     f = hes_to_formula(h)
     with pytest.raises(PartialMuApplication):
-        transform_formula(f, infer_tags_formula(f), ApproxParams(1, 1, 1, 1))
+        transform_formula(infer_tags_formula(f), ApproxParams(1, 1, 1, 1))
 
 
 def test_degenerate_nullary_mu():
@@ -227,7 +242,7 @@ def test_degenerate_nullary_mu():
 
     h = typecheck(Hes((), Mu("p", PROP, Var("p"))))
     tags = prepare(h)
-    out = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
+    out = transform_formula(tags, ApproxParams(1, 2, 1, 1))
     assert not contains_mu(out)
     # counter still added; the budget is the constant d
     assert check_validity_bounded(eliminate_abs(out), Domain(-4, 4)) is BoundedResult.INVALID
@@ -240,7 +255,7 @@ def test_degenerate_nullary_mu():
 def test_abs_form_and_quantified_form_agree():
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
     tags = prepare(h)
-    direct = transform_formula(tags.formula, tags, ApproxParams(1, 1, 1, 1))
+    direct = transform_formula(tags, ApproxParams(1, 1, 1, 1))
     assert formula_has_int_abs(direct)
     noabs = eliminate_abs(direct)
     assert not formula_has_int_abs(noabs)
@@ -327,7 +342,7 @@ def test_transform_output_nu_only_generated(seed):
     h = random_instance(seed)
     tags = prepare(h)
     try:
-        out = transform_formula(tags.formula, tags, ApproxParams(1, 2, 1, 1))
+        out = transform_formula(tags, ApproxParams(1, 2, 1, 1))
     except PartialMuApplication:
         pytest.fail("eta expansion should have removed every partial")
     assert not contains_mu(out)

@@ -21,7 +21,7 @@ from muhflz.syntax import Exists, Forall, Sign, subformulas
 from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
-ROWS = default_schedule(2).steps
+ROWS = default_schedule(2)
 NAMES = [n.removesuffix(".hes") for n in all_fixture_names()] + ["loop"]
 # partial_apply and succ_chain agree too, but take 0.2-1.6 s per side
 EVALUATED = ("countdown", "countdown_scaled", "fib_termination")
