@@ -174,8 +174,9 @@ class _Parser:
     # -- toplevel ----------------------------------------------------------
 
     def parse_hes(self) -> Hes:
-        equations = []
+        equations, names = [], []
         while self.peek().kind != "eof":
+            names.append(self.peek())
             equations.append(self.equation())
         if not equations:
             self.fail({"equation"})
@@ -184,13 +185,11 @@ class _Parser:
             t = self.toks[0]
             raise ParseError(t.line, t.col, {"Main (entry equation, no parameters)"}, first.name)
         rest = tuple(equations[1:])
-        defined = {eq.name for eq in rest}
-        if len(defined) != len(rest):
-            seen: set[str] = set()
-            for eq in rest:
-                if eq.name in seen:
-                    raise ParseError(1, 1, {"distinct equation names"}, eq.name)
-                seen.add(eq.name)
+        defined: set[str] = set()
+        for t in names[1:]:
+            if t.text in defined:
+                raise ParseError(t.line, t.col, {"distinct equation names"}, t.text)
+            defined.add(t.text)
         for name, line, col, local in self.occurrences:
             if name not in local and name not in defined:
                 raise ParseError(line, col, {"defined name"}, name)

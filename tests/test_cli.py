@@ -83,14 +83,23 @@ def test_missing_file_exits_3(capsys):
     assert run(["prove", "missing.hes"]) == 3
 
 
-def test_parse_error_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("body, where", [
+    ("Main =v X;\n", "bad.hes:1:9: expected defined name"),
+    ("Main =v F 0;\nF x =v x >= 0;\nF y =v y >= 1;\n", "bad.hes:3:1: expected distinct equation names"),
+    ("Main =v F 1 2;\nF x =v x >= 0;\n", "bad.hes: "),
+], ids=["undefined_name", "duplicate_name", "type_error"])
+def test_parse_error_exits_3(tmp_path, capsys, body, where):
     bad = tmp_path / "bad.hes"
-    bad.write_text("Main =v X;\n")
+    bad.write_text(body)
     assert run(["prove", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("muhflz: ") and where in err
 
 
 def test_bad_mode_exits_3(capsys):
     assert run(["frobnicate", str(FIXTURES / "countdown.hes")]) == 3
+    assert run(["prove", str(FIXTURES / "countdown.hes"), "extra"]) == 3
 
 
 def test_invalid_exits_1(tmp_path, capsys):
@@ -158,6 +167,15 @@ def test_invalid_option_value_exits_3(flags, capsys):
     assert code == 3
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("muhflz: ")
+
+
+@pytest.mark.parametrize("domain", ["1..", "3..1"], ids=["open", "empty"])
+def test_bad_domain_exits_3(domain, capsys):
+    code = run(["prove", str(FIXTURES / "countdown.hes"), "--domain", domain])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert "error: argument --domain" in err
 
 
 @pytest.mark.parametrize("flags", [

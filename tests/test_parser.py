@@ -69,8 +69,10 @@ def test_recursive_main_rejected():
 
 
 def test_duplicate_equations_rejected():
-    with pytest.raises(ParseError):
-        parse_hes("Main =v F 0;\nF x =u x >= 0;\nF y =v y >= 0;\n")
+    with pytest.raises(ParseError) as e:
+        parse_hes("Main =v F 0;\nF x =u x >= 0;\n  F y =v y >= 0;\n")
+    # reported at the duplicate's name
+    assert (e.value.line, e.value.col, e.value.found) == (3, 3, "F")
 
 
 def test_comparison_sugar():
