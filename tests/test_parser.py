@@ -159,3 +159,41 @@ def test_each_occurrence_is_recorded_once():
         p.parse_hes()
         triples = [occ[:3] for occ in p.occurrences]
         assert len(triples) == len(set(triples)), text
+
+
+MALFORMED = [
+    "",
+    "# only a comment\n",
+    "Main =v 1;",
+    "Main =v x + 1;",
+    "Main =v true >= 1;",
+    "Main =v 2 * true >= 1;",
+    "Main =v F x - 1; F x =v true;",
+    "Main =v a >= b >= c;",
+    "Main =v (1) /\\ true;",
+    "Main =v true",
+    "Main =v ;",
+    "Main =v (true;",
+    "Main =v true);",
+    "Main =v 1 + ;",
+    "Main =v -x >= 0;",
+    "Main =v forall x y. true;",
+    "Main =v \\. true;",
+    "Main =v true /\\ 2;",
+    "Main =v F (true >= 1); F x =v x >= 0;",
+    "Main =v F x + 1 >= 0; F x =v x >= 0;",
+    "Main =v $;",
+    "Main true;",
+    "F x =u x >= 0;",
+    "Main x =v x >= 0;",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_inputs_raise_parse_error(text):
+    with pytest.raises(ParseError) as e:
+        parse_hes(text)
+    # the position is inside the text, or just past its end
+    lines = text.split("\n")
+    assert 1 <= e.value.line <= len(lines)
+    assert 1 <= e.value.col <= len(lines[e.value.line - 1]) + 1
