@@ -1,20 +1,25 @@
 """Recursive-descent parser for the HES text format.
 
-Grammar sketch (see README for the full description):
+One grammar covers formulas and integer expressions, so each token is
+read once (see README for the full description):
 
-    hes      := equation+
-    equation := IDENT IDENT* ("=v" | "=u") formula ";"
-    formula  := "forall" IDENT "." formula
-              | "exists" IDENT "." formula
-              | "\\" IDENT+ "." formula
-              | disj
-    disj     := conj ("\\/" conj)*
-    conj     := atom ("/\\" atom)*
-    atom     := iexpr CMP iexpr          (CMP: >= <= < > = !=)
-              | app
-    app      := primary+
-    primary  := IDENT | INT | "true" | "false" | "(" term ")"
+    hes         := equation+
+    equation    := IDENT IDENT* ("=v" | "=u") formula ";"
+    formula     := disj
+    disj        := conj ("\\/" conj)*
+    conj        := atom ("/\\" atom)*
+    atom        := sum [CMP sum]             (CMP: >= <= < > = !=)
+    sum         := product (("+" | "-") product)*
+    product     := application ("*" application)*
+    application := primary primary*          (an argument never starts with "-")
+    primary     := IDENT | INT | "-" INT | "true" | "false" | "(" formula ")"
+                 | ("forall" | "exists") IDENT "." formula
+                 | "\\" IDENT+ "." formula
 
+Every level yields a formula or an integer expression.  An operand of
+"+", "-", "*" or a comparison must be an integer expression, and a bare
+identifier there becomes an integer variable; elsewhere it stays a
+predicate variable.  A binder's body extends maximally to the right.
 Comparison sugar is desugared at parse time into ">="-only atoms;
 subtraction desugars to e1 + (-1)*e2.  "#" starts a line comment.
 The first equation must be "Main" with no parameters; its body becomes the
@@ -121,12 +126,33 @@ def _times(a: IntExpr, b: IntExpr) -> IntExpr:
     return Times(a, b)
 
 
+_ARGUMENT_START = {"ident", "int", "true", "false"}
+
+
+def _integer(t: _Tok, e: Union[Formula, IntExpr]) -> IntExpr:
+    """``e``, read from token ``t`` on, where the grammar needs an integer:
+    a bare identifier becomes an integer variable."""
+    if isinstance(e, Var):
+        return IntVar(e.name)
+    if not isinstance(e, IntExpr):
+        raise ParseError(t.line, t.col, {"integer expression"}, t.text)
+    return e
+
+
+def _formula(t: _Tok, e: Union[Formula, IntExpr]) -> Formula:
+    """``e``, read from token ``t`` on, where the grammar needs a formula."""
+    if isinstance(e, IntExpr):
+        raise ParseError(t.line, t.col, {"formula"}, t.text)
+    return e
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-        # (name, line, col, frozenset of locally bound names) for scope check
-        self.occurrences: list[tuple[str, int, int, frozenset[str]]] = []
+        # the tokens of names read outside every local binder, checked
+        # against the equation names at the end of the input
+        self.free: list[_Tok] = []
         self.scope: list[str] = []
         self.depth = 0
 
@@ -160,14 +186,14 @@ class _Parser:
         t = self.peek()
         raise ParseError(t.line, t.col, expected, t.text)
 
-    def deeper(self, parse):
-        """``parse()`` one nesting level down."""
+    def nested(self) -> Union[Formula, IntExpr]:
+        """``disj()`` one nesting level down."""
         if self.depth == MAX_NESTING:
             t = self.peek()
             raise NestingTooDeep(t.line, t.col, {f"at most {MAX_NESTING} nesting levels"}, t.text)
         self.depth += 1
         try:
-            return parse()
+            return self.disj()
         finally:
             self.depth -= 1
 
@@ -184,20 +210,16 @@ class _Parser:
         if first.name != "Main" or first.params:
             t = self.toks[0]
             raise ParseError(t.line, t.col, {"Main (entry equation, no parameters)"}, first.name)
-        rest = tuple(equations[1:])
         defined: set[str] = set()
-        for t in names[1:]:
+        for t in names:
             if t.text in defined:
                 raise ParseError(t.line, t.col, {"distinct equation names"}, t.text)
             defined.add(t.text)
-        for name, line, col, local in self.occurrences:
-            if name not in local and name not in defined:
-                raise ParseError(line, col, {"defined name"}, name)
-        if "Main" in {o[0] for o in self.occurrences}:
-            for name, line, col, local in self.occurrences:
-                if name == "Main" and name not in local:
-                    raise ParseError(line, col, {"non-recursive Main"}, name)
-        return Hes(rest, first.body)
+        defined.remove("Main")
+        for t in self.free:
+            if t.text not in defined:
+                raise ParseError(t.line, t.col, {"defined name"}, t.text)
+        return Hes(tuple(equations[1:]), first.body)
 
     def equation(self) -> Equation:
         name = self.expect("ident").text
@@ -210,74 +232,44 @@ class _Parser:
         else:
             self.fail({"=v", "=u"})
         sign = Sign.NU if t.text == "=v" else Sign.MU
-        saved = len(self.scope)
         self.scope.extend(p for p, _ in params)
         body = self.formula()
-        del self.scope[saved:]
+        del self.scope[len(self.scope) - len(params):]
         self.expect("sym", ";")
         return Equation(name, tuple(params), sign, body)
 
-    # -- formulas ----------------------------------------------------------
+    # -- formulas and integer expressions -----------------------------------
+    #
+    # Each level returns a formula or an integer expression, whichever the
+    # tokens it read make; ``_integer`` and ``_formula`` demand one kind
+    # where the grammar needs it.
 
     def formula(self) -> Formula:
-        return self.deeper(self._formula)
+        return _formula(self.peek(), self.nested())
 
-    def _formula(self) -> Formula:
+    def disj(self) -> Union[Formula, IntExpr]:
         t = self.peek()
-        if t.kind in ("forall", "exists"):
-            self.next()
-            var = self.expect("ident").text
-            self.expect("sym", ".")
-            self.scope.append(var)
-            body = self.formula()
-            self.scope.pop()
-            return Forall(var, body) if t.kind == "forall" else Exists(var, body)
-        if self.at_sym("\\"):
-            self.next()
-            params = [self.expect("ident").text]
-            while self.peek().kind == "ident":
-                params.append(self.next().text)
-            self.expect("sym", ".")
-            self.scope.extend(params)
-            body = self.formula()
-            del self.scope[len(self.scope) - len(params):]
-            return lambdas([(p, None) for p in params], body)
-        return self.disj()
-
-    def _at_binder(self) -> bool:
-        t = self.peek()
-        return t.kind in ("forall", "exists") or self.at_sym("\\")
-
-    def disj(self) -> Formula:
         f = self.conj()
         while self.eat_sym("\\/"):
-            # a binder as the last operand extends maximally to the right
-            f = Or(f, self.formula() if self._at_binder() else self.conj())
+            f = Or(_formula(t, f), _formula(self.peek(), self.conj()))
         return f
 
-    def conj(self) -> Formula:
+    def conj(self) -> Union[Formula, IntExpr]:
+        t = self.peek()
         f = self.atom()
         while self.eat_sym("/\\"):
-            f = And(f, self.formula() if self._at_binder() else self.atom())
+            f = And(_formula(t, f), _formula(self.peek(), self.atom()))
         return f
 
-    def atom(self) -> Formula:
-        mark = self.pos
-        occ_mark = len(self.occurrences)
-        try:
-            lhs = self.iexpr()
-            t = self.peek()
-            if t.kind == "sym" and t.text in _CMP:
-                self.next()
-                rhs = self.iexpr()
-                return self._comparison(t.text, lhs, rhs)
-        except NestingTooDeep:
-            raise
-        except ParseError:
-            pass
-        self.pos = mark
-        del self.occurrences[occ_mark:]
-        return self.application()
+    def atom(self) -> Union[Formula, IntExpr]:
+        t = self.peek()
+        lhs = self.sum()
+        op = self.peek()
+        if op.kind != "sym" or op.text not in _CMP:
+            return lhs
+        lhs = _integer(t, lhs)
+        self.next()
+        return self._comparison(op.text, lhs, _integer(self.peek(), self.sum()))
 
     @staticmethod
     def _comparison(op: str, l: IntExpr, r: IntExpr) -> Formula:
@@ -295,99 +287,71 @@ class _Parser:
             return Or(canon_ge(l, inc_expr(r)), canon_ge(r, inc_expr(l)))
         raise AssertionError(op)
 
-    def application(self) -> Formula:
+    def sum(self) -> Union[Formula, IntExpr]:
+        t = self.peek()
+        e = self.product()
+        while (op := self.peek()).kind == "sym" and op.text in ("+", "-"):
+            e = _integer(t, e)
+            self.next()
+            r = _integer(self.peek(), self.product())
+            if op.text == "-":
+                # e1 - e2 is e1 + (-1)*e2; a literal subtrahend folds
+                r = Lit(-r.value) if isinstance(r, Lit) else Times(Lit(-1), r)
+            e = _plus(e, r)
+        return e
+
+    def product(self) -> Union[Formula, IntExpr]:
+        t = self.peek()
+        e = self.application()
+        while self.eat_sym("*"):
+            e = _times(_integer(t, e), _integer(self.peek(), self.application()))
+        return e
+
+    def application(self) -> Union[Formula, IntExpr]:
+        t = self.peek()
         head = self.primary()
-        if isinstance(head, IntExpr):
-            # a bare integer expression is not a formula
-            self.fail({"formula"})
-        while True:
-            t = self.peek()
-            if t.kind in ("ident", "int", "true", "false") or self.at_sym("("):
-                arg = self.primary()
-                head = AppInt(head, arg) if isinstance(arg, IntExpr) else App(head, arg)
-            else:
-                return head
+        while self.peek().kind in _ARGUMENT_START or self.at_sym("("):
+            head = _formula(t, head)
+            arg = self.primary()
+            head = AppInt(head, arg) if isinstance(arg, IntExpr) else App(head, arg)
+        return head
 
     def primary(self) -> Union[Formula, IntExpr]:
         t = self.peek()
         if t.kind == "ident":
             self.next()
-            self.occurrences.append((t.text, t.line, t.col, frozenset(self.scope)))
+            if t.text not in self.scope:
+                self.free.append(t)
             return Var(t.text)
         if t.kind == "int":
             self.next()
             return Lit(int(t.text))
-        if t.kind == "true":
+        if t.kind in ("true", "false"):
             self.next()
-            return TRUE
-        if t.kind == "false":
-            self.next()
-            return FALSE
-        if self.at_sym("("):
-            self.next()
-            term = self.term()
-            self.expect("sym", ")")
-            return term
-        self.fail({"identifier", "integer", "("})
-
-    def term(self) -> Union[Formula, IntExpr]:
-        """Inside parentheses: a formula, or a bare integer expression used
-        as an application argument."""
-        mark = self.pos
-        occ_mark = len(self.occurrences)
-        try:
-            f = self.formula()
-            if self.at_sym(")"):
-                return f
-        except NestingTooDeep:
-            raise
-        except ParseError:
-            pass
-        self.pos = mark
-        del self.occurrences[occ_mark:]
-        e = self.iexpr()
-        if not self.at_sym(")"):
-            self.fail({")"})
-        return e
-
-    # -- integer expressions -----------------------------------------------
-
-    def iexpr(self) -> IntExpr:
-        e = self.iterm()
-        while True:
-            if self.eat_sym("+"):
-                e = _plus(e, self.iterm())
-            elif self.eat_sym("-"):
-                # e1 - e2 is e1 + (-1)*e2; a literal subtrahend folds
-                t = self.iterm()
-                e = _plus(e, Lit(-t.value) if isinstance(t, Lit) else Times(Lit(-1), t))
-            else:
-                return e
-
-    def iterm(self) -> IntExpr:
-        e = self.ifactor()
-        while self.eat_sym("*"):
-            e = _times(e, self.ifactor())
-        return e
-
-    def ifactor(self) -> IntExpr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Lit(int(t.text))
+            return TRUE if t.kind == "true" else FALSE
         if t.kind == "sym" and t.text == "-" and self.toks[self.pos + 1].kind == "int":
             self.next()
             return Lit(-int(self.next().text))
-        if t.kind == "ident":
-            self.next()
-            self.occurrences.append((t.text, t.line, t.col, frozenset(self.scope)))
-            return IntVar(t.text)
-        if self.at_sym("("):
-            self.next()
-            e = self.deeper(self.iexpr)
+        if self.eat_sym("("):
+            e = self.nested()
             self.expect("sym", ")")
             return e
-        self.fail({"integer expression"})
+        if t.kind in ("forall", "exists") or self.at_sym("\\"):
+            # a quantifier or lambda; its body extends maximally to the right
+            self.next()
+            params = [self.expect("ident").text]
+            while t.kind == "sym" and self.peek().kind == "ident":
+                params.append(self.next().text)
+            self.expect("sym", ".")
+            self.scope.extend(params)
+            body = self.formula()
+            del self.scope[len(self.scope) - len(params):]
+            if t.kind == "forall":
+                return Forall(params[0], body)
+            if t.kind == "exists":
+                return Exists(params[0], body)
+            return lambdas([(p, None) for p in params], body)
+        self.fail({"identifier", "integer", "("})
 
 
 def parse_hes(text: str) -> Hes:

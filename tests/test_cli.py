@@ -86,8 +86,9 @@ def test_missing_file_exits_3(capsys):
 @pytest.mark.parametrize("body, where", [
     ("Main =v X;\n", "bad.hes:1:9: expected defined name"),
     ("Main =v F 0;\nF x =v x >= 0;\nF y =v y >= 1;\n", "bad.hes:3:1: expected distinct equation names"),
+    ("Main =v true;\nMain =v false;\n", "bad.hes:2:1: expected distinct equation names, found Main"),
     ("Main =v F 1 2;\nF x =v x >= 0;\n", "bad.hes: "),
-], ids=["undefined_name", "duplicate_name", "type_error"])
+], ids=["undefined_name", "duplicate_name", "duplicate_main", "type_error"])
 def test_parse_error_exits_3(tmp_path, capsys, body, where):
     bad = tmp_path / "bad.hes"
     bad.write_text(body)

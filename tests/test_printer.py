@@ -1,8 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import all_fixture_names, fixture_text
+from conftest import FIXTURES, all_fixture_names, fixture_text
 from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.printer import PrintError, print_formula, print_hes
@@ -13,8 +16,17 @@ from muhflz.syntax import (
 
 
 def test_deterministic_output():
-    h = parse_hes(fixture_text("fib_termination.hes"))
-    assert print_hes(h) == print_hes(h)
+    text = fixture_text("fib_termination.hes")
+    assert print_hes(parse_hes(text)) == print_hes(parse_hes(text))
+    # nor does the output depend on the string hash seed
+    emitted = [
+        subprocess.run(
+            [sys.executable, "-m", "muhflz.cli", "--emit", "dual", str(FIXTURES / "fib_termination.hes")],
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert emitted[0] == emitted[1] and emitted[0]
 
 
 def test_lambda_syntax():
