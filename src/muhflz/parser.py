@@ -19,7 +19,8 @@ read once (see README for the full description):
 Every level yields a formula or an integer expression.  An operand of
 "+", "-", "*" or a comparison must be an integer expression, and a bare
 identifier there becomes an integer variable; elsewhere it stays a
-predicate variable.  A binder's body extends maximally to the right.
+variable whose sort the type checker decides.  A binder's body extends
+maximally to the right.
 Comparison sugar is desugared at parse time into ">="-only atoms;
 subtraction desugars to e1 + (-1)*e2.  "#" starts a line comment.
 The first equation must be "Main" with no parameters; its body becomes the
@@ -232,9 +233,10 @@ class _Parser:
         else:
             self.fail({"=v", "=u"})
         sign = Sign.NU if t.text == "=v" else Sign.MU
+        saved = len(self.scope)
         self.scope.extend(p for p, _ in params)
         body = self.formula()
-        del self.scope[len(self.scope) - len(params):]
+        del self.scope[saved:]
         self.expect("sym", ";")
         return Equation(name, tuple(params), sign, body)
 
