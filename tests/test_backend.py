@@ -56,11 +56,11 @@ def test_external_timeout_must_be_positive(seconds):
         External(("/nonexistent/solver",), timeout_s=seconds)
 
 
-def _stub(tmp_path, body: str) -> External:
+def _stub(tmp_path, body: str, timeout_s: float = 5.0) -> External:
     path = tmp_path / "solver.sh"
     path.write_text("#!/bin/sh\n" + textwrap.dedent(body))
     path.chmod(path.stat().st_mode | stat.S_IEXEC)
-    return External((str(path),), timeout_s=5.0)
+    return External((str(path),), timeout_s=timeout_s)
 
 
 def test_external_verdict_parsing(tmp_path):
@@ -78,8 +78,10 @@ def test_external_garbage_is_unknown(tmp_path):
 
 
 def test_external_timeout_is_unknown(tmp_path):
-    v = solve(_stub(tmp_path, "sleep 30\n"), _approx("countdown.hes", 1, 1))
-    # the driver deadline is tighter than the sleep
+    # `exec`: a timeout kills the process it started, so a sleep the shell
+    # started as its child would outlive the test
+    v = solve(_stub(tmp_path, "exec sleep 30\n", timeout_s=0.5), _approx("countdown.hes", 1, 1))
+    # the solver timeout is tighter than the sleep
     assert v.outcome == "unknown"
 
 
@@ -99,7 +101,7 @@ def test_external_missing_binary_is_unknown():
 def test_external_timeout_capped_by_deadline(tmp_path):
     import time
 
-    ext = _stub(tmp_path, "sleep 30\n")
+    ext = _stub(tmp_path, "exec sleep 30\n")  # `exec`, as above
     t0 = time.monotonic()
     v = solve(ext, _approx("countdown.hes", 1, 1), deadline=time.monotonic() + 1.0)
     assert v.outcome == "unknown"

@@ -1,7 +1,9 @@
 """No unused imports in ``src/muhflz``: every name a module imports is read
-in that module, unless its import statement carries ``# noqa: F401`` (a
-re-export other modules or the tests reach through it).  ``__init__``
-re-exports by design and is not checked."""
+in that module, unless its import statement carries ``# noqa: F401``.  Such
+a name is a shim: the benchmark tracer (``perfbench/spans.py``) replaces it
+on that module, so each must be listed in the tracer's ``LAYERS``; once the
+tracer stops wrapping it, the shim is dead.  ``__init__`` re-exports by
+design and is not checked."""
 
 import ast
 import pathlib
@@ -9,24 +11,40 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "muhflz"
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def imports(source: str):
+    """(name, line, noqa) for each name ``source`` imports, where ``noqa``
+    says whether its import statement carries ``# noqa: F401``."""
     lines = source.splitlines()
-    imported = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
         for alias in node.names:
-            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            yield alias.asname or alias.name.split(".")[0], node.lineno, noqa
+
+
+def unused_imports(source: str) -> list[str]:
+    imported = {name: line for name, line, noqa in imports(source) if not noqa}
+    tree = ast.parse(source)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """(module, attribute) for each entry of ``LAYERS`` in
+    ``perfbench/spans.py``, read without importing it."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    (layers,) = [
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    return {(module.attr, attr.value) for module, attr, _ in (e.elts for e in layers.elts)}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -34,7 +52,18 @@ def test_every_import_is_read(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_unread_import_is_traced(module):
+    shims = {name for name, _, noqa in imports((SRC / module).read_text(encoding="utf-8")) if noqa}
+    traced = {attr for m, attr in traced_names() if m == module.removesuffix(".py")}
+    assert shims - traced == set()
+
+
 def test_an_unused_import_is_found():
     assert unused_imports("import json\nimport os\nos.getcwd()\n") == ["json (line 1)"]
     assert unused_imports("from x import y  # noqa: F401\n") == []
     assert unused_imports("from x import (\n    y,  # noqa: F401\n)\n") == []
+    assert list(imports("from x import y  # noqa: F401\nimport z\n")) == [
+        ("y", 1, True), ("z", 2, False),
+    ]
+
