@@ -28,8 +28,10 @@ unbounded Z-validity is made here.
 
 Nothing walks the formula before evaluation starts: what evaluation needs
 to know about a node is worked out the first time it reaches the node and
-kept on the context (``_EvalContext.facts_of``).  Each function value
-caches one forced table, whose escaping entries are ``_ESC``.
+kept on the context (``_EvalContext.facts_of``).  A function value is
+code plus the values it holds, and ``_EvalContext.key`` keys it by both.
+The context caches each forced table under that key, in
+``forced_partials``; an escaping entry is ``_ESC``.
 """
 
 from __future__ import annotations
@@ -134,57 +136,54 @@ def _reach(values, base: tuple = ()) -> tuple:
 
 
 class _Intensional:
-    """A function value held as syntax plus captured values.  ``key_table``
-    caches its one forced table and ``reach`` (the fixpoint instances it
-    captures) is computed on first use.  Both are exact because captured
-    environments and argument tuples are never mutated after
+    """A function value: code plus the values it holds (``held``).
+    ``reach``, the fixpoint instances it can reach, is computed on first
+    use; it is exact because ``held`` is never changed after
     construction."""
 
-    __slots__ = ("_reach", "key_table")
+    __slots__ = ("held", "_reach")
+
+    @property
+    def reach(self) -> tuple:
+        r = self._reach
+        if r is None:
+            # a partial application also reaches its instance and what the
+            # instance's environment reaches
+            base = (self.inst, *self.inst.env_reach) if isinstance(self, FixPartial) else ()
+            r = self._reach = _reach(self.held, base)
+        return r
 
 
 class Closure(_Intensional):
-    """``names`` are the free variables of ``body`` other than ``param``,
-    sorted, shared by every closure of one abstraction; ``vals`` holds the
-    captured values in that order."""
+    """Its code is ``param`` and ``body``.  ``names`` are the free
+    variables of ``body`` other than ``param``, sorted, shared by every
+    closure of one abstraction; ``held`` holds their values in that
+    order."""
 
-    __slots__ = ("param", "body", "names", "vals", "ty")
+    __slots__ = ("param", "body", "names", "ty")
 
-    def __init__(self, param, body, names: tuple, vals: tuple, ty):
-        self._reach = self.key_table = None
+    def __init__(self, param, body, names: tuple, held: tuple, ty):
+        self._reach = None
+        self.held = held
         self.param = param
         self.body = body
         self.names = names
-        self.vals = vals
         self.ty = ty
-
-    @property
-    def reach(self) -> tuple:
-        r = self._reach
-        if r is None:
-            r = self._reach = _reach(self.vals)
-        return r
 
 
 class FixPartial(_Intensional):
-    __slots__ = ("inst", "args")
+    """Its code is ``inst``; ``held`` holds the arguments applied so far."""
 
-    def __init__(self, inst: "_FixInstance", args: tuple):
-        self._reach = self.key_table = None
+    __slots__ = ("inst",)
+
+    def __init__(self, inst: "_FixInstance", held: tuple):
+        self._reach = None
+        self.held = held
         self.inst = inst
-        self.args = args
 
     @property
     def ty(self) -> SimpleType:
-        return arrow(self.inst.param_tys[len(self.args):], PROP)
-
-    @property
-    def reach(self) -> tuple:
-        r = self._reach
-        if r is None:
-            inst = self.inst
-            r = self._reach = _reach(self.args, (inst, *inst.env_reach))
-        return r
+        return arrow(self.inst.param_tys[len(self.held):], PROP)
 
 
 SemValue = Union[bool, int, Table, Closure, FixPartial]
@@ -222,31 +221,16 @@ def value_leq(ty: SimpleType, a, b) -> bool:
     return all(value_leq(ty.ret, x, y) for x, y in zip(a.entries, b.entries))
 
 
-class _Enumeration:
-    """The values of one type over one window, in enumeration order, and
-    their positions, indexed on first use."""
-
-    __slots__ = ("values", "_index")
-
-    def __init__(self, values: list):
-        self.values = values
-        self._index = None
-
-    @property
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.values)}
-        return self._index
-
-
 @functools.lru_cache(maxsize=_ENUM_CACHE_SIZE)
-def _enumeration(ty: SimpleType, lo: int, hi: int) -> Optional[_Enumeration]:
-    """The cached enumeration of ``ty`` over ``lo..hi``; None when it is too
-    big, so that the refusal is cached and evicted with the rest."""
+def _enumeration(ty: SimpleType, lo: int, hi: int) -> Optional[tuple[list, dict]]:
+    """The cached values of ``ty`` over ``lo..hi``, in enumeration order,
+    and the position of each; None when they are too many, so that the
+    refusal is cached and evicted with the rest."""
     try:
-        return _Enumeration(_enumerate(ty, Domain(lo, hi)))
+        values = _enumerate(ty, Domain(lo, hi))
     except IterationCap:
         return None
+    return values, {v: i for i, v in enumerate(values)}
 
 
 def enumerate_type(ty: SimpleType, dom: Domain) -> list:
@@ -256,14 +240,14 @@ def enumerate_type(ty: SimpleType, dom: Domain) -> list:
     e = _enumeration(ty, dom.lo, dom.hi)
     if e is None:
         raise IterationCap("enumeration")
-    return e.values
+    return e[0]
 
 
 def enum_index(ty: SimpleType, dom: Domain) -> dict:
     e = _enumeration(ty, dom.lo, dom.hi)
     if e is None:
         raise IterationCap("enumeration")
-    return e.index
+    return e[1]
 
 
 def _enumerate(ty: SimpleType, dom: Domain) -> list:
@@ -356,8 +340,8 @@ class _EvalContext:
     def facts_of(self, f: Union[Abs, Mu, Nu], env: dict) -> tuple:
         """Work out and record the static facts of ``f`` the first time
         evaluation reaches it: for an ``Abs`` the sorted names its closures
-        capture and their type, for a ``Mu``/``Nu`` whether it is recursive
-        and the sorted names its instance is keyed by."""
+        hold and their type, for a ``Mu``/``Nu`` whether it is recursive
+        and the sorted names its instance holds."""
         if f.ty is None:
             raise ValueError("evaluator needs typed binders; run typecheck")
         free = free_vars(f.body)
@@ -387,37 +371,35 @@ class _EvalContext:
 
     # -- canonical keys -------------------------------------------------------
 
-    def force_table(self, v, ty: Optional[SimpleType] = None) -> Table:
-        """Extensional table of a closure or partial application.  An
-        entry whose computation escapes the window is recorded as
-        ``_ESC``."""
-        if v.key_table is not None:
-            return v.key_table
-        # values are rebuilt on every body evaluation: cache by content (a
-        # closure's captured names are fixed by its body)
-        if isinstance(v, Closure):
-            cache_key = (id(v.body), *map(self.config_key, v.vals))
-        else:
-            cache_key = (id(v.inst), *map(self.config_key, v.args))
-        t = self.forced_partials.get(cache_key)
+    def key(self, v) -> tuple:
+        """A function value's key: its code, then the keys of the values it
+        holds.  A closure's code is its body and parameter, not its lambda
+        node, which rewrites rebuild around a shared body."""
+        code = (id(v.body), v.param) if isinstance(v, Closure) else (id(v.inst),)
+        return (*code, *map(self.config_key, v.held))
+
+    def force_table(self, v) -> Table:
+        """Extensional table of a closure or partial application, cached
+        under its key.  An entry whose computation escapes the window is
+        recorded as ``_ESC``."""
+        key = self.key(v)
+        t = self.forced_partials.get(key)
         if t is None:
-            ty = ty if ty is not None else v.ty
+            ty = v.ty
             assert isinstance(ty, Arrow), f"cannot force {ty}"
             entries = []
             for a in enumerate_type(ty.arg, self.dom):
                 try:
-                    entries.append(self.config_key(apply_value(self, v, a), ty.ret))
+                    entries.append(self.config_key(apply_value(self, v, a)))
                 except RangeEscape:
                     entries.append(_ESC)
-            t = intern_table(ty, self.dom, tuple(entries))
-            self.forced_partials[cache_key] = t
-        v.key_table = t
+            t = self.forced_partials[key] = intern_table(ty, self.dom, tuple(entries))
         return t
 
-    def config_key(self, v, ty: Optional[SimpleType] = None):
+    def config_key(self, v):
         """Identity of a value for fixpoint tables and memo keys.  Values
-        not touching an in-flight fixpoint are forced extensionally; the
-        rest are keyed by their syntax and environment."""
+        not touching an in-flight fixpoint are keyed by their forced table;
+        the rest by ``key``."""
         if isinstance(v, bool):
             return v
         if isinstance(v, int):
@@ -427,15 +409,8 @@ class _EvalContext:
         # an in-flight key depends on which instances are mid-solve right
         # now, so it is rebuilt on every call and never cached
         if any(i.mid_solve for i in v.reach):
-            if isinstance(v, Closure):
-                return (
-                    "clo",
-                    id(v.body),
-                    tuple(zip(v.names, map(self.config_key, v.vals))),
-                )
-            assert isinstance(v, FixPartial)
-            return ("fixp", id(v.inst), tuple(self.config_key(a) for a in v.args))
-        return self.force_table(v, ty)
+            return self.key(v)
+        return self.force_table(v)
 
     def stamp(self, values, skip=None) -> tuple:
         """The versions of the in-flight instances ``values`` reach, other
@@ -448,12 +423,13 @@ class _EvalContext:
         return tuple(sorted(vers)) if vers else ()
 
     def instance(self, node, names: tuple, env: dict) -> "_FixInstance":
-        """The one instance of ``node`` keyed by ``env`` at ``names``.  When
-        an in-flight instance its environment reaches has moved on, it
+        """The one instance of ``node`` holding ``env`` at ``names``, keyed
+        as a value is: its node, then the keys of what it holds.  When an
+        in-flight instance its environment reaches has moved on, it
         restarts in place; mid-solve, it answers with its current iterate
         and the enclosing solve's next pass restarts it."""
         env = {n: env[n] for n in names}
-        key = (id(node), tuple((n, self.config_key(env[n])) for n in names))
+        key = (id(node), *map(self.config_key, env.values()))
         stamp = self.stamp(env.values())
         inst = self.instances.get(key)
         if inst is None:
@@ -533,7 +509,7 @@ class _FixInstance:
     def full_query(self, values: tuple) -> bool:
         ctx = self.ctx
         try:
-            key = tuple(map(ctx.config_key, values, self.param_tys))
+            key = tuple(map(ctx.config_key, values))
         except RangeEscape:
             if self.sign == "mu":
                 # descending out of the window: a least fixpoint bottoms out
@@ -601,16 +577,16 @@ def apply_value(ctx: _EvalContext, f, a):
     if not ctx.dom.strict and isinstance(a, int) and not isinstance(a, bool):
         a = ctx.clip_int(a)
     if isinstance(f, Closure):
-        env = dict(zip(f.names, f.vals))
+        env = dict(zip(f.names, f.held))
         env[f.param] = a
         return eval_formula(ctx, f.body, env)
     if isinstance(f, FixPartial):
-        args = f.args + (a,)
-        if len(args) == f.inst.arity:
-            return f.inst.full_query(args)
-        return FixPartial(f.inst, args)
+        held = f.held + (a,)
+        if len(held) == f.inst.arity:
+            return f.inst.full_query(held)
+        return FixPartial(f.inst, held)
     if isinstance(f, Table):
-        idx = table_index(ctx.dom, f.arg_ty, ctx.config_key(a, f.arg_ty))
+        idx = table_index(ctx.dom, f.arg_ty, ctx.config_key(a))
         if idx is None:
             raise RangeEscape("argument outside the enumerated universe")
         entry = f.entries[idx]

@@ -189,9 +189,9 @@ def _hes(text: str):
 def test_non_recursive_instances_keep_nothing():
     # a non-recursive fixpoint is its body: Succ, Pred and Call make no
     # instance and are applied as lambdas, so only All and F are instances.
-    # Every forced table is the key table of a closure those instances were
-    # queried with, and each entry is the closure's direct application,
-    # escaped where that escapes.
+    # Every forced table is the one cached under the key of a closure those
+    # instances were queried with, and each entry is the closure's direct
+    # application, escaped where that escapes.
     f = _hes(SUCC_PRED)
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
         ctx = make_context(dom)
@@ -205,9 +205,10 @@ def test_non_recursive_instances_keep_nothing():
             id(v): v for i in insts for values in i.argvals.values()
             for v in values if isinstance(v, Closure)
         }
-        assert forced and {id(v.key_table) for v in closures.values()} == forced
-        for v in closures.values():
-            t = v.key_table
+        # nothing is in flight now, so each key finds its forced table
+        tables = [(v, ctx.forced_partials[ctx.key(v)]) for v in closures.values()]
+        assert forced and {id(t) for _, t in tables} == forced
+        for v, t in tables:
             for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
                 try:
                     direct = apply_value(ctx, v, a)
@@ -220,8 +221,8 @@ def test_non_recursive_instances_keep_nothing():
 def test_forced_key_table_of_a_partial_is_direct_evaluation():
     # Succ applied to \k. k 4 is a closure.  A non-recursive G keys
     # nothing, so no instance is made and no table is forced.  A recursive
-    # G keys its closure argument by the closure's key table, whose entries
-    # are its direct applications, escaped where they escape: in strict
+    # G keys its closure argument by the table forced under the closure's
+    # key, whose entries are its direct applications, escaped where they escape: in strict
     # mode, applied to a table the closure reads it at 5, outside the
     # window, where the query with \y. y >= 1 itself gave True.
     program = r"""
@@ -242,7 +243,7 @@ Succ x k =v x (\y. k (y + 1));
     ((key, (p,)),) = g.argvals.items()
     assert isinstance(p, Closure)
     (t,) = key
-    assert t is p.key_table
+    assert t is ctx.forced_partials[ctx.key(p)]
     for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
         try:
             direct = apply_value(ctx, p, a)
@@ -260,6 +261,22 @@ Main =v Succ (\k. k 4) (\y. y >= 5) /\ Succ (\k. k 4) (\y. y >= 6);
 Succ x k =v x (\y. k (y + 1));
 """)
     assert check_validity_bounded(f, Domain(0, 4)) is BoundedResult.INVALID
+
+
+def test_lambdas_sharing_a_body_do_not_share_a_table():
+    # \x. x >= y and \y. x >= y share one body object but bind different
+    # parameters, so with the other variable at 3 one is x >= 3 and the
+    # other 3 >= y.  Both hold only the value 3: a table cached by body and
+    # held values alone was shared, and the disjunction read False though
+    # its second disjunct alone is True.
+    B = Ge(IntVar("x"), IntVar("y"))
+    P = Arrow(INT, PROP)
+    R = Nu("R", Arrow(P, PROP), Abs("p", P, And(AppInt(Var("p"), Lit(0)), App(Var("R"), Var("p")))))
+    first = AppInt(Abs("y", INT, App(R, Abs("x", INT, B))), Lit(3))
+    second = AppInt(Abs("x", INT, App(R, Abs("y", INT, B))), Lit(3))
+    assert evaluate(second, Domain(0, 4)) is True
+    assert evaluate(Or(first, second), Domain(0, 4)) is True
+    assert evaluate(Or(second, first), Domain(0, 4)) is True
 
 
 def test_fixpoint_argument_of_a_non_recursive_fixpoint_is_not_forced():
