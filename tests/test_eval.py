@@ -222,9 +222,9 @@ def test_forced_key_table_of_a_partial_is_direct_evaluation():
     # Succ applied to \k. k 4 is a closure.  A non-recursive G keys
     # nothing, so no instance is made and no table is forced.  A recursive
     # G keys its closure argument by the table forced under the closure's
-    # key, whose entries are its direct applications, escaped where they escape: in strict
-    # mode, applied to a table the closure reads it at 5, outside the
-    # window, where the query with \y. y >= 1 itself gave True.
+    # key, whose entries are its direct applications, escaped where they
+    # escape: in strict mode, applied to a table the closure reads it at 5,
+    # outside the window, where the query with \y. y >= 1 itself gave True.
     program = r"""
 Main =v (\s. s (\k. k 4) (\y. y >= 1) /\ G (s (\k. k 4))) Succ;
 G p =v p (\y. y >= 1){};
