@@ -101,15 +101,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     # "--domain -6..6": argparse reads a leading dash as a new flag, so
-    # join the value onto the option
-    argv = list(argv)
-    for i, a in enumerate(argv[:-1]):
-        if a == "--domain" and argv[i + 1].startswith("-"):
-            argv[i : i + 2] = [f"--domain={argv[i + 1]}"]
-            break
+    # join each such value onto its option; the last one given still wins
+    joined: list[str] = []
+    for a in argv:
+        if joined and joined[-1] == "--domain" and a.startswith("-"):
+            joined[-1] = f"--domain={a}"
+        else:
+            joined.append(a)
     ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = ap.parse_args(joined)
     except SystemExit as e:
         return _USAGE_EXIT if e.code not in (0, None) else 0
     try:

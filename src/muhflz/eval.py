@@ -31,23 +31,24 @@ to know about a node is worked out the first time it reaches the node and
 kept on the context (``_EvalContext.facts_of``).  A function value is
 code plus the values it holds, and ``_EvalContext.key`` keys it by both.
 The context caches each forced table under that key, in
-``forced_partials``; an escaping entry is ``_ESC``.
+``forced_partials``; an escaping entry is ``_ESC``.  A table is a plain
+value, equal to any table with the same argument type and entries, and the
+context enumerates each type at most once.  Nothing outlives an evaluation:
+this module keeps no state of its own.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 import weakref
 from enum import Enum
 from typing import Optional, Union
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, INT, IntAbs,
-    IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP, PropType,
-    Node, SimpleType, Times, Var, arg_types, arrow, free_vars, set_field,
+    Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, IntAbs,
+    IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PropType,
+    Node, SimpleType, Times, Var, arg_types, free_vars, set_field,
 )
-from .typecheck import TypeCheckError, formula_type
 
 
 class RangeEscape(Exception):
@@ -102,26 +103,32 @@ _ESC = _Esc()
 
 
 class Table:
-    """Canonical, extensional function value: one entry per element of the
-    enumerated argument type, in enumeration order.  Interned, so equality
-    is identity."""
+    """Extensional function value: its argument type and one entry per
+    value of that type, in enumeration order.  A plain value: two tables
+    are equal when both parts are.  The result type is left out, as every
+    place that compares tables compares values of one static type."""
 
-    __slots__ = ("ty", "arg_ty", "entries", "_hash", "__weakref__")
+    __slots__ = ("arg_ty", "entries", "_hash")
 
-    def __init__(self, ty: Arrow, entries: tuple):
-        self.ty = ty
-        self.arg_ty = ty.arg
+    def __init__(self, arg_ty: SimpleType, entries: tuple):
+        self.arg_ty = arg_ty
         self.entries = entries
-        self._hash = hash((id(ty), entries))
+        self._hash = hash((arg_ty, entries))
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return self is other
+        if other.__class__ is not Table:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.entries == other.entries
+            and self.arg_ty == other.arg_ty
+        )
 
     def __repr__(self):
-        return f"Table({self.ty}, {self.entries!r})"
+        return f"Table({self.arg_ty}, {self.entries!r})"
 
 
 def _reach(values, base: tuple = ()) -> tuple:
@@ -158,17 +165,17 @@ class Closure(_Intensional):
     """Its code is ``param`` and ``body``.  ``names`` are the free
     variables of ``body`` other than ``param``, sorted, shared by every
     closure of one abstraction; ``held`` holds their values in that
-    order."""
+    order.  ``arg_ty`` is the type of ``param``, all its table needs."""
 
-    __slots__ = ("param", "body", "names", "ty")
+    __slots__ = ("param", "arg_ty", "body", "names")
 
-    def __init__(self, param, body, names: tuple, held: tuple, ty):
+    def __init__(self, param, arg_ty, body, names: tuple, held: tuple):
         self._reach = None
         self.held = held
         self.param = param
+        self.arg_ty = arg_ty
         self.body = body
         self.names = names
-        self.ty = ty
 
 
 class FixPartial(_Intensional):
@@ -182,33 +189,18 @@ class FixPartial(_Intensional):
         self.inst = inst
 
     @property
-    def ty(self) -> SimpleType:
-        return arrow(self.inst.param_tys[len(self.held):], PROP)
+    def arg_ty(self) -> SimpleType:
+        return self.inst.param_tys[len(self.held)]
 
 
 SemValue = Union[bool, int, Table, Closure, FixPartial]
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of types over a window (shared across evaluations)
-
-# held weakly: a table no live value refers to can never be looked up by
-# identity again, so a long-lived process keeps only the tables in use
-_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Enumeration of types over a window
 
 _ENUM_LIMIT = 1 << 15
 _ENUM_ARG_LIMIT = 600
-# (type, window) pairs whose enumeration is kept, least recently used out
-_ENUM_CACHE_SIZE = 32
-
-
-def intern_table(ty: Arrow, dom: Domain, entries: tuple) -> Table:
-    key = (ty, dom.lo, dom.hi, entries)
-    t = _INTERN.get(key)
-    if t is None:
-        t = Table(ty, entries)
-        _INTERN[key] = t
-    return t
 
 
 def value_leq(ty: SimpleType, a, b) -> bool:
@@ -221,45 +213,16 @@ def value_leq(ty: SimpleType, a, b) -> bool:
     return all(value_leq(ty.ret, x, y) for x, y in zip(a.entries, b.entries))
 
 
-@functools.lru_cache(maxsize=_ENUM_CACHE_SIZE)
-def _enumeration(ty: SimpleType, lo: int, hi: int) -> Optional[tuple[list, dict]]:
-    """The cached values of ``ty`` over ``lo..hi``, in enumeration order,
-    and the position of each; None when they are too many, so that the
-    refusal is cached and evicted with the rest."""
-    try:
-        values = _enumerate(ty, Domain(lo, hi))
-    except IterationCap:
-        return None
-    return values, {v: i for i, v in enumerate(values)}
-
-
-def enumerate_type(ty: SimpleType, dom: Domain) -> list:
-    """All semantic values of ``ty`` over the window; function types are
-    restricted to monotone tables (all maps are monotone when the argument
-    order is discrete)."""
-    e = _enumeration(ty, dom.lo, dom.hi)
-    if e is None:
-        raise IterationCap("enumeration")
-    return e[0]
-
-
-def enum_index(ty: SimpleType, dom: Domain) -> dict:
-    e = _enumeration(ty, dom.lo, dom.hi)
-    if e is None:
-        raise IterationCap("enumeration")
-    return e[1]
-
-
-def _enumerate(ty: SimpleType, dom: Domain) -> list:
+def _enumerate(ctx: "_EvalContext", ty: SimpleType) -> list:
     if isinstance(ty, IntType):
-        return list(dom.values())
+        return list(ctx.dom.values())
     if isinstance(ty, PropType):
         return [False, True]
     assert isinstance(ty, Arrow)
-    args = enumerate_type(ty.arg, dom)
+    args = ctx.enumeration(ty.arg)[0]
     if len(args) > _ENUM_ARG_LIMIT:
         raise IterationCap("enumeration")
-    rets = enumerate_type(ty.ret, dom)
+    rets = ctx.enumeration(ty.ret)[0]
     if isinstance(ty.arg, IntType) and len(rets) ** len(args) > _ENUM_LIMIT:
         # discrete argument order: the count is exact, fail fast
         raise IterationCap("enumeration")
@@ -279,7 +242,7 @@ def _enumerate(ty: SimpleType, dom: Domain) -> list:
         if len(out) > _ENUM_LIMIT:
             raise IterationCap("enumeration")
         if i == n:
-            out.append(intern_table(ty, dom, tuple(entries)))
+            out.append(Table(ty.arg, tuple(entries)))
             return
         for r in rets:
             ok = all(
@@ -296,16 +259,6 @@ def _enumerate(ty: SimpleType, dom: Domain) -> list:
 
     assign(0)
     return out
-
-
-def table_index(dom: Domain, arg_ty: SimpleType, k) -> Optional[int]:
-    """The position of the canonical key ``k`` in a table over ``arg_ty``;
-    None for a function key outside the enumerated universe."""
-    if isinstance(k, bool):
-        return 1 if k else 0
-    if isinstance(k, int):
-        return k - dom.lo
-    return enum_index(arg_ty, dom).get(k)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +278,9 @@ class _EvalContext:
         self.deadline = deadline
         self.instances: dict = {}
         self.forced_partials: dict = {}
+        # per type, its values and their positions (``enumeration``), or
+        # None where there are too many
+        self.enumerations: dict = {}
         # per node, what evaluation needs beyond its fields (``facts_of``);
         # keyed by id(), as the formulas evaluated here outlive the context
         self.facts: dict[int, tuple] = {}
@@ -337,28 +293,40 @@ class _EvalContext:
             if time.monotonic() > self.deadline:
                 raise IterationCap("deadline")
 
-    def facts_of(self, f: Union[Abs, Mu, Nu], env: dict) -> tuple:
+    def facts_of(self, f: Union[Abs, Mu, Nu]) -> tuple:
         """Work out and record the static facts of ``f`` the first time
-        evaluation reaches it: for an ``Abs`` the sorted names its closures
-        hold and their type, for a ``Mu``/``Nu`` whether it is recursive
-        and the sorted names its instance holds."""
+        evaluation reaches it: for an ``Abs`` a 1-tuple of the sorted names
+        its closures hold, for a ``Mu``/``Nu`` whether it is recursive and
+        the sorted names its instance holds.  Never empty, so a cached
+        entry is truthy."""
         if f.ty is None:
             raise ValueError("evaluator needs typed binders; run typecheck")
         free = free_vars(f.body)
         if isinstance(f, Abs):
-            names = tuple(sorted(free - {f.param}))
-            tys = {}
-            for n in names:
-                v = env[n]
-                tys[n] = PROP if isinstance(v, bool) else INT if isinstance(v, int) else v.ty
-            try:
-                got = (names, formula_type(f, tys))
-            except TypeCheckError as e:
-                raise ValueError(f"evaluator needs typed binders: {e}") from None
+            got = (tuple(sorted(free - {f.param})),)
         else:
             got = (f.name in free, tuple(sorted(free - {f.name})))
         self.facts[id(f)] = got
         return got
+
+    def enumeration(self, ty: SimpleType) -> tuple[list, dict]:
+        """All semantic values of ``ty`` over the window, in enumeration
+        order, and the position of each, worked out once per context.
+        Function types are restricted to monotone tables (all maps are
+        monotone when the argument order is discrete).  Raises
+        IterationCap when they are too many, and remembers that too."""
+        try:
+            e = self.enumerations[ty]
+        except KeyError:
+            try:
+                values = _enumerate(self, ty)
+                e = values, {v: i for i, v in enumerate(values)}
+            except IterationCap:
+                e = None
+            self.enumerations[ty] = e
+        if e is None:
+            raise IterationCap("enumeration")
+        return e
 
     # -- window crossings ----------------------------------------------------
 
@@ -385,15 +353,13 @@ class _EvalContext:
         key = self.key(v)
         t = self.forced_partials.get(key)
         if t is None:
-            ty = v.ty
-            assert isinstance(ty, Arrow), f"cannot force {ty}"
             entries = []
-            for a in enumerate_type(ty.arg, self.dom):
+            for a in self.enumeration(v.arg_ty)[0]:
                 try:
                     entries.append(self.config_key(apply_value(self, v, a)))
                 except RangeEscape:
                     entries.append(_ESC)
-            t = self.forced_partials[key] = intern_table(ty, self.dom, tuple(entries))
+            t = self.forced_partials[key] = Table(v.arg_ty, tuple(entries))
         return t
 
     def config_key(self, v):
@@ -586,7 +552,8 @@ def apply_value(ctx: _EvalContext, f, a):
             return f.inst.full_query(held)
         return FixPartial(f.inst, held)
     if isinstance(f, Table):
-        idx = table_index(ctx.dom, f.arg_ty, ctx.config_key(a))
+        # None for a function outside the enumerated universe
+        idx = ctx.enumeration(f.arg_ty)[1].get(ctx.config_key(a))
         if idx is None:
             raise RangeEscape("argument outside the enumerated universe")
         entry = f.entries[idx]
@@ -642,9 +609,9 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
                 if eval_formula(ctx, body, env2) is True:
                     return True
             return False
-        case Abs(param, _, body):
-            names, ty = ctx.facts.get(id(f)) or ctx.facts_of(f, env)
-            return Closure(param, body, names, tuple([env[n] for n in names]), ty)
+        case Abs(param, ty, body):
+            (names,) = ctx.facts.get(id(f)) or ctx.facts_of(f)
+            return Closure(param, ty, body, names, tuple([env[n] for n in names]))
         case App(fn, arg):
             fv = eval_formula(ctx, fn, env)
             av = eval_formula(ctx, arg, env)
@@ -653,7 +620,7 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
             fv = eval_formula(ctx, fn, env)
             return apply_value(ctx, fv, eval_int(ctx, arg, env))
         case Mu(_, _, body) | Nu(_, _, body):
-            recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f, env)
+            recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f)
             if not recursive:
                 # the fixpoint is its body
                 return eval_formula(ctx, body, env)
@@ -688,7 +655,7 @@ def evaluate(
     deadline: Optional[float] = None,
 ) -> SemValue:
     """Denotation of the closed formula ``f`` over the window.  Prop
-    results are bools, Int results ints, predicate results canonical
+    results are bools, Int results ints, predicate results
     ``Table``s.  Raises RangeEscape where a predicate's table has an entry
     that left the window."""
 

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import muhflz.cli
 from conftest import FIXTURES
 from muhflz.backend import Builtin, External
 from muhflz.cli import _build_parser, _checked_backend, run
+from muhflz.eval import Domain
 
 
 def _run(*args, capsys=None):
@@ -177,6 +179,24 @@ def test_bad_domain_exits_3(domain, capsys):
     assert code == 3
     assert "Traceback" not in err
     assert "error: argument --domain" in err
+
+
+def test_repeated_domain_last_one_wins(monkeypatch, capsys):
+    # each dash-leading --domain value is joined onto its own option, so a
+    # repeated --domain keeps argparse's rule: the last one given wins
+    seen = []
+    checked = muhflz.cli._checked_backend
+
+    def spy(ns):
+        seen.append(ns.domain)
+        return checked(ns)
+
+    monkeypatch.setattr(muhflz.cli, "_checked_backend", spy)
+    path = str(FIXTURES / "countdown.hes")
+    assert run(["prove", path, "--domain", "-6..6", "--domain", "-5..5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "valid"
+    assert run(["prove", path, "--domain", "-6..6", "--domain=0..4", "--domain", "-4..4"]) == 0
+    assert seen == [Domain(-5, 5), Domain(-4, 4)]
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,9 +1,7 @@
 import gc
-import weakref
 
 import pytest
 
-import muhflz.eval
 from conftest import FIXTURES, fixture_text, tracked_fix_instances
 from gen import instances
 from muhflz.backend import BackendVerdict, Builtin, lower
@@ -13,7 +11,7 @@ from muhflz.driver import (
     emit_report, prepare, report_from_json, verify,
 )
 from muhflz.eval import (
-    _INTERN, BoundedResult, Domain, IterationCap, check_validity_bounded,
+    BoundedResult, Domain, IterationCap, Table, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
 from muhflz.syntax import Exists, Forall, Mu, Sign, subformulas
@@ -192,33 +190,30 @@ def test_same_tags_reused_across_steps():
         assert outcomes[-1] == "valid"  # the winning step ends the run
 
 
-def test_intern_returns_to_baseline_after_verify(monkeypatch):
-    # interned tables are held weakly and a finished evaluation is freed by
-    # reference counting, so the tables only a verify made are gone as soon
-    # as it returns, with the cyclic collector off
-    made = []
-    intern = muhflz.eval.intern_table
+def test_no_table_outlives_verify(monkeypatch):
+    # a finished evaluation is freed by reference counting and nothing
+    # else keeps a table, so the tables a verify makes are gone as soon as
+    # it returns, with the cyclic collector off
+    made = 0
+    init = Table.__init__
 
-    def recording(*args):
-        t = intern(*args)
-        if id(t) not in existing:
-            made.append(weakref.ref(t))
-        return t
+    def counting(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
 
-    monkeypatch.setattr(muhflz.eval, "intern_table", recording)
+    monkeypatch.setattr(Table, "__init__", counting)
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
     spec = Builtin(Domain(-6, 6))
     gc.collect()
-    baseline = len(_INTERN)
-    existing = {id(t) for t in _INTERN.values()}
+    before = sum(1 for o in gc.get_objects() if type(o) is Table)
     gc.disable()
     try:
         for _ in range(2):
-            made.clear()
+            made = 0
             assert verify(h, spec, default_schedule(8), deadline_s=60).outcome == "valid"
-            assert made, "the verify must intern tables of its own"
-            assert all(r() is None for r in made)
-            assert len(_INTERN) == baseline
+            assert made, "the verify must make tables of its own"
+            assert sum(1 for o in gc.get_objects() if type(o) is Table) == before
     finally:
         gc.enable()
 

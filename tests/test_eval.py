@@ -1,34 +1,35 @@
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SUCC_PRED, tracked_fix_instances
 from gen import instances, random_instance
+import muhflz.eval
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
-    BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table,
-    _ENUM_CACHE_SIZE, _ESC, _enumeration, apply_value,
-    check_validity_bounded, enum_index, enumerate_type, eval_formula,
-    evaluate, make_context, value_leq,
+    BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table, _ESC,
+    apply_value, check_validity_bounded, eval_formula, evaluate,
+    make_context, value_leq,
 )
 from muhflz.syntax import (
     Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
-    Nu, Or, Plus, PROP, Var,
+    Nu, Or, Plus, PROP, SimpleType, Var,
 )
 from muhflz.parser import parse_hes
 from muhflz.transform import dualize
 from muhflz.typecheck import typecheck
 
 
-def is_monotone_table(t: Table, dom: Domain) -> bool:
-    ty = t.ty
-    args = enumerate_type(ty.arg, dom)
+def is_monotone_table(t: Table, ret: SimpleType, dom: Domain) -> bool:
+    # a table carries its argument type only, so the result type is given
+    args = make_context(dom).enumeration(t.arg_ty)[0]
     n = len(args)
     for i in range(n):
         for j in range(n):
-            if value_leq(ty.arg, args[i], args[j]) and not value_leq(
-                ty.ret, t.entries[i], t.entries[j]
+            if value_leq(t.arg_ty, args[i], args[j]) and not value_leq(
+                ret, t.entries[i], t.entries[j]
             ):
                 return False
     return True
@@ -115,11 +116,12 @@ def test_mu_descent_out_of_window_is_false():
 
 def test_monotone_enumeration():
     dom = Domain(-2, 2)
-    tables = enumerate_type(Arrow(PROP, PROP), dom)
+    ctx = make_context(dom)
+    tables = ctx.enumeration(Arrow(PROP, PROP))[0]
     assert len(tables) == 3  # (F,F), (F,T), (T,T) but never (T,F)
     for t in tables:
-        assert is_monotone_table(t, dom)
-    ints = enumerate_type(Arrow(INT, PROP), dom)
+        assert is_monotone_table(t, PROP, dom)
+    ints = ctx.enumeration(Arrow(INT, PROP))[0]
     assert len(ints) == 2 ** 5  # discrete argument: all maps are monotone
 
 
@@ -146,7 +148,7 @@ def test_function_results_pass_monotonicity_check():
     )
     v = evaluate(fn, dom=dom)
     assert isinstance(v, Table)
-    assert is_monotone_table(v, dom)
+    assert is_monotone_table(v, PROP, dom)
 
 
 def test_kleene_result_is_a_fixpoint():
@@ -189,9 +191,9 @@ def _hes(text: str):
 def test_non_recursive_instances_keep_nothing():
     # a non-recursive fixpoint is its body: Succ, Pred and Call make no
     # instance and are applied as lambdas, so only All and F are instances.
-    # Every forced table is the one cached under the key of a closure those
-    # instances were queried with, and each entry is the closure's direct
-    # application, escaped where that escapes.
+    # Every forced table equals the one cached under the key of a closure
+    # those instances were queried with, and each entry is the closure's
+    # direct application, escaped where that escapes.
     f = _hes(SUCC_PRED)
     for dom in (Domain(0, 4), Domain(0, 4, strict=False)):
         ctx = make_context(dom)
@@ -200,21 +202,21 @@ def test_non_recursive_instances_keep_nothing():
         assert sorted((i.name.rsplit("_", 1)[0], i.sign) for i in insts) == [
             ("All", "nu"), ("F", "mu"),
         ]
-        forced = {id(t) for t in ctx.forced_partials.values()}
+        forced = set(ctx.forced_partials.values())
         closures = {
             id(v): v for i in insts for values in i.argvals.values()
             for v in values if isinstance(v, Closure)
         }
         # nothing is in flight now, so each key finds its forced table
         tables = [(v, ctx.forced_partials[ctx.key(v)]) for v in closures.values()]
-        assert forced and {id(t) for _, t in tables} == forced
+        assert forced and {t for _, t in tables} == forced
         for v, t in tables:
-            for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
+            for a, entry in zip(ctx.enumeration(t.arg_ty)[0], t.entries):
                 try:
                     direct = apply_value(ctx, v, a)
                 except RangeEscape:
                     direct = _ESC
-                assert entry is direct
+                assert entry == direct
                 assert dom.strict or entry is not _ESC
 
 
@@ -244,7 +246,7 @@ Succ x k =v x (\y. k (y + 1));
     assert isinstance(p, Closure)
     (t,) = key
     assert t is ctx.forced_partials[ctx.key(p)]
-    for a, entry in zip(enumerate_type(t.arg_ty, dom), t.entries):
+    for a, entry in zip(ctx.enumeration(t.arg_ty)[0], t.entries):
         try:
             direct = apply_value(ctx, p, a)
         except RangeEscape:
@@ -343,25 +345,61 @@ def test_gen492_is_decided(seed, want):
     assert got is want
 
 
-def test_enumeration_cache_is_bounded():
-    # a long-lived process that evaluates on ever new windows keeps at most
-    # _ENUM_CACHE_SIZE enumerations
-    f = Abs("y", INT, Ge(IntVar("y"), Lit(0)))
-    for k in range(1, _ENUM_CACHE_SIZE + 9):
-        assert isinstance(evaluate(f, dom=Domain(-k, k)), Table)
-    assert _enumeration.cache_info().currsize == _ENUM_CACHE_SIZE
+def test_one_context_enumerates_each_type_once(monkeypatch):
+    # an evaluation enumerates a type once, however many tables it forces
+    # or indexes over it, equal types built apart included, and remembers
+    # a refusal of a type with too many values too
+    enumerated = []
+    enumerate_ = muhflz.eval._enumerate
+
+    def recording(ctx, ty):
+        enumerated.append(ty)
+        return enumerate_(ctx, ty)
+
+    monkeypatch.setattr(muhflz.eval, "_enumerate", recording)
+    ctx = make_context(Domain(-2, 2))
+    at_n = [Abs("p", Arrow(INT, PROP), AppInt(Var("p"), Lit(n))) for n in (0, 1)]
+    at = [ctx.force_table(eval_formula(ctx, f, {})) for f in at_n]
+    ge0 = eval_formula(ctx, Abs("y", INT, Ge(IntVar("y"), Lit(0))), {})
+    assert [apply_value(ctx, t, ge0) for t in at] == [True, True]
+    assert sorted(map(str, enumerated)) == ["int", "int -> prop", "prop"]
+
+    enumerated.clear()
+    ctx = make_context(Domain(-8, 8))
+    for _ in range(2):
+        with pytest.raises(IterationCap, match="enumeration"):
+            ctx.enumeration(Arrow(INT, PROP))
+    assert sorted(map(str, enumerated)) == ["int", "int -> prop", "prop"]
 
 
-def test_enumeration_is_reused_across_solves():
-    # repeated solves on one window enumerate a type once
-    dom = Domain(-2, 2)
+def test_nothing_is_kept_at_module_level():
+    # an evaluation leaves the module as it found it, and the module holds
+    # no cache or table of its own to keep anything in
+    f = Abs("p", Arrow(INT, PROP), AppInt(Var("p"), Lit(0)))
+    before = dict(vars(muhflz.eval))
+    assert isinstance(evaluate(f, dom=Domain(-2, 2)), Table)
+    assert vars(muhflz.eval) == before
+    for name, v in before.items():
+        if not name.startswith("__"):
+            assert not isinstance(v, (dict, list, set, weakref.WeakValueDictionary)), name
+            assert not hasattr(v, "cache_info"), name
+
+
+def test_a_forced_table_is_found_among_the_enumerated():
+    # \y. y >= 0, forced, is a table of its own, equal to one of the
+    # enumerated tables of int -> prop but not that object.  Indexing a
+    # table over int -> prop finds it by equality, so the forced table can
+    # be an argument; were tables equal only by identity, it would be
+    # outside the enumerated universe and escape.
     pred = Arrow(INT, PROP)
-    fn = Abs("p", pred, Or(AppInt(Var("p"), Lit(0)), AppInt(Var("p"), Lit(1))))
-    assert isinstance(evaluate(fn, dom=dom), Table)
-    values, index = enumerate_type(pred, dom), enum_index(pred, dom)
-    assert isinstance(evaluate(fn, dom=dom), Table)
-    assert enumerate_type(pred, dom) is values
-    assert enum_index(pred, dom) is index
+    ctx = make_context(Domain(-2, 2))
+    t = ctx.force_table(eval_formula(ctx, Abs("y", INT, Ge(IntVar("y"), Lit(0))), {}))
+    assert t.entries == (False, False, True, True, True)
+    values, index = ctx.enumeration(pred)
+    assert t in index
+    assert values[index[t]] == t and values[index[t]] is not t
+    at0 = ctx.force_table(eval_formula(ctx, Abs("p", pred, AppInt(Var("p"), Lit(0))), {}))
+    assert apply_value(ctx, at0, t) is True
 
 
 def test_context_freed_when_evaluation_ends(eval_contexts):

@@ -67,3 +67,14 @@ def test_an_unused_import_is_found():
         ("y", 1, True), ("z", 2, False),
     ]
 
+
+def test_eval_imports_only_syntax():
+    # the evaluator works on typed formulas alone: of the package it reads
+    # only the syntax, so nothing it does depends on the type checker
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "eval.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "muhflz"))} == {".syntax"}
