@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-import muhflz.cli
 from conftest import FIXTURES
 from muhflz.backend import Builtin, External
 from muhflz.cli import _build_parser, _checked_backend, run
@@ -185,13 +184,12 @@ def test_repeated_domain_last_one_wins(monkeypatch, capsys):
     # each dash-leading --domain value is joined onto its own option, so a
     # repeated --domain keeps argparse's rule: the last one given wins
     seen = []
-    checked = muhflz.cli._checked_backend
 
     def spy(ns):
         seen.append(ns.domain)
-        return checked(ns)
+        return _checked_backend(ns)
 
-    monkeypatch.setattr(muhflz.cli, "_checked_backend", spy)
+    monkeypatch.setattr("muhflz.cli._checked_backend", spy)
     path = str(FIXTURES / "countdown.hes")
     assert run(["prove", path, "--domain", "-6..6", "--domain", "-5..5"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "valid"
