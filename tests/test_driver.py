@@ -37,6 +37,20 @@ def test_schedule_doubles_every_two_and_alternates():
     assert s[9].counters == 2
 
 
+def test_schedule_first_sixteen_rows():
+    # --max-iterations reaches past the rows the tests above spell out
+    assert default_schedule(16) == tuple(ApproxParams(*row) for row in (
+        (1, 2, 1, 1, 1), (1, 2, 1, 1, 2),
+        (1, 16, 1, 1, 1), (1, 16, 1, 1, 2),
+        (2, 32, 2, 2, 1), (2, 32, 2, 2, 2),
+        (4, 64, 4, 4, 1), (4, 64, 4, 4, 2),
+        (8, 128, 8, 8, 1), (8, 128, 8, 8, 2),
+        (16, 256, 16, 16, 1), (16, 256, 16, 16, 2),
+        (32, 512, 32, 32, 1), (32, 512, 32, 32, 2),
+        (64, 1024, 64, 64, 1), (64, 1024, 64, 64, 2),
+    ))
+
+
 def _verify(name, lo, hi, **kw):
     h = typecheck(parse_hes(fixture_text(name)))
     return verify(h, Builtin(Domain(lo, hi)), default_schedule(8), deadline_s=60, **kw)
