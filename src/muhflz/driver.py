@@ -31,27 +31,17 @@ from .typecheck import typecheck
 
 
 def default_schedule(max_iterations: int) -> tuple[ApproxParams, ...]:
-    """The standard parameter schedule, one row per iteration: an explicit
-    four-row prefix, then all four coefficients double every two
-    iterations while the counter count keeps alternating between 1 and 2."""
+    """The standard parameter schedule, one row per iteration.  Row ``i``
+    (from 0) is ``ApproxParams(c, d, c, c, 1 + i % 2)`` with
+    ``c = 2 ** max(i // 2 - 1, 0)`` and ``d`` 2 for the first two rows,
+    else ``16 * c``: the counter count alternates between 1 and 2, and
+    from the fifth row on all four coefficients double every two rows."""
     if max_iterations < 1:
         raise ValueError("need at least one iteration")
     steps = []
-    prefix = [
-        ApproxParams(1, 2, 1, 1, 1),
-        ApproxParams(1, 2, 1, 1, 2),
-        ApproxParams(1, 16, 1, 1, 1),
-        ApproxParams(1, 16, 1, 1, 2),
-    ]
-    steps.extend(prefix[:max_iterations])
-    i = len(steps)
-    while len(steps) < max_iterations:
-        pair = (i - 4) // 2 + 1  # how many doublings past the prefix
-        scale = 2 ** pair
-        steps.append(
-            ApproxParams(scale, 16 * scale, scale, scale, 1 if i % 2 == 0 else 2)
-        )
-        i += 1
+    for i in range(max_iterations):
+        c = 2 ** max(i // 2 - 1, 0)
+        steps.append(ApproxParams(c, 2 if i < 2 else 16 * c, c, c, 1 + i % 2))
     return tuple(steps)
 
 
@@ -199,23 +189,8 @@ def emit_report(r: VerdictReport, format: str = "text") -> str:
     if format == "json":
         import json
 
-        return json.dumps(
-            {
-                "outcome": r.outcome,
-                "winning_side": r.winning_side,
-                "iterations": [
-                    {
-                        "side": it.side,
-                        "params": _as_dict(it.params),
-                        "verdict": _as_dict(it.verdict),
-                    }
-                    for it in r.iterations
-                ],
-                "total_elapsed_s": r.total_elapsed_s,
-                "reason": r.reason,
-            },
-            indent=2,
-        )
+        # json asks _as_dict for each record, so slot order is key order
+        return json.dumps(r, default=_as_dict, indent=2)
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     lines = [r.outcome]

@@ -40,7 +40,6 @@ this module keeps no state of its own.
 from __future__ import annotations
 
 import time
-import weakref
 from enum import Enum
 from typing import Optional, Union
 
@@ -399,7 +398,7 @@ class _EvalContext:
         stamp = self.stamp(env.values())
         inst = self.instances.get(key)
         if inst is None:
-            inst = self.instances[key] = _FixInstance(self, node, env, stamp)
+            inst = self.instances[key] = _FixInstance(node, env, stamp)
         elif inst.stamp != stamp and not inst.mid_solve:
             inst.restart(stamp)
         return inst
@@ -424,18 +423,18 @@ class _FixInstance:
     recomputed.
 
     Nothing an instance holds leads back to it or to its context: the
-    context is held weakly and ``env_reach`` leaves the instance out, so a
-    finished evaluation is freed by reference counting once ``evaluate``
-    has cleared the argument tuples (which may capture the instance)."""
+    context is passed to each method that evaluates, and ``env_reach``
+    leaves the instance out, so a finished evaluation is freed by
+    reference counting once ``evaluate`` has cleared the argument tuples
+    (which may capture the instance)."""
 
     __slots__ = (
-        "_ctx", "env", "sign", "name", "body", "param_tys", "arity",
+        "env", "sign", "name", "body", "param_tys", "arity",
         "asg", "argvals", "stamps", "stamp", "version", "mid_solve",
         "_env_reach",
     )
 
-    def __init__(self, ctx: _EvalContext, node, env: dict, stamp: tuple):
-        self._ctx = weakref.ref(ctx)
+    def __init__(self, node, env: dict, stamp: tuple):
         self.env = env
         self.sign = "mu" if isinstance(node, Mu) else "nu"
         self.name = node.name
@@ -459,10 +458,6 @@ class _FixInstance:
         self.stamp = stamp
 
     @property
-    def ctx(self) -> _EvalContext:
-        return self._ctx()
-
-    @property
     def env_reach(self) -> tuple:
         """The instances this instance's environment reaches.  The
         environment predates the instance, so the instance is not among
@@ -472,8 +467,7 @@ class _FixInstance:
             r = self._env_reach = _reach(self.env.values())
         return r
 
-    def full_query(self, values: tuple) -> bool:
-        ctx = self.ctx
+    def full_query(self, ctx: _EvalContext, values: tuple) -> bool:
         try:
             key = tuple(map(ctx.config_key, values))
         except RangeEscape:
@@ -491,14 +485,13 @@ class _FixInstance:
             self.version += 1
         if self.mid_solve:
             return self.asg[key]
-        self.solve()
+        self.solve(ctx)
         return self.asg[key]
 
-    def eval_entry(self, key) -> bool:
+    def eval_entry(self, ctx: _EvalContext, key) -> bool:
         """The body applied to the arguments of entry ``key``.  The
         recursive occurrence queries through a partial when applied, and a
         nullary occurrence is just the current iterate."""
-        ctx = self.ctx
         self_ref = self.asg[key] if self.arity == 0 else FixPartial(self, ())
         v = eval_formula(ctx, self.body, {**self.env, self.name: self_ref})
         for a in self.argvals[key]:
@@ -506,8 +499,7 @@ class _FixInstance:
         assert isinstance(v, bool)
         return v
 
-    def solve(self):
-        ctx = self.ctx
+    def solve(self, ctx: _EvalContext):
         self.mid_solve = True
         try:
             passes = 0
@@ -521,7 +513,7 @@ class _FixInstance:
                 before = self.version
                 for key in list(self.asg):
                     ctx.tick()
-                    nv = self.eval_entry(key)
+                    nv = self.eval_entry(ctx, key)
                     if nv != self.asg[key]:
                         self.asg[key] = nv
                         self.version += 1
@@ -549,7 +541,7 @@ def apply_value(ctx: _EvalContext, f, a):
     if isinstance(f, FixPartial):
         held = f.held + (a,)
         if len(held) == f.inst.arity:
-            return f.inst.full_query(held)
+            return f.inst.full_query(ctx, held)
         return FixPartial(f.inst, held)
     if isinstance(f, Table):
         # None for a function outside the enumerated universe
@@ -626,7 +618,7 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
                 return eval_formula(ctx, body, env)
             inst = ctx.instance(f, names, env)
             if inst.arity == 0:
-                return inst.full_query(())
+                return inst.full_query(ctx, ())
             return FixPartial(inst, ())
     raise TypeError(f"not a Formula: {f!r}")
 

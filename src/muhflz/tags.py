@@ -111,50 +111,39 @@ class TagDerivation(Node):
 
 
 # ---------------------------------------------------------------------------
-# Inference machinery: union-find cells plus implication edges
-
-
-class _Cell:
-    __slots__ = ("parent", "forced")
-
-    def __init__(self):
-        self.parent: Optional[_Cell] = None
-        self.forced = False
-
-    def find(self) -> "_Cell":
-        c = self
-        while c.parent is not None:
-            c = c.parent
-        # path compression
-        d = self
-        while d.parent is not None:
-            d.parent, d = c, d.parent
-        return c
-
-
-def _union(a: _Cell, b: _Cell):
-    ra, rb = a.find(), b.find()
-    if ra is rb:
-        return
-    rb.parent = ra
-    ra.forced = ra.forced or rb.forced
+# Inference machinery: tag trees that are their own union-find nodes, plus
+# implication edges
 
 
 class _Tree:
-    """Inference-time tagged argument type: int leaf or (cell, params)."""
+    """Inference-time tagged argument type: an int leaf, or a predicate
+    tree with its parameter trees.  A predicate tree is also a union-find
+    node for its outermost tag: ``parent`` links it towards its root, and
+    the root's ``forced`` says whether the tag is T."""
 
-    __slots__ = ("is_int", "cell", "params")
+    __slots__ = ("is_int", "params", "parent", "forced")
 
-    def __init__(self, is_int: bool, cell: Optional[_Cell], params: list):
+    def __init__(self, is_int: bool, params: list):
         self.is_int = is_int
-        self.cell = cell
         self.params = params
+        self.parent: Optional[_Tree] = None
+        self.forced = False
 
     @staticmethod
     def for_type(ty: SimpleType) -> "_Tree":
         if isinstance(ty, IntType):
-            return _Tree(True, None, [])
-        return _Tree(False, _Cell(), [_Tree.for_type(a) for a in arg_types(ty)])
+            return _Tree(True, [])
+        return _Tree(False, [_Tree.for_type(a) for a in arg_types(ty)])
+
+    def find(self) -> "_Tree":
+        r = self
+        while r.parent is not None:
+            r = r.parent
+        # path compression
+        t = self
+        while t.parent is not None:
+            t.parent, t = r, t.parent
+        return r
 
 
 def _unify_arg(a: _Tree, b: _Tree):
@@ -163,7 +152,10 @@ def _unify_arg(a: _Tree, b: _Tree):
         raise TagInferenceError("tag tree shape mismatch")
     if a.is_int:
         return
-    _union(a.cell, b.cell)
+    ra, rb = a.find(), b.find()
+    if ra is not rb:
+        rb.parent = ra
+        ra.forced = ra.forced or rb.forced
     _unify_pred(a.params, b.params)
 
 
@@ -179,15 +171,15 @@ class _Inference:
     def __init__(self):
         self.binder: dict[str, _Tree] = {}
         self.mu_outer: dict[str, list[_Tree]] = {}
-        # (cell, cells-to-force-when-cell-is-T)
-        self.edges: list[tuple[_Cell, list[_Cell]]] = []
+        # (tree, trees-to-force-when-tree-is-T)
+        self.edges: list[tuple[_Tree, list[_Tree]]] = []
 
-    def outer_cells(self, names, env: dict[str, _Tree]) -> list[_Cell]:
+    def outer_preds(self, names, env: dict[str, _Tree]) -> list[_Tree]:
         out = []
         for n in sorted(names):
             t = env.get(n)
             if t is not None and not t.is_int:
-                out.append(t.cell)
+                out.append(t)
         return out
 
     def walk(self, f: Formula, env: dict[str, _Tree]) -> list:
@@ -202,7 +194,7 @@ class _Inference:
             case Ge():
                 return []
             case Forall(v, body) | Exists(v, body):
-                self.walk(body, {**env, v: _Tree(True, None, [])})
+                self.walk(body, {**env, v: _Tree(True, [])})
                 return []
             case Abs(param, pty, body):
                 tree = _Tree.for_type(pty)
@@ -219,7 +211,7 @@ class _Inference:
                     raise TagInferenceError("predicate argument at int position")
                 _unify_pred(pos.params, aview)
                 fv = free_vars(arg)
-                self.edges.append((pos.cell, self.outer_cells(fv, env)))
+                self.edges.append((pos, self.outer_preds(fv, env)))
                 return fview[1:]
             case AppInt(fn, _):
                 fview = self.walk(fn, env)
@@ -243,14 +235,14 @@ class _Inference:
                     if p.is_int:
                         outer.append(p)
                     else:
-                        o = _Tree(False, _Cell(), p.params)
-                        o.cell.forced = True  # applied arguments are free in the body
+                        o = _Tree(False, p.params)
+                        o.forced = True  # applied arguments are free in the body
                         outer.append(o)
                 self.mu_outer[name] = outer
                 # every free predicate variable of the body must carry a
                 # companion so the unfolding budget can mention it
-                for c in self.outer_cells(free_vars(f), env):
-                    c.forced = True
+                for t in self.outer_preds(free_vars(f), env):
+                    t.find().forced = True
                 return outer
         raise TagInferenceError(f"not a formula: {f!r}")
 
@@ -258,8 +250,8 @@ class _Inference:
         changed = True
         while changed:
             changed = False
-            for cell, targets in self.edges:
-                if cell.find().forced:
+            for tree, targets in self.edges:
+                if tree.find().forced:
                     for t in targets:
                         r = t.find()
                         if not r.forced:
@@ -271,7 +263,7 @@ class _Inference:
         if t.is_int:
             return TAG_INT
         params = tuple(self.resolve(p, all_f) for p in t.params)
-        return TagPred(params, not all_f and t.cell.find().forced)
+        return TagPred(params, not all_f and t.find().forced)
 
 
 def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:

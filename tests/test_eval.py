@@ -177,7 +177,7 @@ def test_kleene_result_is_a_fixpoint():
         assert eval_formula(ctx, f, {}) is True
         for inst in ctx.instances.values():
             for key in list(inst.asg):
-                assert inst.eval_entry(key) == inst.asg[key]
+                assert inst.eval_entry(ctx, key) == inst.asg[key]
     (inst,) = ctx.instances.values()
     assert len(inst.asg) > 1
     for key, args in inst.argvals.items():
