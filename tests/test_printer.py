@@ -7,11 +7,11 @@ import pytest
 
 from conftest import FIXTURES, all_fixture_names, fixture_text
 from gen import instances
-from muhflz.parser import parse_hes
+from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import PrintError, print_formula, print_hes
 from muhflz.syntax import (
     Abs, And, App, AppInt, Equation, Ge, Hes, INT, IntAbs, IntVar, Lit, Mu,
-    Or, PROP, Sign, Var,
+    Or, Plus, PROP, Sign, Times, Var,
 )
 
 
@@ -53,6 +53,45 @@ def test_subtraction_resugars():
     # 1 - 1 folds to a literal at parse time; check the general var case
     h2 = parse_hes("Main =v G;\nG =v forall x. F (x - 1);\nF y =v y >= 0;\n")
     assert "x - 1" in print_hes(h2)
+
+
+x, y, z, w = IntVar("x"), IntVar("y"), IntVar("z"), IntVar("w")
+
+# each integer shape the parser builds, with the text it prints as
+INT_SHAPES = [
+    (Plus(Plus(x, y), z), "x + y + z"),
+    (Plus(x, Plus(y, z)), "x + (y + z)"),
+    (Plus(x, Times(Lit(-1), y)), "x - y"),
+    (Plus(Plus(x, Times(Lit(-1), y)), Times(Lit(-1), z)), "x - y - z"),
+    (Plus(x, Times(Lit(-1), Plus(y, Times(Lit(-1), z)))), "x - (y - z)"),
+    (Plus(x, Times(Lit(-1), Times(y, z))), "x - (y * z)"),
+    (Plus(x, Times(Lit(2), y)), "x + 2 * y"),
+    (Times(Times(x, y), z), "x * y * z"),
+    (Times(x, Times(y, z)), "x * (y * z)"),
+    (Times(Plus(x, y), z), "(x + y) * z"),
+    (Times(Lit(2), Plus(x, Lit(-1))), "2 * (x - 1)"),
+    (Times(Lit(-1), x), "-1 * x"),
+    (Lit(-3), "-3"),
+    (Plus(x, Lit(-3)), "x - 3"),
+    (Plus(Lit(-3), x), "-3 + x"),
+    (Times(Lit(-3), x), "-3 * x"),
+    (Times(x, Lit(-3)), "x * (-3)"),
+]
+
+
+@pytest.mark.parametrize("e, text", INT_SHAPES, ids=[t for _, t in INT_SHAPES])
+def test_integer_shape_prints_and_reparses(e, text):
+    # as the left side of a comparison, and as an application argument
+    ge, app = Ge(e, w), AppInt(Var("F"), e)
+    assert print_formula(ge) == f"{text} >= w"
+    assert print_formula(app) == f"F ({text})"
+    assert parse_formula(f"{text} >= w") == ge
+    assert parse_formula(f"F ({text})") == app
+
+
+def test_literal_argument_prints_bare_unless_negative():
+    assert print_formula(AppInt(Var("F"), Lit(3))) == "F 3"
+    assert parse_formula("F 3") == AppInt(Var("F"), Lit(3))
 
 
 # tests/gen.py instances 0..1259: the benchmark's corpus and external seeds

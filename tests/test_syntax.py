@@ -8,8 +8,8 @@ from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
     INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge,
-    IntVar, Lit, Mu, Nu, Or, Var, free_vars, map_children, replace_free,
-    subformulas,
+    IntAbs, IntVar, Lit, Mu, Nu, Or, Plus, Times, Var, free_vars, map_children,
+    rename_int, replace_free, subformulas,
 )
 from muhflz.typecheck import typecheck
 
@@ -245,3 +245,16 @@ def test_replace_free_stops_at_every_binder_that_rebinds_the_name():
     inside = [g for g in subformulas(out) if any(g is b for b in shadowed)]
     assert len(inside) == len(shadowed)
     _check_replaced(f, out, "x", made)
+
+
+def test_rename_int_returns_the_expression_itself_when_nothing_is_renamed():
+    e = Plus(Times(Lit(2), IntVar("x")), IntAbs(Plus(IntVar("y"), Lit(1))))
+    assert rename_int(e, {}) is e
+    assert rename_int(e, {"z": "w"}) is e
+
+
+def test_rename_int_renames_under_int_abs_and_shares_the_rest():
+    e = Plus(Times(Lit(2), IntVar("x")), IntAbs(Plus(IntVar("y"), Lit(1))))
+    out = rename_int(e, {"y": "v"})
+    assert out == Plus(Times(Lit(2), IntVar("x")), IntAbs(Plus(IntVar("v"), Lit(1))))
+    assert out.lhs is e.lhs and out.rhs.arg.rhs is e.rhs.arg.rhs
