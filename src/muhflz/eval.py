@@ -44,9 +44,9 @@ from enum import Enum
 from typing import Optional, Union
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, IntAbs,
-    IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PropType,
-    Node, SimpleType, Times, Var, arg_types, free_vars, set_field,
+    Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, IntExpr,
+    IntType, IntVar, Lit, Mu, Nu, Or, Plus, PropType, Node, SimpleType,
+    Times, Var, arg_types, free_vars, int_nodes, set_field,
 )
 
 
@@ -556,20 +556,22 @@ def apply_value(ctx: _EvalContext, f, a):
 
 
 def eval_int(ctx: _EvalContext, e: IntExpr, env: dict) -> int:
-    match e:
-        case Lit(v):
-            return v
-        case IntVar(name):
-            v = env[name]
+    vals: list[int] = []
+    for n in reversed(int_nodes(e)):
+        t = type(n)
+        if t is Lit:
+            vals.append(n.value)
+        elif t is IntVar:
+            v = env[n.name]
             assert isinstance(v, int)
-            return v
-        case Plus(l, r):
-            return eval_int(ctx, l, env) + eval_int(ctx, r, env)
-        case Times(l, r):
-            return eval_int(ctx, l, env) * eval_int(ctx, r, env)
-        case IntAbs(a):
-            return abs(eval_int(ctx, a, env))
-    raise TypeError(f"not an IntExpr: {e!r}")
+            vals.append(v)
+        elif t is Plus:
+            vals.append(vals.pop() + vals.pop())
+        elif t is Times:
+            vals.append(vals.pop() * vals.pop())
+        else:
+            vals.append(abs(vals.pop()))
+    return vals[0]
 
 
 def eval_formula(ctx: _EvalContext, f: Formula, env: dict):

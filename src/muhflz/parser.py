@@ -34,8 +34,8 @@ from typing import Optional, Union
 
 from .syntax import (
     And, App, AppInt, Equation, Exists, FALSE, Forall, Formula, Hes, IntExpr,
-    IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge, inc_expr,
-    lambdas, set_field,
+    IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge, lambdas,
+    set_field, shift_expr,
 )
 
 
@@ -280,13 +280,13 @@ class _Parser:
         if op == "<=":
             return canon_ge(r, l)
         if op == ">":
-            return canon_ge(l, inc_expr(r))
+            return canon_ge(l, shift_expr(r, 1))
         if op == "<":
-            return canon_ge(r, inc_expr(l))
+            return canon_ge(r, shift_expr(l, 1))
         if op == "=":
             return And(canon_ge(l, r), canon_ge(r, l))
         if op == "!=":
-            return Or(canon_ge(l, inc_expr(r)), canon_ge(r, inc_expr(l)))
+            return Or(canon_ge(l, shift_expr(r, 1)), canon_ge(r, shift_expr(l, 1)))
         raise AssertionError(op)
 
     def sum(self) -> Union[Formula, IntExpr]:

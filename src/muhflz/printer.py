@@ -65,18 +65,22 @@ def _fmt_int(e: IntExpr, ctx: int) -> str:
         return f"({s})" if e.value < 0 and ctx >= _IATOM else s
     if t is IntVar:
         return e.name
-    if t is Plus:
-        l, r = e.lhs, e.rhs
-        if type(r) is Times and type(r.lhs) is Lit and r.lhs.value == -1:
-            s = f"{_fmt_int(l, _PLUS)} - {_fmt_int(r.rhs, _TIMES + 1)}"
-        elif type(r) is Lit and r.value < 0:
-            s = f"{_fmt_int(l, _PLUS)} - {-r.value}"
-        else:
-            s = f"{_fmt_int(l, _PLUS)} + {_fmt_int(r, _TIMES)}"
-        return f"({s})" if ctx > _PLUS else s
-    if t is Times:
-        s = f"{_fmt_int(e.lhs, _TIMES)} * {_fmt_int(e.rhs, _IATOM)}"
-        return f"({s})" if ctx > _TIMES else s
+    if t is Plus or t is Times:
+        # a left operand of the same kind prints bare, so the left spine is
+        # a loop; right operands nest only through parentheses
+        prec, tails = (_PLUS if t is Plus else _TIMES), []
+        while type(e) is t:
+            e, r = e.lhs, e.rhs
+            if t is Times:
+                tails.append(f" * {_fmt_int(r, _IATOM)}")
+            elif type(r) is Times and type(r.lhs) is Lit and r.lhs.value == -1:
+                tails.append(f" - {_fmt_int(r.rhs, _TIMES + 1)}")
+            elif type(r) is Lit and r.value < 0:
+                tails.append(f" - {-r.value}")
+            else:
+                tails.append(f" + {_fmt_int(r, _TIMES)}")
+        s = _fmt_int(e, prec) + "".join(reversed(tails))
+        return f"({s})" if ctx > prec else s
     if t is IntAbs:
         raise PrintError("absolute-value node survived to printing")
     raise PrintError(f"cannot print {e!r}")

@@ -13,12 +13,14 @@ on what is inserted).
 
 ``map_children`` is the one place that knows each node's child formulas
 and the binder that scopes them: a rewrite handles the nodes it cares
-about and hands every other node to it.  Trees are persistent: a node
-whose children all come back unchanged is returned as it is, so a
-rewrite's result shares every subtree it did not change with its input,
-and one object may sit at several positions of a tree (or of several
-trees).  Code that keys anything by ``id()`` of a node therefore keys the
-subtree, not the position.
+about and hands every other node to it.  ``int_nodes`` is to integer
+expressions what ``map_children`` is to formulas: the one place that knows
+an integer node's operands, so each integer walker is a loop over it.
+Trees are persistent: a node whose children all come back unchanged is
+returned as it is, so a rewrite's result shares every subtree it did not
+change with its input, and one object may sit at several positions of a
+tree (or of several trees).  Code that keys anything by ``id()`` of a node
+therefore keys the subtree, not the position.
 
 ``lambdas`` and ``apply_vars`` are the only builders of lambda spines and
 of applications to bound variables.  Eta-expansion is the two together:
@@ -347,17 +349,27 @@ class Hes(Node):
 # Traversal helpers
 
 
+def int_nodes(e: IntExpr) -> list[IntExpr]:
+    """Every node of ``e`` in pre-order, left operand first; read in
+    reverse, each node comes after its operands.  An explicit stack, as in
+    ``subformulas``, so a sum or product of any length needs no recursion."""
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        t = type(e)
+        if t is Plus or t is Times:
+            stack.append(e.rhs)
+            stack.append(e.lhs)
+        elif t is IntAbs:
+            stack.append(e.arg)
+        elif t is not IntVar and t is not Lit:
+            raise TypeError(f"not an IntExpr: {e!r}")
+    return out
+
+
 def int_free_vars(e: IntExpr) -> set[str]:
-    match e:
-        case Lit():
-            return set()
-        case IntVar(name):
-            return {name}
-        case Plus(l, r) | Times(l, r):
-            return int_free_vars(l) | int_free_vars(r)
-        case IntAbs(a):
-            return int_free_vars(a)
-    raise TypeError(f"not an IntExpr: {e!r}")
+    return {n.name for n in int_nodes(e) if type(n) is IntVar}
 
 
 def free_vars(f: Formula) -> set[str]:
@@ -450,13 +462,7 @@ def int_exprs(f: Formula) -> Iterator[IntExpr]:
 
 
 def contains_int_abs(e: IntExpr) -> bool:
-    match e:
-        case IntAbs():
-            return True
-        case Plus(l, r) | Times(l, r):
-            return contains_int_abs(l) or contains_int_abs(r)
-        case _:
-            return False
+    return any(type(n) is IntAbs for n in int_nodes(e))
 
 
 def formula_has_int_abs(f: Formula) -> bool:
@@ -519,19 +525,21 @@ def names_in_hes(h: Hes) -> set[str]:
 def rename_int(e: IntExpr, mapping: dict[str, str]) -> IntExpr:
     """Rename the integer variables of ``e`` by ``mapping``; an expression
     with nothing to rename is returned as it is."""
-    t = type(e)
-    if t is IntVar:
-        new = mapping.get(e.name)
-        return e if new is None else IntVar(new)
-    if t is Plus or t is Times:
-        l, r = rename_int(e.lhs, mapping), rename_int(e.rhs, mapping)
-        return e if l is e.lhs and r is e.rhs else t(l, r)
-    if t is IntAbs:
-        a = rename_int(e.arg, mapping)
-        return e if a is e.arg else IntAbs(a)
-    if t is Lit:
-        return e
-    raise TypeError(f"not an IntExpr: {e!r}")
+    done: list[IntExpr] = []
+    for n in reversed(int_nodes(e)):
+        t = type(n)
+        if t is IntVar:
+            new = mapping.get(n.name)
+            done.append(n if new is None else IntVar(new))
+        elif t is Plus or t is Times:
+            l, r = done.pop(), done.pop()
+            done.append(n if l is n.lhs and r is n.rhs else t(l, r))
+        elif t is IntAbs:
+            a = done.pop()
+            done.append(n if a is n.arg else IntAbs(a))
+        else:
+            done.append(n)
+    return done[0]
 
 
 def replace_free(f: Formula, name: str, make: Callable[[], Formula]) -> Formula:
@@ -661,10 +669,6 @@ def shift_expr(e: IntExpr, k: int) -> IntExpr:
             return a if n + k == 0 else Plus(a, Lit(n + k))
         case _:
             return Plus(e, Lit(k))
-
-
-def inc_expr(e: IntExpr) -> IntExpr:
-    return shift_expr(e, 1)
 
 
 def canon_ge(l: IntExpr, r: IntExpr) -> Ge:

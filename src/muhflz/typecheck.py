@@ -31,9 +31,9 @@ from typing import Optional
 
 from .syntax import (
     Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
-    INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus, PROP,
-    PropType, SimpleType, Times, Var, arg_types, arrow, is_predicate_type,
-    map_children, set_field,
+    INT, IntExpr, IntType, IntVar, Mu, Nu, Or, PROP, PropType, SimpleType,
+    Var, arg_types, arrow, int_nodes, is_predicate_type, map_children,
+    set_field,
 )
 
 
@@ -134,21 +134,16 @@ class _Checker:
         return ty
 
     def check_int(self, e: IntExpr, env: dict[str, SimpleType]) -> None:
-        t = type(e)
-        if t is Lit:
-            return
-        if t is IntVar:
-            ty = env.get(e.name)
-            if ty is None:
-                raise TypeCheckError("T-Var", f"unbound variable {e.name}")
-            self.u.unify(ty, INT, "T-Var", e.name)
-        elif t is Plus or t is Times:
-            self.check_int(e.lhs, env)
-            self.check_int(e.rhs, env)
-        elif t is IntAbs:
-            self.check_int(e.arg, env)
-        else:
-            raise TypeCheckError("T-Int", f"not an integer expression: {e!r}")
+        try:
+            nodes = int_nodes(e)
+        except TypeError as err:
+            raise TypeCheckError("T-Int", str(err)) from None
+        for n in nodes:
+            if type(n) is IntVar:
+                ty = env.get(n.name)
+                if ty is None:
+                    raise TypeCheckError("T-Var", f"unbound variable {n.name}")
+                self.u.unify(ty, INT, "T-Var", n.name)
 
     def infer(self, f: Formula, env: dict[str, SimpleType]) -> SimpleType:
         """The type of ``f`` under ``env``, up to the unifier's current

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import pathlib
 import sys
@@ -92,3 +93,18 @@ def tracked_fix_instances() -> int:
     """Fixpoint instances the collector tracks, garbage not yet collected
     included."""
     return sum(1 for o in gc.get_objects() if type(o) is muhflz.eval._FixInstance)
+
+
+@contextlib.contextmanager
+def shallow_stack(frames: int):
+    """Allow only ``frames`` Python frames above the current stack depth,
+    whatever the interpreter's default recursion limit."""
+    depth, f = 0, sys._getframe()
+    while f is not None:
+        depth, f = depth + 1, f.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

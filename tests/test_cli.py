@@ -9,6 +9,8 @@ from conftest import FIXTURES
 from muhflz.backend import Builtin, External
 from muhflz.cli import _build_parser, _checked_backend, run
 from muhflz.eval import Domain
+from muhflz.parser import parse_hes
+from muhflz.printer import print_hes
 
 
 def _run(*args, capsys=None):
@@ -237,6 +239,32 @@ def test_deep_input_exits_3_without_traceback(tmp_path, body):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip() == f"muhflz: {f}: input nested too deeply"
+
+
+def _flat(op: str, n: int = 1000) -> str:
+    return f" {op} ".join(["x"] * n)
+
+
+STUB = FIXTURES.parent / "perfbench" / "stub_solver.sh"
+
+
+# a sum nests nothing, so its length meets no nesting bound
+@pytest.mark.parametrize("text, flags, code", [
+    (f"{_flat('+')} >= 0;", [], 1),
+    (f"{_flat('-')} >= 0;", [], 1),
+    (f"{_flat('*')} >= 0;", [], 0),
+    (f"F ({_flat('+')});\nF y =v y >= 0 \\/ y < 0;", [], 0),
+    (f"{_flat('-')} >= 0;", ["--emit", "nu"], 0),
+    (f"{_flat('+', 10_000)} >= 0;",
+     ["--backend", f"sh {shlex.quote(str(STUB))}", "--no-quantifiers"], 2),
+], ids=["sum", "difference", "product", "argument", "emit_nu", "sum_10000_external"])
+def test_flat_sum_of_a_thousand_terms_gets_a_verdict(tmp_path, capsys, text, flags, code):
+    path = tmp_path / "flat.hes"
+    path.write_text(f"Main =v forall x. {text}\n")
+    assert run([str(path), *flags]) == code
+    out = capsys.readouterr().out
+    if "--emit" in flags:
+        assert print_hes(parse_hes(out)) == out
 
 
 def test_scaled_companion_with_abs_ends_unknown():

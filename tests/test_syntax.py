@@ -1,15 +1,20 @@
+import functools
+
 import pytest
 
-from conftest import all_fixture_names, fixture_text
+from conftest import all_fixture_names, fixture_text, shallow_stack
 from gen import instances
 from muhflz import syntax
 from muhflz.convert import hes_to_formula
 from muhflz.driver import approximate, default_schedule, prepare
+from muhflz.eval import Domain, evaluate
 from muhflz.parser import parse_hes
+from muhflz.printer import print_formula
 from muhflz.syntax import (
-    INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge,
-    IntAbs, IntVar, Lit, Mu, Nu, Or, Plus, Times, Var, free_vars, map_children,
-    rename_int, replace_free, subformulas,
+    INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, Hes,
+    IntAbs, IntVar, Lit, Mu, Nu, Or, Plus, Times, Var, contains_int_abs,
+    free_vars, int_free_vars, map_children, rename_int, replace_free,
+    subformulas,
 )
 from muhflz.typecheck import typecheck
 
@@ -258,3 +263,18 @@ def test_rename_int_renames_under_int_abs_and_shares_the_rest():
     out = rename_int(e, {"y": "v"})
     assert out == Plus(Times(Lit(2), IntVar("x")), IntAbs(Plus(IntVar("v"), Lit(1))))
     assert out.lhs is e.lhs and out.rhs.arg.rhs is e.rhs.arg.rhs
+
+
+@pytest.mark.parametrize("op, sym, valid", [(Plus, "+", False), (Times, "*", True)],
+                         ids=["sum", "product"])
+def test_integer_walkers_do_not_recurse_along_a_chain(op, sym, valid):
+    e = functools.reduce(op, [IntVar("x")] * 5000)
+    f = Forall("x", Ge(e, Lit(0)))
+    with shallow_stack(100):
+        assert int_free_vars(e) == {"x"}
+        assert not contains_int_abs(e)
+        assert rename_int(e, {}) is e
+        assert int_free_vars(rename_int(e, {"x": "y"})) == {"y"}
+        typecheck(Hes((), f))
+        assert evaluate(f, Domain(-1, 1)) is valid
+        assert print_formula(f) == f"forall x. {f' {sym} '.join(['x'] * 5000)} >= 0"

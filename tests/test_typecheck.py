@@ -23,6 +23,15 @@ def test_fixpoint_variable_and_body_must_agree():
     assert e.value.rule in ("T-Mu", "T-App")
 
 
+def test_formula_in_an_integer_position_is_t_int():
+    # only a programmatic Hes can hold one: the parser demands an integer
+    bad = _hes(Ge(Lit(1), Var("x")))
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(bad)
+    assert e.value.rule == "T-Int"
+    assert "Var(name='x')" in str(e.value)
+
+
 def test_fib_gets_expected_type():
     h = typecheck(parse_hes(fixture_text("fib_termination.hes")))
     eq = h.equation("Fib")
