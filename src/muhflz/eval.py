@@ -569,7 +569,7 @@ def eval_int(ctx: _EvalContext, e: IntExpr, env: dict) -> int:
             vals.append(vals.pop() + vals.pop())
         elif t is Times:
             vals.append(vals.pop() * vals.pop())
-        else:
+        else:  # IntAbs: int_nodes admits no other node
             vals.append(abs(vals.pop()))
     return vals[0]
 

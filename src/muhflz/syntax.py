@@ -537,7 +537,7 @@ def rename_int(e: IntExpr, mapping: dict[str, str]) -> IntExpr:
         elif t is IntAbs:
             a = done.pop()
             done.append(n if a is n.arg else IntAbs(a))
-        else:
+        else:  # Lit
             done.append(n)
     return done[0]
 

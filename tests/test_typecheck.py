@@ -25,7 +25,7 @@ def test_fixpoint_variable_and_body_must_agree():
 
 def test_formula_in_an_integer_position_is_t_int():
     # only a programmatic Hes can hold one: the parser demands an integer
-    bad = _hes(Ge(Lit(1), Var("x")))
+    bad = _hes(Ge(Var("x"), Lit(0)))
     with pytest.raises(TypeCheckError) as e:
         typecheck(bad)
     assert e.value.rule == "T-Int"
