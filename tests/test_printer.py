@@ -7,12 +7,15 @@ import pytest
 
 from conftest import FIXTURES, all_fixture_names, fixture_text
 from gen import instances
+from muhflz.convert import formula_to_hes, hes_to_formula
 from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import PrintError, print_formula, print_hes
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Equation, Ge, Hes, INT, IntAbs, IntVar, Lit, Mu,
-    Or, Plus, PROP, Sign, Times, Var,
+    Abs, And, App, AppInt, Equation, Forall, Ge, Hes, INT, IntAbs, IntVar, Lit,
+    Mu, Or, Plus, PROP, Sign, Times, Var,
 )
+from muhflz.transform import desugar_quantifiers
+from muhflz.typecheck import typecheck
 
 
 def test_deterministic_output():
@@ -92,6 +95,57 @@ def test_integer_shape_prints_and_reparses(e, text):
 def test_literal_argument_prints_bare_unless_negative():
     assert print_formula(AppInt(Var("F"), Lit(3))) == "F 3"
     assert parse_formula("F 3") == AppInt(Var("F"), Lit(3))
+
+
+a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
+x_ge_y, y_ge_x = Ge(x, y), Ge(y, x)
+x_gt_y, y_gt_x = Ge(Plus(x, Lit(-1)), y), Ge(Plus(y, Lit(-1)), x)
+all_x = Forall("x", Ge(x, Lit(0)))
+
+# each junction shape, with the text it prints as
+JUNCTION_SHAPES = [
+    (Or(Or(a, b), c), "a \\/ b \\/ c"),
+    (Or(a, Or(b, c)), "a \\/ (b \\/ c)"),
+    (And(And(a, b), c), "a /\\ b /\\ c"),
+    (And(a, And(b, c)), "a /\\ (b /\\ c)"),
+    (Or(Or(And(a, b), c), d), "a /\\ b \\/ c \\/ d"),
+    (Or(And(a, b), And(c, d)), "a /\\ b \\/ c /\\ d"),
+    (And(And(a, Or(b, c)), d), "a /\\ (b \\/ c) /\\ d"),
+    (And(Or(a, b), Or(c, d)), "(a \\/ b) /\\ (c \\/ d)"),
+    # "=" is a conjunction and "!=" a disjunction of two atoms
+    (And(And(x_ge_y, y_ge_x), a), "x >= y /\\ y >= x /\\ a"),
+    (And(And(a, And(x_ge_y, y_ge_x)), b), "a /\\ (x >= y /\\ y >= x) /\\ b"),
+    (Or(Or(x_gt_y, y_gt_x), a), "x - 1 >= y \\/ y - 1 >= x \\/ a"),
+    (Or(Or(a, Or(x_gt_y, y_gt_x)), b), "a \\/ (x - 1 >= y \\/ y - 1 >= x) \\/ b"),
+    # a binder reaches as far right as it can, so it is parenthesized
+    (Or(Or(all_x, a), b), "(forall x. x >= 0) \\/ a \\/ b"),
+    (Or(Or(a, all_x), b), "a \\/ (forall x. x >= 0) \\/ b"),
+    (And(a, all_x), "a /\\ (forall x. x >= 0)"),
+]
+
+
+@pytest.mark.parametrize("f, text", JUNCTION_SHAPES, ids=[t for _, t in JUNCTION_SHAPES])
+def test_junction_shape_prints_and_reparses(f, text):
+    assert print_formula(f) == text
+    assert parse_formula(text) == f
+
+
+def test_sugar_reads_as_its_junction():
+    assert parse_formula("x = y /\\ a") == And(And(x_ge_y, y_ge_x), a)
+    assert parse_formula("a /\\ x = y /\\ b") == And(And(a, And(x_ge_y, y_ge_x)), b)
+    assert parse_formula("x != y \\/ a") == Or(Or(x_gt_y, y_gt_x), a)
+    assert parse_formula("a \\/ x != y \\/ b") == Or(Or(a, Or(x_gt_y, y_gt_x)), b)
+
+
+def test_desugared_walker_prints_right_nested():
+    h = typecheck(parse_hes("Main =v forall x. exists y. x + y >= 0;\n"))
+    text = print_hes(formula_to_hes(desugar_quantifiers(hes_to_formula(h))))
+    assert text == (
+        "Main =v Q_3 (\\x_8. Q_4 (\\y_2. x_8 + y_2 >= 0));\n"
+        "Q_3 p_3 =v p_3 0 /\\ (Q_3 (\\x_6. p_3 (x_6 - 1)) /\\ Q_3 (\\x_7. p_3 (x_7 + 1)));\n"
+        "Q_4 p_4 =u p_4 0 \\/ (Q_4 (\\x_9. p_4 (x_9 - 1)) \\/ Q_4 (\\x_10. p_4 (x_10 + 1)));\n"
+    )
+    assert print_hes(parse_hes(text)) == text
 
 
 # tests/gen.py instances 0..1259: the benchmark's corpus and external seeds

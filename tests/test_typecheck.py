@@ -94,6 +94,29 @@ def test_typecheck_idempotent():
         assert all(a.body is b.body for a, b in zip(again.equations, h.equations))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Main =v (\\x. x >= 0) /\\ true;\n", "[T-And] left operand: cannot unify 't1 -> prop with prop"),
+        ("Main =v true \\/ true \\/ (\\x. x >= 0);\n", "[T-Or] right operand: cannot unify 't1 -> prop with prop"),
+        # the first two operands are unified only after both are inferred,
+        # each later operand right after it is inferred
+        (
+            "Main =v F (\\y. y >= 0);\nF X =v X /\\ X 1;\n",
+            "[T-And] left operand: cannot unify int -> 't2 with prop",
+        ),
+        (
+            "Main =v F (\\y. y >= 0);\nF X =v X /\\ true /\\ X 1;\n",
+            "[T-AppInt] function position: cannot unify prop with int -> 't2",
+        ),
+    ],
+)
+def test_junction_operands_are_checked_in_order(text, message):
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(parse_hes(text))
+    assert str(e.value) == message
+
+
 def test_binder_types_follow_visiting_order():
     # one unannotated lambda object at two positions with different types
     lam = Abs("g", None, Var("g"))
