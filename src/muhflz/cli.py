@@ -138,8 +138,8 @@ def run(argv: list[str]) -> int:
         print(f"muhflz: {e}", file=sys.stderr)
         return _USAGE_EXIT
 
-    # the parser bounds the nesting it accepts; the typechecker, transforms
-    # and evaluator recurse on the nesting of what it built
+    # the parser bounds nesting, and a chain or sum of any width nests
+    # nothing; the passes recurse on the nesting of what it built
     try:
         return _run_text(ns, spec, mode, path, text)
     except (NestingTooDeep, RecursionError):

@@ -579,14 +579,15 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
     match f:
         case Var(name):
             return env[name]
-        case Or(l, r):
-            if eval_formula(ctx, l, env) is True:
-                return True
-            return eval_formula(ctx, r, env) is True
-        case And(l, r):
-            if eval_formula(ctx, l, env) is False:
-                return False
-            return eval_formula(ctx, r, env) is True
+        case Or(children) | And(children):
+            # a step per link of the binary chain; the first deciding operand ends it
+            for _ in children[2:]:
+                ctx.tick()
+            decides = type(f) is Or
+            for g in children:
+                if (eval_formula(ctx, g, env) is True) is decides:
+                    return decides
+            return not decides
         case Ge(l, r):
             return eval_int(ctx, l, env) >= eval_int(ctx, r, env)
         case Forall(var, body):

@@ -251,17 +251,19 @@ class _Parser:
 
     def disj(self) -> Union[Formula, IntExpr]:
         t = self.peek()
-        f = self.conj()
+        ops = [self.conj()]
         while self.eat_sym("\\/"):
-            f = Or(_formula(t, f), _formula(self.peek(), self.conj()))
-        return f
+            ops[0] = _formula(t, ops[0])
+            ops.append(_formula(self.peek(), self.conj()))
+        return ops[0] if len(ops) == 1 else Or(*ops)
 
     def conj(self) -> Union[Formula, IntExpr]:
         t = self.peek()
-        f = self.atom()
+        ops = [self.atom()]
         while self.eat_sym("/\\"):
-            f = And(_formula(t, f), _formula(self.peek(), self.atom()))
-        return f
+            ops[0] = _formula(t, ops[0])
+            ops.append(_formula(self.peek(), self.atom()))
+        return ops[0] if len(ops) == 1 else And(*ops)
 
     def atom(self) -> Union[Formula, IntExpr]:
         t = self.peek()

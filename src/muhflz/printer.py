@@ -34,12 +34,11 @@ def _fmt_formula(f: Formula, ctx: int) -> str:
     if t is Ge:
         s = f"{_fmt_int(f.lhs, _PLUS)} >= {_fmt_int(f.rhs, _PLUS)}"
         return f"({s})" if ctx > _APP else s
-    if t is Or:
-        s = f"{_fmt_formula(f.lhs, _OR)} \\/ {_fmt_formula(f.rhs, _OR + 1)}"
-        return f"({s})" if ctx > _OR else s
-    if t is And:
-        s = f"{_fmt_formula(f.lhs, _AND)} /\\ {_fmt_formula(f.rhs, _AND + 1)}"
-        return f"({s})" if ctx > _AND else s
+    if t is Or or t is And:
+        level, op = (_OR, " \\/ ") if t is Or else (_AND, " /\\ ")
+        first, *rest = f.children
+        s = op.join([_fmt_formula(first, level), *[_fmt_formula(g, level + 1) for g in rest]])
+        return f"({s})" if ctx > level else s
     if t is Abs:
         s = f"\\{f.param}. {_fmt_formula(f.body, _BINDER)}"
         return f"({s})" if ctx > _BINDER else s

@@ -11,6 +11,10 @@ variable, and it renames nothing: where a binder could capture what it
 inserts, rename first (``alpha_normalize``, or ``alpha_normalize_formula``
 on what is inserted).
 
+A ``\\/`` or ``/\\`` chain of any width is one ``Or`` or ``And`` node with a
+tuple of ``children``: the constructor merges a first operand of the same
+connective, which is the left-nested chain the parser reads.
+
 ``map_children`` is the one place that knows each node's child formulas
 and the binder that scopes them: a rewrite handles the nodes it cares
 about and hands every other node to it.  ``int_nodes`` is to integer
@@ -32,7 +36,7 @@ parameters.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 
@@ -47,7 +51,9 @@ class Node:
     with no generated code: ``__match_args__`` (the fields, in order),
     equality (same class, equal fields), ``hash`` (the hash of the field
     tuple), a ``Class(field=value, ...)`` repr, and guards that raise
-    ``AttributeError`` on assigning or deleting an attribute."""
+    ``AttributeError`` on assigning or deleting an attribute.  ``Or`` and
+    ``And`` take their operands, not their one field ``children``, and
+    merge a first operand of their own class."""
 
     __slots__ = ()
 
@@ -216,20 +222,29 @@ class Var(Formula):
         set_field(self, "name", name)
 
 
-class Or(Formula):
-    __slots__ = ("lhs", "rhs")
+def _junction_init(self, *operands: Formula):
+    """Two or more operands; ``And(And(a, b), c)`` is ``And(a, b, c)``."""
+    if len(operands) < 2:
+        raise TypeError(f"{type(self).__name__} needs two or more operands")
+    if type(operands[0]) is type(self):
+        operands = operands[0].children + operands[1:]
+    set_field(self, "children", operands)
 
-    def __init__(self, lhs: Formula, rhs: Formula):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
+
+def _junction_reduce(self):
+    return self.__class__, self.children
+
+
+class Or(Formula):
+    __slots__ = ("children",)
+    __init__ = _junction_init
+    __reduce__ = _junction_reduce
 
 
 class And(Formula):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
+    __slots__ = ("children",)
+    __init__ = _junction_init
+    __reduce__ = _junction_reduce
 
 
 class Mu(Formula):
@@ -376,8 +391,8 @@ def free_vars(f: Formula) -> set[str]:
     match f:
         case Var(name):
             return {name}
-        case Or(l, r) | And(l, r):
-            return free_vars(l) | free_vars(r)
+        case Or(children) | And(children):
+            return set().union(*map(free_vars, children))
         case Mu(name, _, body) | Nu(name, _, body):
             return free_vars(body) - {name}
         case Abs(param, _, body):
@@ -406,8 +421,8 @@ def map_children(
     what it changed and shares every other subtree with its input."""
     t = type(f)
     if t is Or or t is And:
-        l, r = go(f.lhs, env), go(f.rhs, env)
-        return f if l is f.lhs and r is f.rhs else t(l, r)
+        cs = [go(c, env) for c in f.children]
+        return f if all(map(is_, cs, f.children)) else t(*cs)
     if t is App:
         fn, arg = go(f.fn, env), go(f.arg, env)
         return f if fn is f.fn and arg is f.arg else App(fn, arg)
@@ -436,9 +451,10 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         g = stack.pop()
         yield g
         match g:
-            case Or(l, r) | And(l, r) | App(l, r):
-                stack.append(r)
-                stack.append(l)
+            case Or(children) | And(children):
+                stack.extend(reversed(children))
+            case App(l, r):
+                stack.extend((r, l))
             case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
                 stack.append(body)
             case AppInt(fn, _):

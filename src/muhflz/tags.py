@@ -187,9 +187,9 @@ class _Inference:
         match f:
             case Var(name):
                 return env[name].params
-            case Or(l, r) | And(l, r):
-                self.walk(l, env)
-                self.walk(r, env)
+            case Or(children) | And(children):
+                for g in children:
+                    self.walk(g, env)
                 return []
             case Ge():
                 return []

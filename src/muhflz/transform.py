@@ -80,10 +80,10 @@ def dualize(f: Formula) -> Formula:
     complemented.  An involution on the canonical atoms produced by the
     parser and the transformation pipeline; always a semantic complement."""
     match f:
-        case Or(l, r):
-            return And(dualize(l), dualize(r))
-        case And(l, r):
-            return Or(dualize(l), dualize(r))
+        case Or(children):
+            return And(*map(dualize, children))
+        case And(children):
+            return Or(*map(dualize, children))
         case Ge(l, r):
             return neg_ge(l, r)
         case Mu(n, ty, b):
@@ -510,8 +510,7 @@ def _forall_at_least(names: list[str], e: IntExpr, body: Formula) -> Formula:
     the premise ``u < b`` for each name ``u`` and sign bound ``b`` of ``e``,
     one disjunction under one universal per name."""
     bounds = sign_bounds(e)
-    prem = functools.reduce(Or, [neg_ge(IntVar(u), b) for u in names for b in bounds])
-    out: Formula = Or(prem, body)
+    out: Formula = Or(*[neg_ge(IntVar(u), b) for u in names for b in bounds], body)
     for u in reversed(names):
         out = Forall(u, out)
     return out

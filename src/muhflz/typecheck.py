@@ -176,10 +176,13 @@ class _Checker:
             return retty
         if t is Or or t is And:
             rule = "T-Or" if t is Or else "T-And"
-            lt = self.infer(f.lhs, env)
-            rt = self.infer(f.rhs, env)
+            # as the binary chain: two operands inferred before either is unified
+            first, second, *rest = f.children
+            lt, rt = self.infer(first, env), self.infer(second, env)
             u.unify(lt, PROP, rule, "left operand")
             u.unify(rt, PROP, rule, "right operand")
+            for g in rest:
+                u.unify(self.infer(g, env), PROP, rule, "right operand")
             return PROP
         if t is Ge:
             self.check_int(f.lhs, env)

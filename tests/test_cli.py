@@ -223,11 +223,7 @@ def test_console_script_entry_point():
     assert proc.returncode == 3  # no file given
 
 
-@pytest.mark.parametrize(
-    "body",
-    [" \\/ ".join(["0 >= 1"] * 3000), "(" * 1500 + "0 >= 1" + ")" * 1500],
-    ids=["wide_or", "deep_parens"],
-)
+@pytest.mark.parametrize("body", ["(" * 1500 + "0 >= 1" + ")" * 1500], ids=["deep_parens"])
 def test_deep_input_exits_3_without_traceback(tmp_path, body):
     f = tmp_path / "deep.hes"
     f.write_text(f"Main =v {body};\n")
@@ -265,6 +261,42 @@ def test_flat_sum_of_a_thousand_terms_gets_a_verdict(tmp_path, capsys, text, fla
     out = capsys.readouterr().out
     if "--emit" in flags:
         assert print_hes(parse_hes(out)) == out
+
+
+_OR, _AND = " \\/ ", " /\\ "
+WIDE_OR = "forall x. " + _OR.join([f"x >= {i}" for i in range(1, 3000)] + ["0 >= x"]) + ";"
+WIDE_AND = "forall x. " + _AND.join(f"x + {i} >= 0" for i in range(3000)) + ";"
+MIXED = "forall x. " + _OR.join([f"x >= {i}{_AND}{i} >= x" for i in range(3000)] + ["0 >= x + 1"]) + ";"
+MU_BODY = "forall x. F x;\nF y =u " + _OR.join([f"y + {i} >= 0" for i in range(3000)] + ["F (y + 1)"]) + ";"
+
+
+# a chain of \/ or /\ is one node, so its width meets no nesting bound
+@pytest.mark.parametrize("text, flags, code", [
+    (WIDE_OR, [], 0),
+    (WIDE_AND, [], 1),
+    (MIXED, [], 0),
+    (MU_BODY, [], 0),
+    (MIXED, ["--emit", "nu"], 0),
+    (MIXED, ["--emit", "dual"], 0),
+    (MU_BODY, ["--emit", "tags"], 0),
+    (WIDE_AND, ["--report", "json"], 1),
+    (_OR.join(["0 >= 1"] * 30_000) + ";",
+     ["--backend", f"sh {shlex.quote(str(STUB))}", "--no-quantifiers"], 2),
+], ids=["or", "and", "mixed", "mu_body", "emit_nu", "emit_dual", "emit_tags", "report_json",
+        "or_30000_external"])
+def test_wide_chain_of_three_thousand_gets_a_verdict(tmp_path, capsys, text, flags, code):
+    path = tmp_path / "wide.hes"
+    path.write_text(f"Main =v {text}\n")
+    assert run([str(path), *flags]) == code
+    out = capsys.readouterr().out
+    last = flags[-1] if flags else ""
+    if last in ("nu", "dual"):
+        assert print_hes(parse_hes(out)) == out
+    elif last == "tags":
+        assert json.loads(out)
+    else:
+        verdict = json.loads(out)["outcome"] if last == "json" else out.splitlines()[0]
+        assert verdict == ("valid", "invalid", "unknown")[code]
 
 
 def test_scaled_companion_with_abs_ends_unknown():

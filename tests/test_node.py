@@ -2,7 +2,9 @@
 and fields, the hash of the field tuple, the ``Class(field=value, ...)``
 repr, no assignment or deletion, no ``__dict__``, positional ``match`` and
 keyword construction.  The repr goldens were recorded from the frozen
-dataclasses these classes replaced."""
+dataclasses these classes replaced, but for ``Or`` and ``And``: a junction
+is built from its operands, not its one field, and holds a chain of any
+width as one tuple of children."""
 
 import copy
 import math
@@ -67,6 +69,9 @@ def _node_classes():
     return out - _BASES
 
 
+_JUNCTIONS = (Or, And)
+
+
 def _fields(x):
     return tuple(getattr(x, name) for name in type(x).__match_args__)
 
@@ -99,7 +104,12 @@ def test_fields_are_the_slots_in_order(x):
     cls = type(x)
     assert cls.__match_args__ == cls.__slots__
     annotated = getattr(cls.__init__, "__annotations__", {})  # none: no fields
-    assert list(cls.__match_args__) == [p for p in annotated if p != "return"]
+    params = [p for p in annotated if p != "return"]
+    if cls in _JUNCTIONS:
+        # built from its operands, which it stores as its one field
+        assert params == ["operands"] and cls.__match_args__ == ("children",)
+    else:
+        assert list(cls.__match_args__) == params
     assert not hasattr(x, "__dict__")
     assert _positional(x) == _fields(x)
 
@@ -107,8 +117,12 @@ def test_fields_are_the_slots_in_order(x):
 @pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
 def test_equal_by_class_and_fields_and_hashed_as_the_field_tuple(x):
     cls, fields = type(x), _fields(x)
-    again = cls(*fields)
-    by_keyword = cls(**dict(zip(cls.__match_args__, fields)))
+    if cls in _JUNCTIONS:
+        # built from operands: there is no field to pass by keyword
+        again = by_keyword = cls(*x.children)
+    else:
+        again = cls(*fields)
+        by_keyword = cls(**dict(zip(cls.__match_args__, fields)))
     assert _fields(again) == _fields(by_keyword) == fields
     assert x == x and not x != x
     assert (x == 1) is False
@@ -136,6 +150,19 @@ def test_same_fields_in_another_class_are_not_equal():
     assert Lit(1) != Lit(2) and Var("a") != IntVar("a")
 
 
+@pytest.mark.parametrize("op", _JUNCTIONS, ids=lambda op: op.__name__)
+def test_a_junction_merges_a_first_operand_of_its_own_class(op):
+    a, b, c = Var("a"), Var("b"), Var("c")
+    assert op(op(a, b), c) == op(a, b, c)
+    assert op(op(a, b), c).children == (a, b, c)
+    assert op(a, op(b, c)).children == (a, op(b, c))
+    other = And if op is Or else Or
+    assert op(other(a, b), c).children == (other(a, b), c)
+    for too_few in ((), (a,)):
+        with pytest.raises(TypeError):
+            op(*too_few)
+
+
 @pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
 def test_copy_and_pickle_rebuild_past_the_guards(x):
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
@@ -157,8 +184,8 @@ def test_repr_is_the_dataclass_text():
     f = Mu("X", Arrow(INT, PROP), Abs("x", INT, Or(AppInt(Var("X"), Plus(IntVar("x"), Lit(1))), Ge(IntVar("x"), Lit(0)))))
     assert repr(f) == (
         "Mu(name='X', ty=Arrow(arg=IntType(), ret=PropType()), body=Abs(param='x', "
-        "ty=IntType(), body=Or(lhs=AppInt(fn=Var(name='X'), arg=Plus(lhs=IntVar(name='x'), "
-        "rhs=Lit(value=1))), rhs=Ge(lhs=IntVar(name='x'), rhs=Lit(value=0)))))"
+        "ty=IntType(), body=Or(children=(AppInt(fn=Var(name='X'), arg=Plus(lhs=IntVar(name='x'), "
+        "rhs=Lit(value=1))), Ge(lhs=IntVar(name='x'), rhs=Lit(value=0))))))"
     )
     assert repr(SAMPLES[-1]) == (
         "VerdictReport(outcome='unknown', winning_side='none', iterations=(IterationRecord("

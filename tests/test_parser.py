@@ -109,12 +109,14 @@ def test_quantifier_scopes_extend_right():
     f = parse_formula("forall x. x >= 0 \\/ exists y. y >= x")
     assert isinstance(f, Forall)
     assert isinstance(f.body, Or)
-    assert isinstance(f.body.rhs, Exists)
+    _, last = f.body.children
+    assert isinstance(last, Exists)
 
 
 def test_operator_precedence():
     f = parse_formula("a \\/ b /\\ c")
-    assert isinstance(f, Or) and isinstance(f.rhs, And)
+    assert isinstance(f, Or) and isinstance(f.children[1], And)
+    assert len(f.children) == 2
 
 
 @pytest.mark.parametrize("name", all_fixture_names())

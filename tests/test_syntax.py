@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 
 import pytest
 
@@ -6,16 +8,18 @@ from conftest import all_fixture_names, fixture_text, shallow_stack
 from gen import instances
 from muhflz import syntax
 from muhflz.convert import hes_to_formula
+from muhflz.backend import lower
 from muhflz.driver import approximate, default_schedule, prepare
-from muhflz.eval import Domain, evaluate
+from muhflz.eval import BoundedResult, Domain, check_validity_bounded, evaluate
 from muhflz.parser import parse_hes
-from muhflz.printer import print_formula
+from muhflz.printer import print_formula, print_hes
 from muhflz.syntax import (
     INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, Hes,
     IntAbs, IntVar, Lit, Mu, Nu, Or, Plus, Times, Var, contains_int_abs,
     free_vars, int_free_vars, map_children, rename_int, replace_free,
     subformulas,
 )
+from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
 
@@ -23,9 +27,9 @@ def _preorder(f):
     # the recursive definition subformulas must agree with
     yield f
     match f:
-        case Or(l, r) | And(l, r):
-            yield from _preorder(l)
-            yield from _preorder(r)
+        case Or(children) | And(children):
+            for g in children:
+                yield from _preorder(g)
         case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
             yield from _preorder(body)
         case App(fn, arg):
@@ -70,11 +74,21 @@ def _fields(kind):
 def _sample(kind):
     """A node of ``kind`` whose every formula field holds a distinct
     application, built from the fields so that a new node kind needs no
-    entry here."""
+    entry here.  A junction takes its children as operands."""
+    if kind is Or or kind is And:
+        return kind(App(Var("f0"), Var("a0")), App(Var("f1"), Var("a1")))
     return kind(*(
         App(Var(f"f{i}"), Var(f"a{i}")) if ty == "Formula" else _FIELD_VALUES[ty]
         for i, (_, ty) in enumerate(_fields(kind))
     ))
+
+
+def _formula_fields(f):
+    """The formulas held in the fields of ``f``, in order: a junction's
+    children, or each field of type Formula."""
+    if type(f) is Or or type(f) is And:
+        return list(f.children)
+    return [getattr(f, name) for name, ty in _fields(type(f)) if ty == "Formula"]
 
 
 def _children(f):
@@ -98,9 +112,19 @@ def test_map_children_returns_an_unchanged_node_itself(kind, env):
         return g
 
     assert map_children(f, same, env) is f
-    fields = [getattr(f, name) for name, ty in _fields(kind) if ty == "Formula"]
+    fields = _formula_fields(f)
     assert len(seen) == len(fields)
     assert all(a is b for a, b in zip(seen, fields))
+
+
+def test_map_children_merges_a_first_child_that_becomes_the_same_connective():
+    a, b, c = Var("a"), Var("b"), Var("c")
+    f = Or(a, b, c)
+    g = map_children(f, lambda h, _: Or(h, h) if h is a else h)
+    assert g.children == (a, a, b, c)
+    assert map_children(f, lambda h, _: And(h, h) if h is a else h).children == (And(a, a), b, c)
+    # a later child that becomes one stays a single child
+    assert map_children(f, lambda h, _: Or(h, h) if h is c else h).children == (a, b, Or(c, c))
 
 
 def _rewrite_at(f, n):
@@ -203,9 +227,10 @@ def _check_replaced(before, after, name, made):
         assert after is made.pop(0)
         return
     assert type(after) is type(before)
-    for field, ty in _fields(type(before)):
-        if ty != "Formula":
-            assert getattr(after, field) == getattr(before, field)
+    if type(before) is not Or and type(before) is not And:  # a junction holds only formulas
+        for field, ty in _fields(type(before)):
+            if ty != "Formula":
+                assert getattr(after, field) == getattr(before, field)
     kb, ka = _children(before), _children(after)
     assert len(kb) == len(ka)
     for b, a in zip(kb, ka):
@@ -278,3 +303,27 @@ def test_integer_walkers_do_not_recurse_along_a_chain(op, sym, valid):
         typecheck(Hes((), f))
         assert evaluate(f, Domain(-1, 1)) is valid
         assert print_formula(f) == f"forall x. {f' {sym} '.join(['x'] * 5000)} >= 0"
+
+
+@pytest.mark.parametrize("op, sym, result", [
+    (Or, "\\/", BoundedResult.VALID), (And, "/\\", BoundedResult.INVALID),
+], ids=["or", "and"])
+def test_formula_walkers_do_not_recurse_along_a_chain(op, sym, result):
+    # a least fixpoint whose body is a 5,000-way chain, the last operand its call
+    chain = f" {sym} ".join([f"y >= {-i}" for i in range(4999)] + ["F (y + 1)"])
+    text = f"Main =v forall x. F x;\nF y =u {chain};\n"
+    row = default_schedule(1)[0]
+    with shallow_stack(100):
+        parsed = parse_hes(text)
+        h = typecheck(parsed)
+        body = h.equation("F").body
+        assert type(body) is op and len(body.children) == 5000
+        assert print_hes(h) == text
+        assert dual_hes(dual_hes(h)) == h
+        assert check_validity_bounded(hes_to_formula(h), Domain(-2, 2)) is result
+        for desugar in (False, True):
+            approx = approximate(prepare(h, desugar=desugar), row)
+            printed = print_hes(lower(approx, quantifiers=False))
+            assert print_hes(parse_hes(printed)) == printed
+        for twin, x in ((parse_hes(text), parsed), (copy.deepcopy(h), h), (pickle.loads(pickle.dumps(h)), h)):
+            assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)

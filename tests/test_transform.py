@@ -48,7 +48,8 @@ def test_dualize_swaps_everything():
     f = parse_formula("forall x. x >= 0 /\\ exists y. y >= x")
     d = dualize(f)
     assert isinstance(d, Exists) and isinstance(d.body, Or)
-    assert isinstance(d.body.rhs, Forall)
+    _, last = d.body.children
+    assert isinstance(last, Forall)
 
 
 def test_dual_hes_flips_signs():
@@ -96,7 +97,8 @@ def test_binder_that_rebinds_a_mu_name_ends_its_scope():
     step = AppInt(App(rebind, Var("X")), Plus(IntVar("x"), Lit(-1)))
     f = AppInt(Mu("X", pred, Abs("x", INT, Or(Ge(IntVar("x"), Lit(0)), step))), Lit(3))
     g = eta_expand_mu_partials(f)
-    head, args = spine(g.fn.body.body.rhs)
+    _, last = g.fn.body.body.children
+    head, args = spine(last)
     assert head is rebind
     assert isinstance(args[0], Abs) and args[0].body == AppInt(Var("X"), IntVar(args[0].param))
     assert check_validity_bounded(g, DOM3) == check_validity_bounded(f, DOM3)

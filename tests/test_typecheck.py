@@ -124,8 +124,9 @@ def test_binder_types_follow_visiting_order():
     first = AppInt(App(lam, Var("P1")), Lit(0))
     second = AppInt(AppInt(App(lam, Var("P2")), Lit(0)), Lit(0))
     h = typecheck(Hes(defs, And(first, second)))
-    assert h.entry.lhs.fn.fn.ty == Arrow(INT, PROP)
-    assert h.entry.rhs.fn.fn.fn.ty == Arrow(INT, Arrow(INT, PROP))
+    left, right = h.entry.children
+    assert left.fn.fn.ty == Arrow(INT, PROP)
+    assert right.fn.fn.fn.ty == Arrow(INT, Arrow(INT, PROP))
 
 
 @pytest.mark.parametrize(
