@@ -284,7 +284,7 @@ MU_BODY = "forall x. F x;\nF y =u " + _OR.join([f"y + {i} >= 0" for i in range(3
      ["--backend", f"sh {shlex.quote(str(STUB))}", "--no-quantifiers"], 2),
 ], ids=["or", "and", "mixed", "mu_body", "emit_nu", "emit_dual", "emit_tags", "report_json",
         "or_30000_external"])
-def test_wide_chain_of_three_thousand_gets_a_verdict(tmp_path, capsys, text, flags, code):
+def test_wide_chain_gets_a_verdict(tmp_path, capsys, text, flags, code):
     path = tmp_path / "wide.hes"
     path.write_text(f"Main =v {text}\n")
     assert run([str(path), *flags]) == code

@@ -7,8 +7,8 @@ import pytest
 from conftest import all_fixture_names, fixture_text, shallow_stack
 from gen import instances
 from muhflz import syntax
-from muhflz.convert import hes_to_formula
 from muhflz.backend import lower
+from muhflz.convert import hes_to_formula
 from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.eval import BoundedResult, Domain, check_validity_bounded, evaluate
 from muhflz.parser import parse_hes
