@@ -79,6 +79,8 @@ INT_SHAPES = [
     (Plus(Lit(-3), x), "-3 + x"),
     (Times(Lit(-3), x), "-3 * x"),
     (Times(x, Lit(-3)), "x * (-3)"),
+    # a product that starts with -1 but has three factors is not a "- e"
+    (Plus(y, Times(Times(Lit(-1), x), z)), "y + -1 * x * z"),
 ]
 
 
@@ -146,6 +148,36 @@ def test_desugared_walker_prints_right_nested():
         "Q_4 p_4 =u p_4 0 \\/ (Q_4 (\\x_9. p_4 (x_9 - 1)) \\/ Q_4 (\\x_10. p_4 (x_10 + 1)));\n"
     )
     assert print_hes(parse_hes(text)) == text
+
+
+f, g, F, G = Var("f"), Var("g"), Var("F"), Var("G")
+x_ge_0 = Ge(x, Lit(0))
+
+# each application shape: its source text, what it parses to, and the text
+# that prints as
+APP_SHAPES = [
+    ("f a b", App(App(f, a), b), "f a b"),
+    ("(f a) b", App(App(f, a), b), "f a b"),
+    ("(f a b) c", App(App(App(f, a), b), c), "f a b c"),
+    ("f (g a) b", App(App(f, App(g, a)), b), "f (g a) b"),
+    ("f (a b)", App(f, App(a, b)), "f (a b)"),
+    ("F (x + 1) y", App(AppInt(F, Plus(x, Lit(1))), Var("y")), "F (x + 1) y"),
+    ("F (-3) x", App(AppInt(F, Lit(-3)), Var("x")), "F (-3) x"),
+    ("(\\x. x >= 0) 3", AppInt(Abs("x", None, x_ge_0), Lit(3)), "(\\x. x >= 0) 3"),
+    (
+        "f (\\x. g x) 2",
+        AppInt(App(f, Abs("x", None, App(g, Var("x")))), Lit(2)),
+        "f (\\x. g x) 2",
+    ),
+    ("F x \\/ G y z", Or(App(F, Var("x")), App(App(G, Var("y")), Var("z"))), "F x \\/ G y z"),
+]
+
+
+@pytest.mark.parametrize("source, f, text", APP_SHAPES, ids=[s for s, _, _ in APP_SHAPES])
+def test_application_shape_prints_and_reparses(source, f, text):
+    assert parse_formula(source) == f
+    assert print_formula(f) == text
+    assert parse_formula(text) == f
 
 
 # tests/gen.py instances 0..1259: the benchmark's corpus and external seeds

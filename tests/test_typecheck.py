@@ -117,6 +117,26 @@ def test_junction_operands_are_checked_in_order(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Main =v F 1 F;\nF x p =v p x;\n", "[T-App] argument: cannot unify prop with 't2 -> prop"),
+        (
+            "Main =v X 1 2;\nX y =v y >= 0;\n",
+            "[T-AppInt] function position: cannot unify prop with int -> 't2",
+        ),
+        (
+            "Main =v F (\\y. y >= 0);\nF X =v X 1 /\\ X true;\n",
+            "[T-App] argument: cannot unify int with prop",
+        ),
+    ],
+)
+def test_application_arguments_are_checked_in_order(text, message):
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(parse_hes(text))
+    assert str(e.value) == message
+
+
 def test_binder_types_follow_visiting_order():
     # one unannotated lambda object at two positions with different types
     lam = Abs("g", None, Var("g"))
