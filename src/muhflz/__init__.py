@@ -7,7 +7,7 @@ built-in bounded-domain evaluator or an external solver.
 """
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Equation, Exists, FALSE, Forall, Formula,
+    Abs, And, App, Arrow, Equation, Exists, FALSE, Forall, Formula,
     Ge, Hes, INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus,
     PROP, PropType, Sign, SimpleType, Times, TRUE, Var, alpha_normalize,
 )

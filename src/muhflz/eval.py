@@ -44,7 +44,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, IntExpr,
+    Abs, And, App, Arrow, Exists, Forall, Formula, Ge, IntExpr,
     IntType, IntVar, Lit, Mu, Nu, Or, Plus, PropType, Node, SimpleType,
     Times, Var, arg_types, free_vars, int_nodes, set_field,
 )
@@ -566,9 +566,15 @@ def eval_int(ctx: _EvalContext, e: IntExpr, env: dict) -> int:
             assert isinstance(v, int)
             vals.append(v)
         elif t is Plus:
-            vals.append(vals.pop() + vals.pop())
+            s = 0
+            for _ in n.children:
+                s += vals.pop()
+            vals.append(s)
         elif t is Times:
-            vals.append(vals.pop() * vals.pop())
+            s = 1
+            for _ in n.children:
+                s *= vals.pop()
+            vals.append(s)
         else:  # IntAbs: int_nodes admits no other node
             vals.append(abs(vals.pop()))
     return vals[0]
@@ -607,13 +613,15 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
         case Abs(param, ty, body):
             (names,) = ctx.facts.get(id(f)) or ctx.facts_of(f)
             return Closure(param, ty, body, names, tuple([env[n] for n in names]))
-        case App(fn, arg):
-            fv = eval_formula(ctx, fn, env)
-            av = eval_formula(ctx, arg, env)
-            return apply_value(ctx, fv, av)
-        case AppInt(fn, arg):
-            fv = eval_formula(ctx, fn, env)
-            return apply_value(ctx, fv, eval_int(ctx, arg, env))
+        case App(head, args):
+            # a step per link of the binary spine
+            for _ in args[1:]:
+                ctx.tick()
+            v = eval_formula(ctx, head, env)
+            for a in args:
+                av = eval_int(ctx, a, env) if isinstance(a, IntExpr) else eval_formula(ctx, a, env)
+                v = apply_value(ctx, v, av)
+            return v
         case Mu(_, _, body) | Nu(_, _, body):
             recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f)
             if not recursive:

@@ -33,7 +33,7 @@ import re
 from typing import Optional, Union
 
 from .syntax import (
-    And, App, AppInt, Equation, Exists, FALSE, Forall, Formula, Hes, IntExpr,
+    And, App, Equation, Exists, FALSE, Forall, Formula, Hes, IntExpr,
     IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge, lambdas,
     set_field, shift_expr,
 )
@@ -293,32 +293,41 @@ class _Parser:
 
     def sum(self) -> Union[Formula, IntExpr]:
         t = self.peek()
-        e = self.product()
+        terms = [self.product()]
         while (op := self.peek()).kind == "sym" and op.text in ("+", "-"):
-            e = _integer(t, e)
+            terms[0] = _integer(t, terms[0])
             self.next()
             r = _integer(self.peek(), self.product())
             if op.text == "-":
                 # e1 - e2 is e1 + (-1)*e2; a literal subtrahend folds
                 r = Lit(-r.value) if isinstance(r, Lit) else Times(Lit(-1), r)
-            e = _plus(e, r)
-        return e
+            if type(terms[0]) is not Plus:
+                terms[0] = _plus(terms[0], r)
+            elif not (isinstance(r, Lit) and r.value == 0):
+                # as _plus, on a sum that is built once at the end
+                terms.append(r)
+        return terms[0] if len(terms) == 1 else Plus(*terms)
 
     def product(self) -> Union[Formula, IntExpr]:
         t = self.peek()
-        e = self.application()
+        factors = [self.application()]
         while self.eat_sym("*"):
-            e = _times(_integer(t, e), _integer(self.peek(), self.application()))
-        return e
+            factors[0] = _integer(t, factors[0])
+            r = _integer(self.peek(), self.application())
+            if type(factors[0]) is not Times:
+                factors[0] = _times(factors[0], r)
+            else:
+                factors.append(r)
+        return factors[0] if len(factors) == 1 else Times(*factors)
 
     def application(self) -> Union[Formula, IntExpr]:
         t = self.peek()
         head = self.primary()
+        args = []
         while self.peek().kind in _ARGUMENT_START or self.at_sym("("):
             head = _formula(t, head)
-            arg = self.primary()
-            head = AppInt(head, arg) if isinstance(arg, IntExpr) else App(head, arg)
-        return head
+            args.append(self.primary())
+        return App(head, *args) if args else head
 
     def primary(self) -> Union[Formula, IntExpr]:
         t = self.peek()

@@ -8,7 +8,7 @@ are refused -- they must never reach a backend or a file.
 from __future__ import annotations
 
 from .syntax import (
-    Abs, And, App, AppInt, Exists, Forall, Formula, Ge, Hes, IntAbs, IntExpr,
+    Abs, And, App, Exists, Forall, Formula, Ge, Hes, IntAbs, IntExpr,
     IntVar, Lit, Mu, Nu, Or, Plus, Sign, Times, Var,
 )
 
@@ -26,10 +26,9 @@ def _fmt_formula(f: Formula, ctx: int) -> str:
     if t is Var:
         return f.name
     if t is App:
-        s = f"{_fmt_formula(f.fn, _APP)} {_fmt_formula(f.arg, _APP + 1)}"
-        return f"({s})" if ctx > _APP else s
-    if t is AppInt:
-        s = f"{_fmt_formula(f.fn, _APP)} {_fmt_arg(f.arg)}"
+        s = " ".join([_fmt_formula(f.head, _APP), *[
+            _fmt_arg(a) if isinstance(a, IntExpr) else _fmt_formula(a, _APP + 1) for a in f.args
+        ]])
         return f"({s})" if ctx > _APP else s
     if t is Ge:
         s = f"{_fmt_int(f.lhs, _PLUS)} >= {_fmt_int(f.rhs, _PLUS)}"
@@ -65,20 +64,21 @@ def _fmt_int(e: IntExpr, ctx: int) -> str:
     if t is IntVar:
         return e.name
     if t is Plus or t is Times:
-        # a left operand of the same kind prints bare, so the left spine is
-        # a loop; right operands nest only through parentheses
-        prec, tails = (_PLUS if t is Plus else _TIMES), []
-        while type(e) is t:
-            e, r = e.lhs, e.rhs
+        # the first child prints bare; later ones nest only through
+        # parentheses
+        first, *rest = e.children
+        prec = _PLUS if t is Plus else _TIMES
+        parts = [_fmt_int(first, prec)]
+        for r in rest:
             if t is Times:
-                tails.append(f" * {_fmt_int(r, _IATOM)}")
-            elif type(r) is Times and type(r.lhs) is Lit and r.lhs.value == -1:
-                tails.append(f" - {_fmt_int(r.rhs, _TIMES + 1)}")
+                parts.append(f" * {_fmt_int(r, _IATOM)}")
+            elif type(r) is Times and len(r.children) == 2 and r.children[0] == Lit(-1):
+                parts.append(f" - {_fmt_int(r.children[1], _TIMES + 1)}")
             elif type(r) is Lit and r.value < 0:
-                tails.append(f" - {-r.value}")
+                parts.append(f" - {-r.value}")
             else:
-                tails.append(f" + {_fmt_int(r, _TIMES)}")
-        s = _fmt_int(e, prec) + "".join(reversed(tails))
+                parts.append(f" + {_fmt_int(r, _TIMES)}")
+        s = "".join(parts)
         return f"({s})" if ctx > prec else s
     if t is IntAbs:
         raise PrintError("absolute-value node survived to printing")

@@ -11,9 +11,13 @@ variable, and it renames nothing: where a binder could capture what it
 inserts, rename first (``alpha_normalize``, or ``alpha_normalize_formula``
 on what is inserted).
 
-A ``\\/`` or ``/\\`` chain of any width is one ``Or`` or ``And`` node with a
-tuple of ``children``: the constructor merges a first operand of the same
-connective, which is the left-nested chain the parser reads.
+Every associative chain is one node.  A ``\\/`` or ``/\\`` chain is one
+``Or`` or ``And`` and a sum or product one ``Plus`` or ``Times``, each with
+a tuple of ``children``: the constructor merges a first operand of the
+same class, which is the left-nested chain the parser reads.  An
+application spine is one ``App`` of a head to a tuple of ``args``, each a
+formula or an integer expression; a head that is itself an ``App`` is
+merged.
 
 ``map_children`` is the one place that knows each node's child formulas
 and the binder that scopes them: a rewrite handles the nodes it cares
@@ -51,9 +55,10 @@ class Node:
     with no generated code: ``__match_args__`` (the fields, in order),
     equality (same class, equal fields), ``hash`` (the hash of the field
     tuple), a ``Class(field=value, ...)`` repr, and guards that raise
-    ``AttributeError`` on assigning or deleting an attribute.  ``Or`` and
-    ``And`` take their operands, not their one field ``children``, and
-    merge a first operand of their own class."""
+    ``AttributeError`` on assigning or deleting an attribute.  ``Or``,
+    ``And``, ``Plus`` and ``Times`` take their operands, not their one
+    field ``children``, and merge a first operand of their own class;
+    ``App`` takes its head and then its arguments."""
 
     __slots__ = ()
 
@@ -156,6 +161,23 @@ def arrow(args: list[SimpleType], ret: SimpleType) -> SimpleType:
 
 
 # ---------------------------------------------------------------------------
+# Associative chains
+
+
+def _chain_init(self, *operands: Node):
+    """Two or more operands; ``Plus(Plus(a, b), c)`` is ``Plus(a, b, c)``."""
+    if len(operands) < 2:
+        raise TypeError(f"{type(self).__name__} needs two or more operands")
+    if type(operands[0]) is type(self):
+        operands = operands[0].children + operands[1:]
+    set_field(self, "children", operands)
+
+
+def _chain_reduce(self):
+    return self.__class__, self.children
+
+
+# ---------------------------------------------------------------------------
 # Integer expressions
 
 
@@ -180,19 +202,15 @@ class IntVar(IntExpr):
 
 
 class Plus(IntExpr):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: IntExpr, rhs: IntExpr):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
+    __slots__ = ("children",)
+    __init__ = _chain_init
+    __reduce__ = _chain_reduce
 
 
 class Times(IntExpr):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: IntExpr, rhs: IntExpr):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
+    __slots__ = ("children",)
+    __init__ = _chain_init
+    __reduce__ = _chain_reduce
 
 
 class IntAbs(IntExpr):
@@ -222,29 +240,16 @@ class Var(Formula):
         set_field(self, "name", name)
 
 
-def _junction_init(self, *operands: Formula):
-    """Two or more operands; ``And(And(a, b), c)`` is ``And(a, b, c)``."""
-    if len(operands) < 2:
-        raise TypeError(f"{type(self).__name__} needs two or more operands")
-    if type(operands[0]) is type(self):
-        operands = operands[0].children + operands[1:]
-    set_field(self, "children", operands)
-
-
-def _junction_reduce(self):
-    return self.__class__, self.children
-
-
 class Or(Formula):
     __slots__ = ("children",)
-    __init__ = _junction_init
-    __reduce__ = _junction_reduce
+    __init__ = _chain_init
+    __reduce__ = _chain_reduce
 
 
 class And(Formula):
     __slots__ = ("children",)
-    __init__ = _junction_init
-    __reduce__ = _junction_reduce
+    __init__ = _chain_init
+    __reduce__ = _chain_reduce
 
 
 class Mu(Formula):
@@ -275,19 +280,21 @@ class Abs(Formula):
 
 
 class App(Formula):
-    __slots__ = ("fn", "arg")
+    """``head`` applied to one or more arguments, each a formula or an
+    integer expression; ``App(App(f, a), b)`` is ``App(f, a, b)``."""
 
-    def __init__(self, fn: Formula, arg: Formula):
-        set_field(self, "fn", fn)
-        set_field(self, "arg", arg)
+    __slots__ = ("head", "args")
 
+    def __init__(self, head: Formula, *args: Union[Formula, IntExpr]):
+        if not args:
+            raise TypeError("App needs one or more arguments")
+        if type(head) is App:
+            head, args = head.head, head.args + args
+        set_field(self, "head", head)
+        set_field(self, "args", args)
 
-class AppInt(Formula):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: Formula, arg: IntExpr):
-        set_field(self, "fn", fn)
-        set_field(self, "arg", arg)
+    def __reduce__(self):
+        return App, (self.head, *self.args)
 
 
 class Ge(Formula):
@@ -374,8 +381,7 @@ def int_nodes(e: IntExpr) -> list[IntExpr]:
         out.append(e)
         t = type(e)
         if t is Plus or t is Times:
-            stack.append(e.rhs)
-            stack.append(e.lhs)
+            stack.extend(reversed(e.children))
         elif t is IntAbs:
             stack.append(e.arg)
         elif t is not IntVar and t is not Lit:
@@ -397,10 +403,10 @@ def free_vars(f: Formula) -> set[str]:
             return free_vars(body) - {name}
         case Abs(param, _, body):
             return free_vars(body) - {param}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case AppInt(fn, arg):
-            return free_vars(fn) | int_free_vars(arg)
+        case App(head, args):
+            return free_vars(head).union(*[
+                int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a) for a in args
+            ])
         case Ge(l, r):
             return int_free_vars(l) | int_free_vars(r)
         case Forall(var, body) | Exists(var, body):
@@ -424,11 +430,9 @@ def map_children(
         cs = [go(c, env) for c in f.children]
         return f if all(map(is_, cs, f.children)) else t(*cs)
     if t is App:
-        fn, arg = go(f.fn, env), go(f.arg, env)
-        return f if fn is f.fn and arg is f.arg else App(fn, arg)
-    if t is AppInt:
-        fn = go(f.fn, env)
-        return f if fn is f.fn else AppInt(fn, f.arg)
+        head = go(f.head, env)
+        args = [a if isinstance(a, IntExpr) else go(a, env) for a in f.args]
+        return f if head is f.head and all(map(is_, args, f.args)) else App(head, *args)
     if t is Abs:
         body = go(f.body, env if env is None else {**env, f.param: f.ty})
         return f if body is f.body else Abs(f.param, f.ty, body)
@@ -453,12 +457,11 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         match g:
             case Or(children) | And(children):
                 stack.extend(reversed(children))
-            case App(l, r):
-                stack.extend((r, l))
+            case App(head, args):
+                stack.extend([a for a in reversed(args) if not isinstance(a, IntExpr)])
+                stack.append(head)
             case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
                 stack.append(body)
-            case AppInt(fn, _):
-                stack.append(fn)
             case Forall(_, body) | Exists(_, body):
                 stack.append(body)
 
@@ -470,8 +473,8 @@ def contains_mu(f: Formula) -> bool:
 def int_exprs(f: Formula) -> Iterator[IntExpr]:
     for g in subformulas(f):
         match g:
-            case AppInt(_, e):
-                yield e
+            case App(_, args):
+                yield from (a for a in args if isinstance(a, IntExpr))
             case Ge(l, r):
                 yield l
                 yield r
@@ -521,8 +524,10 @@ def names_in_formula(f: Formula) -> set[str]:
                 out.add(param)
             case Forall(var, _) | Exists(var, _):
                 out.add(var)
-            case AppInt(_, e):
-                out.update(int_free_vars(e))
+            case App(_, args):
+                for a in args:
+                    if isinstance(a, IntExpr):
+                        out.update(int_free_vars(a))
             case Ge(l, r):
                 out.update(int_free_vars(l))
                 out.update(int_free_vars(r))
@@ -548,8 +553,8 @@ def rename_int(e: IntExpr, mapping: dict[str, str]) -> IntExpr:
             new = mapping.get(n.name)
             done.append(n if new is None else IntVar(new))
         elif t is Plus or t is Times:
-            l, r = done.pop(), done.pop()
-            done.append(n if l is n.lhs and r is n.rhs else t(l, r))
+            cs = [done.pop() for _ in n.children]
+            done.append(n if all(map(is_, cs, n.children)) else t(*cs))
         elif t is IntAbs:
             a = done.pop()
             done.append(n if a is n.arg else IntAbs(a))
@@ -589,9 +594,10 @@ def alpha_normalize_formula(
         if t is Var:
             new = env.get(f.name)
             return f if new is None else Var(new)
-        if t is AppInt:
-            fn, arg = go(f.fn, env), rename_int(f.arg, env)
-            return f if fn is f.fn and arg is f.arg else AppInt(fn, arg)
+        if t is App:
+            head = go(f.head, env)
+            args = [rename_int(a, env) if isinstance(a, IntExpr) else go(a, env) for a in f.args]
+            return f if head is f.head and all(map(is_, args, f.args)) else App(head, *args)
         if t is Ge:
             l, r = rename_int(f.lhs, env), rename_int(f.rhs, env)
             return f if l is f.lhs and r is f.rhs else Ge(l, r)
@@ -643,10 +649,10 @@ def lambdas(binders: Sequence[tuple[str, Optional[SimpleType]]], body: Formula) 
 
 def apply_vars(head: Formula, binders: Iterable[tuple[str, SimpleType]]) -> Formula:
     """``head`` applied to the variable of each ``(name, type)`` binder in
-    order: an integer variable where the type is Int."""
-    for n, ty in binders:
-        head = AppInt(head, IntVar(n)) if isinstance(ty, IntType) else App(head, Var(n))
-    return head
+    order: an integer variable where the type is Int.  ``head`` itself
+    where there are no binders."""
+    args = [IntVar(n) if isinstance(ty, IntType) else Var(n) for n, ty in binders]
+    return App(head, *args) if args else head
 
 
 def peel(
@@ -674,61 +680,41 @@ def peel(
 # everything the parser and the transformation produce.
 
 
+def _split_lit(e: IntExpr) -> tuple[IntExpr, int]:
+    """``(a, n)`` where ``e`` is a sum ``a + n`` whose last child is the
+    literal ``n``, else ``(e, 0)``."""
+    if type(e) is Plus and type(e.children[-1]) is Lit:
+        *init, last = e.children
+        return (init[0] if len(init) == 1 else Plus(*init)), last.value
+    return e, 0
+
+
 def shift_expr(e: IntExpr, k: int) -> IntExpr:
     """e + k, folding into a trailing literal."""
     if k == 0:
         return e
-    match e:
-        case Lit(n):
-            return Lit(n + k)
-        case Plus(a, Lit(n)):
-            return a if n + k == 0 else Plus(a, Lit(n + k))
-        case _:
-            return Plus(e, Lit(k))
+    if isinstance(e, Lit):
+        return Lit(e.value + k)
+    a, n = _split_lit(e)
+    return a if n + k == 0 else Plus(a, Lit(n + k))
 
 
 def canon_ge(l: IntExpr, r: IntExpr) -> Ge:
     while True:
         if isinstance(l, Lit) and isinstance(r, Lit):
             return TRUE if l.value >= r.value else FALSE
-        match r:
-            case Plus(b, Lit(k)):
-                l, r = shift_expr(l, -k), b
+        b, k = _split_lit(r)
+        if b is not r:
+            l, r = shift_expr(l, -k), b
+            continue
+        if isinstance(r, Lit):
+            a, k = _split_lit(l)
+            if a is not l:
+                l, r = a, Lit(r.value - k)
                 continue
-            case Lit(n):
-                match l:
-                    case Plus(a, Lit(k)):
-                        l, r = a, Lit(n - k)
-                        continue
         return Ge(l, r)
 
 
 def neg_ge(l: IntExpr, r: IntExpr) -> Ge:
     """The complement of l >= r, i.e. r >= l + 1, canonicalized."""
     return canon_ge(r, shift_expr(l, 1))
-
-
-# ---------------------------------------------------------------------------
-# Application spines
-
-
-def spine(f: Formula) -> tuple[Formula, list[Union[Formula, IntExpr]]]:
-    """Decompose nested applications into (head, [args])."""
-    args: list[Union[Formula, IntExpr]] = []
-    while True:
-        match f:
-            case App(fn, arg):
-                args.append(arg)
-                f = fn
-            case AppInt(fn, arg):
-                args.append(arg)
-                f = fn
-            case _:
-                args.reverse()
-                return f, args
-
-
-def apply_spine(head: Formula, args: list[Union[Formula, IntExpr]]) -> Formula:
-    for a in args:
-        head = AppInt(head, a) if isinstance(a, IntExpr) else App(head, a)
-    return head

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .syntax import (
-    Abs, And, App, AppInt, Exists, Forall, Formula, Ge, INT, IntType,
+    Abs, And, App, Exists, Forall, Formula, Ge, INT, IntExpr, IntType,
     Mu, Node, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
     set_field,
 )
@@ -201,23 +201,22 @@ class _Inference:
                 self.binder[param] = tree
                 rest = self.walk(body, {**env, param: tree})
                 return [tree] + rest
-            case App(fn, arg):
-                fview = self.walk(fn, env)
-                if not fview:
-                    raise TagInferenceError("application of a non-predicate")
-                pos = fview[0]
-                aview = self.walk(arg, env)
-                if pos.is_int:
-                    raise TagInferenceError("predicate argument at int position")
-                _unify_pred(pos.params, aview)
-                fv = free_vars(arg)
-                self.edges.append((pos, self.outer_preds(fv, env)))
-                return fview[1:]
-            case AppInt(fn, _):
-                fview = self.walk(fn, env)
-                if not fview or not fview[0].is_int:
-                    raise TagInferenceError("integer argument at predicate position")
-                return fview[1:]
+            case App(head, args):
+                fview = self.walk(head, env)
+                for i, arg in enumerate(args):
+                    if isinstance(arg, IntExpr):
+                        if i >= len(fview) or not fview[i].is_int:
+                            raise TagInferenceError("integer argument at predicate position")
+                        continue
+                    if i >= len(fview):
+                        raise TagInferenceError("application of a non-predicate")
+                    pos = fview[i]
+                    aview = self.walk(arg, env)
+                    if pos.is_int:
+                        raise TagInferenceError("predicate argument at int position")
+                    _unify_pred(pos.params, aview)
+                    self.edges.append((pos, self.outer_preds(free_vars(arg), env)))
+                return fview[len(args):]
             case Nu(name, ty, body):
                 tree = _Tree.for_type(ty)
                 self.binder[name] = tree

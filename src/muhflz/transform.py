@@ -27,17 +27,16 @@ and ``syntax.apply_vars``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Optional
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
-    INT, IntAbs, IntExpr, IntVar, Lit, Mu, NameSupply, Node, Nu, Or, Plus,
-    PROP, Sign, SimpleType, Times, Var, apply_spine, apply_vars, arg_types,
-    arrow, canon_ge, contains_int_abs, formula_has_int_abs, free_vars,
-    int_free_vars, lambdas, map_children, names_in_formula, neg_ge, peel,
-    replace_free, set_field, shift_expr, spine,
+    Abs, And, App, Arrow, Equation, Exists, Forall, Formula, Ge, Hes, INT,
+    IntAbs, IntExpr, IntVar, Lit, Mu, NameSupply, Node, Nu, Or, Plus, PROP,
+    Sign, SimpleType, Times, Var, apply_vars, arg_types, arrow, canon_ge,
+    contains_int_abs, formula_has_int_abs, free_vars, int_free_vars, lambdas,
+    map_children, names_in_formula, neg_ge, peel, replace_free, set_field,
+    shift_expr,
 )
 from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
@@ -125,9 +124,9 @@ def eta_expand_mu_partials(f: Formula) -> Formula:
 
     def go(g: Formula, mus: dict[str, SimpleType]) -> Formula:
         t = type(g)
-        if t is App or t is AppInt or t is Var or t is Mu:
+        if t is App or t is Var or t is Mu:
             # a lone variable or mu is a spine without arguments
-            head, args = spine(g)
+            head, args = (g.head, g.args) if t is App else (g, ())
             ty = None
             if type(head) is Mu:
                 ty = head.ty
@@ -136,7 +135,8 @@ def eta_expand_mu_partials(f: Formula) -> Formula:
                 ty = mus.get(head.name)
             else:
                 head = go(head, mus)
-            out = apply_spine(head, [a if isinstance(a, IntExpr) else go(a, mus) for a in args])
+            args = [a if isinstance(a, IntExpr) else go(a, mus) for a in args]
+            out = App(head, *args) if args else head
             if ty is None:
                 return out
             ys = [(supply.fresh("y"), a) for a in arg_types(ty)[len(args):]]
@@ -166,14 +166,10 @@ def desugar_quantifiers(f: Formula) -> Formula:
         q = supply.fresh("Q")
         p = supply.fresh("p")
         x = supply.fresh("x")
-        here = AppInt(Var(p), Lit(0))
-        down = App(
-            Var(q), Abs(x, INT, AppInt(Var(p), Plus(IntVar(x), Lit(-1))))
-        )
+        here = App(Var(p), Lit(0))
+        down = App(Var(q), Abs(x, INT, App(Var(p), Plus(IntVar(x), Lit(-1)))))
         x2 = supply.fresh("x")
-        up = App(
-            Var(q), Abs(x2, INT, AppInt(Var(p), Plus(IntVar(x2), Lit(1))))
-        )
+        up = App(Var(q), Abs(x2, INT, App(Var(p), Plus(IntVar(x2), Lit(1)))))
         if is_forall:
             walker: Formula = Nu(q, qty, Abs(p, Arrow(INT, PROP), And(here, And(down, up))))
         else:
@@ -223,7 +219,7 @@ def _apply_tagged(head: Formula, args: list) -> Formula:
         if comp is not None:
             flat.append(comp)
         flat.append(a)
-    return apply_spine(head, flat)
+    return App(head, *flat)
 
 
 class _Eliminator:
@@ -246,8 +242,8 @@ class _Eliminator:
             case Abs(p, _, b):
                 t = self.der.binder[p]
                 return (t,) + self.view(b)
-            case App(fn, _) | AppInt(fn, _):
-                return self.view(fn)[1:]
+            case App(head, args):
+                return self.view(head)[len(args):]
             case Nu(n, _, _):
                 t = self.der.binder[n]
                 return t.params if isinstance(t, TagPred) else ()
@@ -274,7 +270,7 @@ class _Eliminator:
         """``body`` with ``comp``, if any, bound to the companion value of ``f``."""
         if comp is None:
             return body
-        return AppInt(Abs(comp, INT, body), self.companion_expr(f, delta))
+        return App(Abs(comp, INT, body), self.companion_expr(f, delta))
 
     # -- budget expressions ---------------------------------------------------
 
@@ -287,7 +283,9 @@ class _Eliminator:
 
     def _fold(self, d: int, terms: list[Optional[IntExpr]]) -> IntExpr:
         present = [t for t in terms if t is not None]
-        return shift_expr(functools.reduce(Plus, present), d) if present else Lit(d)
+        if not present:
+            return Lit(d)
+        return shift_expr(present[0] if len(present) == 1 else Plus(*present), d)
 
     def magnitude(self, c: int, name: str, t: TaggedArg, comp: Optional[str]) -> Optional[IntExpr]:
         """c*|x| for an integer ``x``, c*v_x for a predicate with companion
@@ -315,14 +313,13 @@ class _Eliminator:
 
     def tr(self, f: Formula, delta: dict) -> Formula:
         match f:
-            case App() | AppInt():
-                head, args = spine(f)
+            case App(head, args):
                 if isinstance(head, Mu):
                     return self.tr_mu(head, args, delta)
                 out = self.tr(head, delta)
                 return _apply_tagged(out, self.tr_args(args, self.view(head), delta))
             case Mu():
-                return self.tr_mu(f, [], delta)
+                return self.tr_mu(f, (), delta)
             case Forall(v, b) | Exists(v, b):
                 _, scope = self.bind(v, TAG_INT, delta)
                 return type(f)(v, self.tr(b, scope))
@@ -384,7 +381,7 @@ class _Eliminator:
         k = self.p.counters
         counters = [self.supply.fresh(f"u{i}") for i in reversed(range(k))]
         if k == 1:
-            step = AppInt(Var(name), Plus(IntVar(counters[0]), Lit(-1)))
+            step = App(Var(name), Plus(IntVar(counters[0]), Lit(-1)))
             rest = replace_free(rest, name, lambda: step)
             guards = [canon_ge(IntVar(counters[0]), Lit(1))]
         else:
@@ -462,12 +459,12 @@ def _split_abs(e: IntExpr) -> tuple[list[tuple[int, IntExpr]], list[IntExpr]]:
 
     def walk(t: IntExpr, k: int):
         match t:
-            case Plus(l, r):
-                walk(l, k)
-                walk(r, k)
+            case Plus(children):
+                for u in children:
+                    walk(u, k)
             case IntAbs(a):
                 absterms.append((k, a))
-            case Times(Lit(c), u) | Times(u, Lit(c)) if contains_int_abs(u):
+            case Times((Lit(c), u)) | Times((u, Lit(c))) if contains_int_abs(u):
                 walk(u, k * c)
             case _ if contains_int_abs(t):
                 raise AbsInIllegalPosition(f"non-linear absolute value in {t!r}")
@@ -490,18 +487,20 @@ def sign_bounds(e: IntExpr) -> list[IntExpr]:
         return [e]
     out = []
     for signs in itertools.product((1, -1), repeat=len(absterms)):
-        acc: Optional[IntExpr] = None
-        for s, (c, a) in zip(signs, absterms):
-            coeff = c * s
-            term = a if coeff == 1 else Times(Lit(coeff), a)
-            acc = term if acc is None else Plus(acc, term)
+        terms = [a if c * s == 1 else Times(Lit(c * s), a) for s, (c, a) in zip(signs, absterms)]
         for t in rest:
-            # a trailing literal folds, keeping the bound canonical
-            if isinstance(t, Lit) and acc is not None:
-                acc = shift_expr(acc, t.value)
-            else:
-                acc = t if acc is None else Plus(acc, t)
-        out.append(acc if acc is not None else Lit(0))
+            if type(t) is not Lit:
+                terms.append(t)
+            elif type(terms[-1]) is Lit:
+                # a trailing literal folds, keeping the bound canonical
+                n = terms[-1].value + t.value
+                if n:
+                    terms[-1] = Lit(n)
+                else:
+                    terms.pop()
+            elif t.value:
+                terms.append(t)
+        out.append(terms[0] if len(terms) == 1 else Plus(*terms))
     return out
 
 
@@ -526,33 +525,28 @@ def eliminate_abs(f: Formula) -> Formula:
 
     supply = NameSupply(names_in_formula(f))
 
-    def rewrite_spine(head: Formula, args: list, env: dict) -> Formula:
-        head2 = go(head, env)
-        args2 = [a if isinstance(a, IntExpr) else go(a, env) for a in args]
+    def rewrite_app(g: App, env: dict) -> Formula:
+        head = go(g.head, env)
+        args = [a if isinstance(a, IntExpr) else go(a, env) for a in g.args]
         pending: list[tuple[str, IntExpr]] = []
-        final_args: list = []
-        for a in args2:
+        for i, a in enumerate(args):
             if isinstance(a, IntExpr) and contains_int_abs(a):
                 u = supply.fresh("u")
                 pending.append((u, a))
-                final_args.append(IntVar(u))
-            else:
-                final_args.append(a)
+                args[i] = IntVar(u)
         if not pending:
-            return apply_spine(head2, final_args)
+            return App(head, *args)
 
-        ty = formula_type(apply_spine(head, args), env)
-        pads = [(supply.fresh("q"), t) for t in arg_types(ty)]
-        inner = apply_vars(apply_spine(head2, final_args), pads)
+        pads = [(supply.fresh("q"), t) for t in arg_types(formula_type(g, env))]
+        inner = apply_vars(App(head, *args), pads)
         for u, e in reversed(pending):
             inner = _forall_at_least([u], e, inner)
         return lambdas(pads, inner)
 
     def go(g: Formula, env: dict) -> Formula:
         match g:
-            case App() | AppInt():
-                head, args = spine(g)
-                return rewrite_spine(head, args, env)
+            case App():
+                return rewrite_app(g, env)
             case Ge(l, r) if contains_int_abs(l) or contains_int_abs(r):
                 raise AbsInIllegalPosition(f"absolute value in comparison {g!r}")
         return map_children(g, go, env)

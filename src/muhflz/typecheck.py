@@ -17,20 +17,20 @@ The pass makes two walks over each equation body and the entry:
   from that arrow instead of making fresh variables.
 - ``finalize`` visits the binders in the same order, puts each one's
   resolved type on it, and normalizes applications: an argument that is a
-  bare variable of integer type moves from ``App`` to ``AppInt`` with an
-  ``IntVar`` argument, so later passes can rely on the formula/integer
-  split being type-correct.  It is the only walk that builds nodes, and
-  every node it leaves alone is returned as it is (``map_children``), so
-  typechecking an already-typed system returns its equation bodies and
-  entry themselves.
+  bare variable of integer type becomes an ``IntVar`` argument, so later
+  passes can rely on the formula/integer split being type-correct.  It is
+  the only walk that builds nodes, and every node it leaves alone is
+  returned as it is (``map_children``), so typechecking an already-typed
+  system returns its equation bodies and entry themselves.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Optional
 
 from .syntax import (
-    Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
+    Abs, And, App, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
     INT, IntExpr, IntType, IntVar, Mu, Nu, Or, PROP, PropType, SimpleType,
     Var, arg_types, arrow, int_nodes, is_predicate_type, map_children,
     set_field,
@@ -156,24 +156,21 @@ class _Checker:
                 raise TypeCheckError("T-Var", f"unbound variable {f.name}")
             return ty
         if t is App:
-            ft = u.find(self.infer(f.fn, env))
-            if type(ft) is Arrow:
-                argty, retty = ft.arg, ft.ret
-            else:
-                argty, retty = u.fresh(), u.fresh()
-                u.unify(ft, Arrow(argty, retty), "T-App", "function position")
-            u.unify(argty, self.infer(f.arg, env), "T-App", "argument")
-            return retty
-        if t is AppInt:
-            ft = u.find(self.infer(f.fn, env))
-            if type(ft) is Arrow:
-                u.unify(ft.arg, INT, "T-AppInt", "function position")
-                retty = ft.ret
-            else:
-                retty = u.fresh()
-                u.unify(ft, Arrow(INT, retty), "T-AppInt", "function position")
-            self.check_int(f.arg, env)
-            return retty
+            ty = self.infer(f.head, env)
+            for a in f.args:
+                ft, is_int = u.find(ty), isinstance(a, IntExpr)
+                rule = "T-AppInt" if is_int else "T-App"
+                if type(ft) is Arrow:
+                    argty, ty = ft.arg, ft.ret
+                else:
+                    argty, ty = INT if is_int else u.fresh(), u.fresh()
+                    u.unify(ft, Arrow(argty, ty), rule, "function position")
+                if is_int:
+                    u.unify(argty, INT, rule, "function position")
+                    self.check_int(a, env)
+                else:
+                    u.unify(argty, self.infer(a, env), rule, "argument")
+            return ty
         if t is Or or t is And:
             rule = "T-Or" if t is Or else "T-And"
             # as the binary chain: two operands inferred before either is unified
@@ -206,9 +203,10 @@ class _Checker:
         raise TypeCheckError("T-Var", f"not a formula: {f!r}")
 
     def finalize(self, f: Formula, env: dict[str, SimpleType]) -> Formula:
-        """Put the resolved type on every binder and move integer-typed bare
-        variables from App to AppInt.  ``env`` holds resolved types.  A
-        node that needs neither is returned as it is (``map_children``)."""
+        """Put the resolved type on every binder and make every bare
+        variable argument of integer type an ``IntVar``.  ``env`` holds
+        resolved types.  A node that needs neither is returned as it is
+        (``map_children``)."""
         t = type(f)
         if t is Abs:
             ty = self.next_binder()
@@ -227,11 +225,13 @@ class _Checker:
             if body is f.body and ty == f.ty:
                 return f
             return t(f.name, ty, body)
-        if t is App and type(f.arg) is Var:
-            fn = self.finalize(f.fn, env)
-            if type(env[f.arg.name]) is IntType:
-                return AppInt(fn, IntVar(f.arg.name))
-            return f if fn is f.fn else App(fn, f.arg)
+        if t is App:
+            args = [
+                IntVar(a.name) if type(a) is Var and type(env[a.name]) is IntType else a
+                for a in f.args
+            ]
+            if not all(map(is_, args, f.args)):
+                f = App(f.head, *args)
         return map_children(f, self.finalize, env)
 
 
@@ -248,8 +248,8 @@ def _validate(ty: SimpleType, rule: str, what: str) -> None:
 def typecheck(h: Hes) -> Hes:
     """Infer and annotate simple types for every equation/binder of ``h``.
 
-    Returns a new Hes with annotated binders and normalized App/AppInt
-    nodes; raises TypeCheckError (tagged with the violated rule) otherwise.
+    Returns a new Hes with annotated binders and normalized application
+    arguments; raises TypeCheckError (tagged with the violated rule) otherwise.
     """
     c = _Checker()
     u = c.u
@@ -304,14 +304,12 @@ def formula_type(f: Formula, env: Optional[dict[str, SimpleType]] = None) -> Sim
             if ty is None:
                 raise TypeCheckError("T-Mu", f"missing annotation on {name}")
             return ty
-        case App(fn, _):
-            ft = formula_type(fn, env)
-            if not isinstance(ft, Arrow):
-                raise TypeCheckError("T-App", f"application of non-function {ft}")
-            return ft.ret
-        case AppInt(fn, _):
-            ft = formula_type(fn, env)
-            if not isinstance(ft, Arrow):
-                raise TypeCheckError("T-AppInt", f"application of non-function {ft}")
-            return ft.ret
+        case App(head, args):
+            ft = formula_type(head, env)
+            for a in args:
+                if not isinstance(ft, Arrow):
+                    rule = "T-AppInt" if isinstance(a, IntExpr) else "T-App"
+                    raise TypeCheckError(rule, f"application of non-function {ft}")
+                ft = ft.ret
+            return ft
     raise TypeCheckError("T-Var", f"not a formula: {f!r}")

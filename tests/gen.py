@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
+    Abs, And, App, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
     INT, IntExpr, IntVar, Lit, Or, Plus, PROP, Sign, SimpleType, Times, Var,
     arg_types, canon_ge,
 )
@@ -84,7 +84,7 @@ class _Gen:
         out: Formula = Var(name)
         for aty in arg_types(ty):
             if aty is INT or isinstance(aty, type(INT)):
-                out = AppInt(out, _gen_iexpr(rng, ints, 1))
+                out = App(out, _gen_iexpr(rng, ints, 1))
             else:
                 out = App(out, self.pred_arg(env, aty, depth - 1))
         return out
@@ -138,9 +138,9 @@ def random_instance(seed: int, *, max_depth: int = 4) -> Hes:
             rec: Formula = Var(name)
             for p, t in params:
                 if p == v:
-                    rec = AppInt(rec, Plus(IntVar(p), Lit(rng.choice([-1, 1]))))
+                    rec = App(rec, Plus(IntVar(p), Lit(rng.choice([-1, 1]))))
                 elif t is INT:
-                    rec = AppInt(rec, IntVar(p))
+                    rec = App(rec, IntVar(p))
                 else:
                     rec = App(rec, Var(p))
             body = Or(base, And(body, rec) if rng.random() < 0.3 else rec)
@@ -154,7 +154,7 @@ def random_instance(seed: int, *, max_depth: int = 4) -> Hes:
         call: Formula = Var(name)
         for _, pt in params:
             if pt is INT:
-                call = AppInt(call, _gen_iexpr(rng, [], 1))
+                call = App(call, _gen_iexpr(rng, [], 1))
             else:
                 call = App(call, g.pred_arg(eq_env, pt, 1))
         entry = call if rng.random() < 0.6 else Or(entry, call)

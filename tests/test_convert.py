@@ -8,7 +8,7 @@ from muhflz.driver import approximate, prepare
 from muhflz.eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    Abs, App, AppInt, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu, Or,
+    Abs, App, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu, Or,
     And, Exists, Forall, PROP, Sign, Var, alpha_normalize, contains_mu, free_vars,
     subformulas,
 )
@@ -20,9 +20,9 @@ from muhflz.typecheck import typecheck
 def test_single_equation_inlines_to_mu():
     h = typecheck(parse_hes("Main =v F 3;\nF x =u x = 0 \\/ F (x - 1);\n"))
     f = hes_to_formula(h)
-    assert isinstance(f, AppInt) and f.arg == Lit(3)
-    assert isinstance(f.fn, Mu)
-    assert isinstance(f.fn.body, Abs)
+    assert isinstance(f, App) and f.args == (Lit(3),)
+    assert isinstance(f.head, Mu)
+    assert isinstance(f.head.body, Abs)
 
 
 def test_two_level_nesting_outer_first():
@@ -65,12 +65,12 @@ def test_lambda_lifting_adds_captured_parameter():
             INT,
             Or(
                 And(Ge(IntVar("y"), IntVar("x")), Ge(IntVar("x"), IntVar("y"))),
-                AppInt(Var("L"), IntVar("y")),
+                App(Var("L"), IntVar("y")),
             ),
         ),
     )
-    f = Abs("x", INT, AppInt(inner, Lit(0)))
-    wrapped = typecheck(Hes((), AppInt(f, Lit(0)))).entry
+    f = Abs("x", INT, App(inner, Lit(0)))
+    wrapped = typecheck(Hes((), App(f, Lit(0)))).entry
     h = formula_to_hes(wrapped)
     (eq,) = h.equations
     assert len(eq.params) == 2  # captured x plus the original y
@@ -83,7 +83,7 @@ def test_lambda_lifting_adds_captured_parameter():
 def test_undefined_equation_reference_rejected():
     bad = Hes(
         (Equation("F", (("x", None),), Sign.MU, App(Var("G"), Var("x"))),),
-        AppInt(Var("F"), Lit(0)),
+        App(Var("F"), Lit(0)),
     )
     with pytest.raises(IllFormed):
         hes_to_formula(bad)
@@ -145,7 +145,7 @@ def test_lifting_passes_captured_variables_through_an_enclosing_head():
 def test_lifting_captures_a_predicate_variable():
     pred = Arrow(INT, PROP)
     f = App(
-        Abs("p", pred, Nu("X", PROP, And(AppInt(Var("p"), Lit(0)), Var("X")))),
+        Abs("p", pred, Nu("X", PROP, And(App(Var("p"), Lit(0)), Var("X")))),
         Abs("y", INT, Ge(IntVar("y"), Lit(0))),
     )
     h = formula_to_hes(f)

@@ -14,7 +14,7 @@ from muhflz.eval import (
     make_context, value_leq,
 )
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
+    Abs, And, App, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
     Nu, Or, Plus, PROP, SimpleType, Var,
 )
 from muhflz.parser import parse_hes
@@ -45,7 +45,7 @@ def _countdown_mu():
             INT,
             Or(
                 And(Ge(IntVar("y"), Lit(0)), Ge(Lit(0), IntVar("y"))),
-                AppInt(Var("x"), Plus(IntVar("y"), Lit(-1))),
+                App(Var("x"), Plus(IntVar("y"), Lit(-1))),
             ),
         ),
     )
@@ -55,7 +55,7 @@ def test_countdown_mu_matches_closed_form():
     dom = Domain(-8, 8)
     mu = _countdown_mu()
     for y in dom.values():
-        got = evaluate(AppInt(mu, Lit(y)), dom=dom)
+        got = evaluate(App(mu, Lit(y)), dom=dom)
         assert got == (y >= 0), f"disagrees with closed form at {y}"
 
 
@@ -75,8 +75,8 @@ def test_prefix_conjunction_nu():
             "p",
             Arrow(INT, PROP),
             And(
-                AppInt(Var("p"), Lit(0)),
-                App(Var("x"), Abs("y", INT, AppInt(Var("p"), Plus(IntVar("y"), Lit(1))))),
+                App(Var("p"), Lit(0)),
+                App(Var("x"), Abs("y", INT, App(Var("p"), Plus(IntVar("y"), Lit(1))))),
             ),
         ),
     )
@@ -95,11 +95,11 @@ def test_strict_escape_vs_clamp():
     # a greatest fixpoint chasing an ever-growing argument: the argument
     # leaves the window, which escapes in strict mode; clamping mode pins
     # it to the upper bound and the self-loop stays true
-    climb = AppInt(
+    climb = App(
         Nu(
             "x",
             Arrow(INT, PROP),
-            Abs("y", INT, AppInt(Var("x"), Plus(IntVar("y"), Lit(1)))),
+            Abs("y", INT, App(Var("x"), Plus(IntVar("y"), Lit(1)))),
         ),
         Lit(0),
     )
@@ -111,7 +111,7 @@ def test_mu_descent_out_of_window_is_false():
     # the recursion at y = -1 descends past any window; a least fixpoint
     # truncates at bottom rather than escaping
     mu = _countdown_mu()
-    assert evaluate(AppInt(mu, Lit(-1)), dom=Domain(-8, 8)) is False
+    assert evaluate(App(mu, Lit(-1)), dom=Domain(-8, 8)) is False
 
 
 def test_monotone_enumeration():
@@ -144,7 +144,7 @@ def test_function_results_pass_monotonicity_check():
     fn = Abs(
         "p",
         Arrow(INT, PROP),
-        Or(AppInt(Var("p"), Lit(0)), AppInt(Var("p"), Lit(1))),
+        Or(App(Var("p"), Lit(0)), App(Var("p"), Lit(1))),
     )
     v = evaluate(fn, dom=dom)
     assert isinstance(v, Table)
@@ -163,13 +163,13 @@ def test_kleene_result_is_a_fixpoint():
             "p",
             pred,
             Or(
-                AppInt(Var("p"), Lit(0)),
-                App(Var("x"), Abs("y", INT, AppInt(Var("p"), Plus(IntVar("y"), Lit(1))))),
+                App(Var("p"), Lit(0)),
+                App(Var("x"), Abs("y", INT, App(Var("p"), Plus(IntVar("y"), Lit(1))))),
             ),
         ),
     )
     cases = (
-        (AppInt(_countdown_mu(), Lit(4)), Domain(-6, 6)),
+        (App(_countdown_mu(), Lit(4)), Domain(-6, 6)),
         (App(somewhere, Abs("y", INT, Ge(IntVar("y"), Lit(3)))), Domain(-4, 4)),
     )
     for f, dom in cases:
@@ -273,9 +273,9 @@ def test_lambdas_sharing_a_body_do_not_share_a_table():
     # its second disjunct alone is True.
     B = Ge(IntVar("x"), IntVar("y"))
     P = Arrow(INT, PROP)
-    R = Nu("R", Arrow(P, PROP), Abs("p", P, And(AppInt(Var("p"), Lit(0)), App(Var("R"), Var("p")))))
-    first = AppInt(Abs("y", INT, App(R, Abs("x", INT, B))), Lit(3))
-    second = AppInt(Abs("x", INT, App(R, Abs("y", INT, B))), Lit(3))
+    R = Nu("R", Arrow(P, PROP), Abs("p", P, And(App(Var("p"), Lit(0)), App(Var("R"), Var("p")))))
+    first = App(Abs("y", INT, App(R, Abs("x", INT, B))), Lit(3))
+    second = App(Abs("x", INT, App(R, Abs("y", INT, B))), Lit(3))
     assert evaluate(second, Domain(0, 4)) is True
     assert evaluate(Or(first, second), Domain(0, 4)) is True
     assert evaluate(Or(second, first), Domain(0, 4)) is True
@@ -358,7 +358,7 @@ def test_one_context_enumerates_each_type_once(monkeypatch):
 
     monkeypatch.setattr(muhflz.eval, "_enumerate", recording)
     ctx = make_context(Domain(-2, 2))
-    at_n = [Abs("p", Arrow(INT, PROP), AppInt(Var("p"), Lit(n))) for n in (0, 1)]
+    at_n = [Abs("p", Arrow(INT, PROP), App(Var("p"), Lit(n))) for n in (0, 1)]
     at = [ctx.force_table(eval_formula(ctx, f, {})) for f in at_n]
     ge0 = eval_formula(ctx, Abs("y", INT, Ge(IntVar("y"), Lit(0))), {})
     assert [apply_value(ctx, t, ge0) for t in at] == [True, True]
@@ -375,7 +375,7 @@ def test_one_context_enumerates_each_type_once(monkeypatch):
 def test_nothing_is_kept_at_module_level():
     # an evaluation leaves the module as it found it, and the module holds
     # no cache or table of its own to keep anything in
-    f = Abs("p", Arrow(INT, PROP), AppInt(Var("p"), Lit(0)))
+    f = Abs("p", Arrow(INT, PROP), App(Var("p"), Lit(0)))
     before = dict(vars(muhflz.eval))
     assert isinstance(evaluate(f, dom=Domain(-2, 2)), Table)
     assert vars(muhflz.eval) == before
@@ -398,7 +398,7 @@ def test_a_forced_table_is_found_among_the_enumerated():
     values, index = ctx.enumeration(pred)
     assert t in index
     assert values[index[t]] == t and values[index[t]] is not t
-    at0 = ctx.force_table(eval_formula(ctx, Abs("p", pred, AppInt(Var("p"), Lit(0))), {}))
+    at0 = ctx.force_table(eval_formula(ctx, Abs("p", pred, App(Var("p"), Lit(0))), {}))
     assert apply_value(ctx, at0, t) is True
 
 
@@ -412,8 +412,8 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
         r"Main =v X (\y. y >= 2); X p =u p 0 \/ X (\y. p (y + 1) \/ X p);"
     )))
     nested = hes_to_formula(typecheck(parse_hes(NU_NU)))
-    climb = AppInt(
-        Nu("x", Arrow(INT, PROP), Abs("y", INT, AppInt(Var("x"), Plus(IntVar("y"), Lit(1))))),
+    climb = App(
+        Nu("x", Arrow(INT, PROP), Abs("y", INT, App(Var("x"), Plus(IntVar("y"), Lit(1))))),
         Lit(0),
     )
     gc.collect()
@@ -454,7 +454,7 @@ def test_duality_complements(seed):
 
 
 def test_iteration_cap_is_defensive():
-    f = AppInt(_countdown_mu(), Lit(4))
+    f = App(_countdown_mu(), Lit(4))
     with pytest.raises(IterationCap):
         evaluate(f, dom=Domain(-6, 6), step_limit=10)
 
@@ -463,8 +463,8 @@ def test_concurrent_style_isolation():
     # separate evaluations share nothing mutable: interleaved calls with
     # distinct inputs agree with isolated calls
     dom = Domain(-5, 5)
-    f1 = AppInt(_countdown_mu(), Lit(3))
-    f2 = AppInt(_countdown_mu(), Lit(-2))
+    f1 = App(_countdown_mu(), Lit(3))
+    f2 = App(_countdown_mu(), Lit(-2))
     assert evaluate(f1, dom=dom) is True
     assert evaluate(f2, dom=dom) is False
     assert evaluate(f1, dom=dom) is True
@@ -473,8 +473,8 @@ def test_concurrent_style_isolation():
 @pytest.mark.parametrize("f", [
     Abs("y", None, Ge(IntVar("y"), Lit(0))),
     Abs("x", INT, Abs("y", None, Ge(IntVar("y"), IntVar("x")))),
-    AppInt(Mu("x", None, Abs("y", INT, AppInt(Var("x"), IntVar("y")))), Lit(0)),
-    AppInt(Nu("x", None, Abs("y", INT, Ge(IntVar("y"), Lit(0)))), Lit(0)),
+    App(Mu("x", None, Abs("y", INT, App(Var("x"), IntVar("y")))), Lit(0)),
+    App(Nu("x", None, Abs("y", INT, Ge(IntVar("y"), Lit(0)))), Lit(0)),
 ], ids=["abs", "abs_in_abs", "mu", "nu"])
 def test_untyped_binder_reached_is_a_value_error(f):
     with pytest.raises(ValueError, match="typed binders"):
@@ -484,8 +484,8 @@ def test_untyped_binder_reached_is_a_value_error(f):
 def _escapes_above_2(*params):
     # \params. \y. y <= 2 \/ N (y + 10), with N a recursive greatest
     # fixpoint: for y >= 3 its argument leaves 0..4 and N's key escapes
-    n = Nu("n", Arrow(INT, PROP), Abs("z", INT, AppInt(Var("n"), Plus(IntVar("z"), Lit(1)))))
-    f = Abs("y", INT, Or(Ge(Lit(2), IntVar("y")), AppInt(n, Plus(IntVar("y"), Lit(10)))))
+    n = Nu("n", Arrow(INT, PROP), Abs("z", INT, App(Var("n"), Plus(IntVar("z"), Lit(1)))))
+    f = Abs("y", INT, Or(Ge(Lit(2), IntVar("y")), App(n, Plus(IntVar("y"), Lit(10)))))
     for p in reversed(params):
         f = Abs(p, INT, f)
     return f

@@ -2,9 +2,10 @@
 and fields, the hash of the field tuple, the ``Class(field=value, ...)``
 repr, no assignment or deletion, no ``__dict__``, positional ``match`` and
 keyword construction.  The repr goldens were recorded from the frozen
-dataclasses these classes replaced, but for ``Or`` and ``And``: a junction
-is built from its operands, not its one field, and holds a chain of any
-width as one tuple of children."""
+dataclasses these classes replaced, but for the chains and ``App``: ``Or``,
+``And``, ``Plus`` and ``Times`` are built from their operands, not their
+one field, and hold a chain of any width as one tuple of children, and
+``App`` holds an application spine as a head and a tuple of arguments."""
 
 import copy
 import math
@@ -21,7 +22,7 @@ from muhflz.driver import IterationRecord, VerdictReport
 from muhflz.eval import Domain
 from muhflz.parser import _Tok
 from muhflz.syntax import (
-    INT, PROP, Abs, And, App, AppInt, Arrow, Equation, Exists, Forall, Formula,
+    INT, PROP, Abs, And, App, Arrow, Equation, Exists, Forall, Formula,
     Ge, Hes, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Node, Nu, Or, Plus,
     PropType, Sign, SimpleType, Times, Var,
 )
@@ -37,14 +38,14 @@ def _samples():
     e = IntAbs(Times(Plus(n, m), Lit(3)))
     ty = Arrow(Arrow(INT, PROP), Arrow(INT, PROP))
     g = Ge(e, n)
-    body = And(Or(Var("X"), g), App(AppInt(Var("p"), e), Abs("z", INT, Forall("k", Exists("m", g)))))
+    body = And(Or(Var("X"), g), App(App(Var("p"), e), Abs("z", INT, Forall("k", Exists("m", g)))))
     row = ApproxParams(1, 2, 3, 4, 2)
     verdict = BackendVerdict("unknown", "range escape", 0.5)
     tag = TagPred((TagInt(), TagPred((TagInt(),), False)), True)
     return [
         IntType(), PropType(), ty, Lit(7), n, Plus(n, m), Times(m, n), e,
         Var("x"), Or(Var("a"), Var("b")), body, Mu("X", ty, body), Nu("Y", None, body),
-        Abs("p", ty, body), App(Var("f"), Var("g")), AppInt(Var("f"), e), g,
+        Abs("p", ty, body), App(Var("f"), Var("g")), App(Var("f"), e), g,
         Forall("k", g), Exists("k", g),
         Equation("X", (("x", INT), ("p", Arrow(INT, PROP))), Sign.MU, body),
         Hes((Equation("Y", (), Sign.NU, Var("Y")),), Var("Y")),
@@ -69,7 +70,15 @@ def _node_classes():
     return out - _BASES
 
 
-_JUNCTIONS = (Or, And)
+_CHAINS = (Or, And, Plus, Times)
+
+
+def _id(x):
+    """The class name; the application to an integer keeps the name of the
+    class it had before applications were one class."""
+    if type(x) is App and isinstance(x.args[-1], IntExpr):
+        return "AppInt"
+    return type(x).__name__
 
 
 def _fields(x):
@@ -99,13 +108,13 @@ def test_every_node_class_has_a_sample():
     assert len(SAMPLES) == 33
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
 def test_fields_are_the_slots_in_order(x):
     cls = type(x)
     assert cls.__match_args__ == cls.__slots__
     annotated = getattr(cls.__init__, "__annotations__", {})  # none: no fields
     params = [p for p in annotated if p != "return"]
-    if cls in _JUNCTIONS:
+    if cls in _CHAINS:
         # built from its operands, which it stores as its one field
         assert params == ["operands"] and cls.__match_args__ == ("children",)
     else:
@@ -114,12 +123,15 @@ def test_fields_are_the_slots_in_order(x):
     assert _positional(x) == _fields(x)
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
 def test_equal_by_class_and_fields_and_hashed_as_the_field_tuple(x):
     cls, fields = type(x), _fields(x)
-    if cls in _JUNCTIONS:
+    if cls in _CHAINS:
         # built from operands: there is no field to pass by keyword
         again = by_keyword = cls(*x.children)
+    elif cls is App:
+        # built from a head and then each argument
+        again = by_keyword = App(x.head, *x.args)
     else:
         again = cls(*fields)
         by_keyword = cls(**dict(zip(cls.__match_args__, fields)))
@@ -150,26 +162,38 @@ def test_same_fields_in_another_class_are_not_equal():
     assert Lit(1) != Lit(2) and Var("a") != IntVar("a")
 
 
-@pytest.mark.parametrize("op", _JUNCTIONS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("op", _CHAINS, ids=lambda op: op.__name__)
 def test_a_junction_merges_a_first_operand_of_its_own_class(op):
-    a, b, c = Var("a"), Var("b"), Var("c")
+    # the same rule for a junction of formulas and a sum or product
+    a, b, c = (Var(n) for n in "abc") if op in (Or, And) else (IntVar(n) for n in "abc")
     assert op(op(a, b), c) == op(a, b, c)
     assert op(op(a, b), c).children == (a, b, c)
     assert op(a, op(b, c)).children == (a, op(b, c))
-    other = And if op is Or else Or
+    other = {Or: And, And: Or, Plus: Times, Times: Plus}[op]
     assert op(other(a, b), c).children == (other(a, b), c)
     for too_few in ((), (a,)):
         with pytest.raises(TypeError):
             op(*too_few)
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
+def test_an_application_merges_a_head_application():
+    f, g, a, b = Var("f"), Var("g"), Var("a"), Lit(2)
+    assert App(App(f, a), b) == App(f, a, b)
+    assert App(App(f, a), b).args == (a, b) and App(App(f, a), b).head is f
+    # an application given as an argument stays one argument
+    assert App(f, App(g, a)).args == (App(g, a),)
+    assert App(f, App(g, a)).head is f
+    with pytest.raises(TypeError):
+        App(f)
+
+
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
 def test_copy_and_pickle_rebuild_past_the_guards(x):
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(twin) is type(x) and repr(twin) == repr(x)
 
 
-@pytest.mark.parametrize("x", SAMPLES, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", SAMPLES, ids=_id)
 def test_fields_cannot_be_assigned_or_deleted(x):
     before = repr(x)
     for name in (*type(x).__match_args__, "other"):
@@ -181,11 +205,11 @@ def test_fields_cannot_be_assigned_or_deleted(x):
 
 
 def test_repr_is_the_dataclass_text():
-    f = Mu("X", Arrow(INT, PROP), Abs("x", INT, Or(AppInt(Var("X"), Plus(IntVar("x"), Lit(1))), Ge(IntVar("x"), Lit(0)))))
+    f = Mu("X", Arrow(INT, PROP), Abs("x", INT, Or(App(Var("X"), Plus(IntVar("x"), Lit(1))), Ge(IntVar("x"), Lit(0)))))
     assert repr(f) == (
         "Mu(name='X', ty=Arrow(arg=IntType(), ret=PropType()), body=Abs(param='x', "
-        "ty=IntType(), body=Or(children=(AppInt(fn=Var(name='X'), arg=Plus(lhs=IntVar(name='x'), "
-        "rhs=Lit(value=1))), Ge(lhs=IntVar(name='x'), rhs=Lit(value=0))))))"
+        "ty=IntType(), body=Or(children=(App(head=Var(name='X'), args=(Plus(children=("
+        "IntVar(name='x'), Lit(value=1))),)), Ge(lhs=IntVar(name='x'), rhs=Lit(value=0))))))"
     )
     assert repr(SAMPLES[-1]) == (
         "VerdictReport(outcome='unknown', winning_side='none', iterations=(IterationRecord("

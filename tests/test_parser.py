@@ -8,14 +8,14 @@ from muhflz.parser import (
 )
 from muhflz.printer import print_hes
 from muhflz.syntax import (
-    And, App, AppInt, Exists, FALSE, Forall, Ge, IntVar, Lit, Or,
+    And, App, Exists, FALSE, Forall, Ge, IntVar, Lit, Or,
     Plus, Sign, Times, TRUE, Var,
 )
 
 
 def test_single_mu_equation():
     h = parse_hes("Main =v F 0;\nF x =u x >= 0 /\\ x <= 0 \\/ F (x - 1);\n")
-    assert h.entry == AppInt(Var("F"), Lit(0))
+    assert h.entry == App(Var("F"), Lit(0))
     assert len(h.equations) == 1
     eq = h.equations[0]
     assert eq.name == "F" and eq.sign is Sign.MU
@@ -34,7 +34,7 @@ def test_countdown_shape():
     # argument parses straight into an integer application
     assert eq.body == Or(
         And(Ge(IntVar("y"), Lit(0)), Ge(Lit(0), IntVar("y"))),
-        AppInt(Var("F"), Plus(IntVar("y"), Lit(-1))),
+        App(Var("F"), Plus(IntVar("y"), Lit(-1))),
     )
 
 
@@ -90,19 +90,19 @@ def test_comparison_sugar():
 
 def test_subtraction_desugars():
     f = parse_formula("F (x - y) (x - 1)")
-    fn = f.fn
-    assert fn.arg == Plus(IntVar("x"), Times(Lit(-1), IntVar("y")))
-    assert f.arg == Plus(IntVar("x"), Lit(-1))
+    first, second = f.args
+    assert first == Plus(IntVar("x"), Times(Lit(-1), IntVar("y")))
+    assert second == Plus(IntVar("x"), Lit(-1))
 
 
 def test_negative_literal():
     f = parse_formula("F (-3)")
-    assert f == AppInt(Var("F"), Lit(-3))
+    assert f == App(Var("F"), Lit(-3))
 
 
 def test_comments_and_lambda():
     h = parse_hes("# a comment\nMain =v G (\\x y. x >= y) 1;\nG p z =v p z z;\n")
-    assert isinstance(h.entry, AppInt)
+    assert isinstance(h.entry, App) and h.entry.args[-1] == Lit(1)
 
 
 def test_quantifier_scopes_extend_right():

@@ -11,7 +11,7 @@ from muhflz.convert import formula_to_hes, hes_to_formula
 from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import PrintError, print_formula, print_hes
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Equation, Forall, Ge, Hes, INT, IntAbs, IntVar, Lit,
+    Abs, And, App, Equation, Forall, Ge, Hes, INT, IntAbs, IntVar, Lit,
     Mu, Or, Plus, PROP, Sign, Times, Var,
 )
 from muhflz.transform import desugar_quantifiers
@@ -40,7 +40,7 @@ def test_lambda_syntax():
 
 
 def test_internal_abs_node_refused():
-    bad = Hes((), AppInt(Var("F"), IntAbs(IntVar("x"))))
+    bad = Hes((), App(Var("F"), IntAbs(IntVar("x"))))
     bad = Hes((Equation("F", (("y", None),), Sign.NU, Ge(IntVar("y"), Lit(0))),), bad.entry)
     with pytest.raises(PrintError):
         print_hes(bad)
@@ -87,7 +87,7 @@ INT_SHAPES = [
 @pytest.mark.parametrize("e, text", INT_SHAPES, ids=[t for _, t in INT_SHAPES])
 def test_integer_shape_prints_and_reparses(e, text):
     # as the left side of a comparison, and as an application argument
-    ge, app = Ge(e, w), AppInt(Var("F"), e)
+    ge, app = Ge(e, w), App(Var("F"), e)
     assert print_formula(ge) == f"{text} >= w"
     assert print_formula(app) == f"F ({text})"
     assert parse_formula(f"{text} >= w") == ge
@@ -95,8 +95,8 @@ def test_integer_shape_prints_and_reparses(e, text):
 
 
 def test_literal_argument_prints_bare_unless_negative():
-    assert print_formula(AppInt(Var("F"), Lit(3))) == "F 3"
-    assert parse_formula("F 3") == AppInt(Var("F"), Lit(3))
+    assert print_formula(App(Var("F"), Lit(3))) == "F 3"
+    assert parse_formula("F 3") == App(Var("F"), Lit(3))
 
 
 a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
@@ -161,12 +161,12 @@ APP_SHAPES = [
     ("(f a b) c", App(App(App(f, a), b), c), "f a b c"),
     ("f (g a) b", App(App(f, App(g, a)), b), "f (g a) b"),
     ("f (a b)", App(f, App(a, b)), "f (a b)"),
-    ("F (x + 1) y", App(AppInt(F, Plus(x, Lit(1))), Var("y")), "F (x + 1) y"),
-    ("F (-3) x", App(AppInt(F, Lit(-3)), Var("x")), "F (-3) x"),
-    ("(\\x. x >= 0) 3", AppInt(Abs("x", None, x_ge_0), Lit(3)), "(\\x. x >= 0) 3"),
+    ("F (x + 1) y", App(App(F, Plus(x, Lit(1))), Var("y")), "F (x + 1) y"),
+    ("F (-3) x", App(App(F, Lit(-3)), Var("x")), "F (-3) x"),
+    ("(\\x. x >= 0) 3", App(Abs("x", None, x_ge_0), Lit(3)), "(\\x. x >= 0) 3"),
     (
         "f (\\x. g x) 2",
-        AppInt(App(f, Abs("x", None, App(g, Var("x")))), Lit(2)),
+        App(App(f, Abs("x", None, App(g, Var("x")))), Lit(2)),
         "f (\\x. g x) 2",
     ),
     ("F x \\/ G y z", Or(App(F, Var("x")), App(App(G, Var("y")), Var("z"))), "F x \\/ G y z"),

@@ -8,18 +8,18 @@ from conftest import all_fixture_names, fixture_text, shallow_stack
 from gen import instances
 from muhflz import syntax
 from muhflz.backend import lower
-from muhflz.convert import hes_to_formula
+from muhflz.convert import formula_to_hes, hes_to_formula
 from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.eval import BoundedResult, Domain, check_validity_bounded, evaluate
-from muhflz.parser import parse_hes
+from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import print_formula, print_hes
 from muhflz.syntax import (
-    INT, PROP, Abs, And, App, AppInt, Arrow, Exists, Forall, Formula, Ge, Hes,
-    IntAbs, IntVar, Lit, Mu, Nu, Or, Plus, Times, Var, contains_int_abs,
-    free_vars, int_free_vars, map_children, rename_int, replace_free,
-    subformulas,
+    INT, PROP, Abs, And, App, Arrow, Exists, Forall, Formula, Ge, Hes,
+    IntAbs, IntVar, Lit, Mu, NameSupply, Nu, Or, Plus, Times, Var,
+    alpha_normalize_formula, contains_int_abs, free_vars, int_free_vars,
+    map_children, names_in_formula, rename_int, replace_free, subformulas,
 )
-from muhflz.transform import dual_hes
+from muhflz.transform import dual_hes, dualize
 from muhflz.typecheck import typecheck
 
 
@@ -32,17 +32,17 @@ def _preorder(f):
                 yield from _preorder(g)
         case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
             yield from _preorder(body)
-        case App(fn, arg):
-            yield from _preorder(fn)
-            yield from _preorder(arg)
-        case AppInt(fn, _):
-            yield from _preorder(fn)
+        case App(head, args):
+            yield from _preorder(head)
+            for a in args:
+                if isinstance(a, Formula):
+                    yield from _preorder(a)
         case Forall(_, body) | Exists(_, body):
             yield from _preorder(body)
 
 
 def test_subformulas_is_the_recursive_preorder():
-    hs = [h for _, h in instances(100)]
+    hs = [h for _, h in instances(110)]
     hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
     row = default_schedule(1)[0]
     nodes = 0
@@ -74,9 +74,13 @@ def _fields(kind):
 def _sample(kind):
     """A node of ``kind`` whose every formula field holds a distinct
     application, built from the fields so that a new node kind needs no
-    entry here.  A junction takes its children as operands."""
+    entry here.  A junction takes its children as operands, and an
+    application its arguments, integer ones among them, after a head that
+    is not itself an application."""
     if kind is Or or kind is And:
         return kind(App(Var("f0"), Var("a0")), App(Var("f1"), Var("a1")))
+    if kind is App:
+        return App(Var("f0"), App(Var("f1"), Var("a1")), IntVar("n"), App(Var("f2"), Var("a2")))
     return kind(*(
         App(Var(f"f{i}"), Var(f"a{i}")) if ty == "Formula" else _FIELD_VALUES[ty]
         for i, (_, ty) in enumerate(_fields(kind))
@@ -85,9 +89,12 @@ def _sample(kind):
 
 def _formula_fields(f):
     """The formulas held in the fields of ``f``, in order: a junction's
-    children, or each field of type Formula."""
+    children, an application's head and formula arguments, or each field
+    of type Formula."""
     if type(f) is Or or type(f) is And:
         return list(f.children)
+    if type(f) is App:
+        return [f.head, *[a for a in f.args if isinstance(a, Formula)]]
     return [getattr(f, name) for name, ty in _fields(type(f)) if ty == "Formula"]
 
 
@@ -125,6 +132,24 @@ def test_map_children_merges_a_first_child_that_becomes_the_same_connective():
     assert map_children(f, lambda h, _: And(h, h) if h is a else h).children == (And(a, a), b, c)
     # a later child that becomes one stays a single child
     assert map_children(f, lambda h, _: Or(h, h) if h is c else h).children == (a, b, Or(c, c))
+
+
+def test_map_children_merges_a_head_that_becomes_an_application():
+    f, a, b = Var("f"), Var("a"), Var("b")
+    g = map_children(App(f, a, Lit(1)), lambda h, _: App(h, b) if h is f else h)
+    assert g == App(f, b, a, Lit(1)) and g.head is f
+    # an argument that becomes an application stays one argument
+    assert map_children(App(f, a), lambda h, _: App(h, b) if h is a else h).args == (App(a, b),)
+    # formula_to_hes replaces a fixpoint that captures x, at the head of an
+    # application and at its recursive call, by its name applied to x
+    x, y = IntVar("x"), IntVar("y")
+    loop = Mu("X", Arrow(INT, PROP), Abs("y", INT, Or(Ge(y, x), App(Var("X"), Plus(y, Lit(-1))))))
+    lifted = formula_to_hes(Forall("x", App(loop, Lit(0))))
+    (eq,) = lifted.equations
+    call = lifted.entry.body
+    assert call == App(Var(eq.name), IntVar(lifted.entry.var), Lit(0))
+    (rec,) = [g for g in subformulas(eq.body) if type(g) is App]
+    assert rec.head == Var(eq.name) and len(rec.args) == 2
 
 
 def _rewrite_at(f, n):
@@ -227,7 +252,12 @@ def _check_replaced(before, after, name, made):
         assert after is made.pop(0)
         return
     assert type(after) is type(before)
-    if type(before) is not Or and type(before) is not And:  # a junction holds only formulas
+    if type(before) is App:
+        assert len(after.args) == len(before.args)
+        for b, a in zip(before.args, after.args):
+            if not isinstance(b, Formula):
+                assert a == b
+    elif type(before) is not Or and type(before) is not And:  # a junction holds only formulas
         for field, ty in _fields(type(before)):
             if ty != "Formula":
                 assert getattr(after, field) == getattr(before, field)
@@ -287,7 +317,8 @@ def test_rename_int_renames_under_int_abs_and_shares_the_rest():
     e = Plus(Times(Lit(2), IntVar("x")), IntAbs(Plus(IntVar("y"), Lit(1))))
     out = rename_int(e, {"y": "v"})
     assert out == Plus(Times(Lit(2), IntVar("x")), IntAbs(Plus(IntVar("v"), Lit(1))))
-    assert out.lhs is e.lhs and out.rhs.arg.rhs is e.rhs.arg.rhs
+    scaled, absolute = out.children
+    assert scaled is e.children[0] and absolute.arg.children[1] is e.children[1].arg.children[1]
 
 
 @pytest.mark.parametrize("op, sym, valid", [(Plus, "+", False), (Times, "*", True)],
@@ -302,7 +333,34 @@ def test_integer_walkers_do_not_recurse_along_a_chain(op, sym, valid):
         assert int_free_vars(rename_int(e, {"x": "y"})) == {"y"}
         typecheck(Hes((), f))
         assert evaluate(f, Domain(-1, 1)) is valid
-        assert print_formula(f) == f"forall x. {f' {sym} '.join(['x'] * 5000)} >= 0"
+        text = f"forall x. {f' {sym} '.join(['x'] * 5000)} >= 0"
+        assert print_formula(f) == text
+        _check_twins(f, parse_formula(text))
+
+
+def _check_twins(f, reparsed):
+    """``==``, ``hash`` and ``repr`` of ``f`` against its re-parse, a deep
+    copy and a pickle round trip."""
+    for twin in (reparsed, copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+
+
+def test_formula_walkers_do_not_recurse_along_an_application():
+    # 5,000 arguments: variables, applications, literals, sums and lambdas
+    text = "F " + " ".join(["x (G y) 1 (x + 1) (\\v. v >= 0)"] * 1000)
+    with shallow_stack(100):
+        f = parse_formula(text)
+        assert type(f) is App and len(f.args) == 5000
+        assert free_vars(f) == {"F", "G", "x", "y"}
+        assert sum(1 for _ in subformulas(f)) == 1 + 1 + 1000 * (1 + 3 + 2)
+        assert names_in_formula(f) == {"F", "G", "x", "y", "v"}
+        replaced = replace_free(f, "G", lambda: Var("H"))
+        assert free_vars(replaced) == {"F", "H", "x", "y"}
+        renamed = alpha_normalize_formula(f, NameSupply(names_in_formula(f)))
+        assert len({a.param for a in renamed.args if type(a) is Abs}) == 1000
+        assert dualize(f) != f and dualize(dualize(f)) == f
+        assert print_formula(f) == text
+        _check_twins(f, parse_formula(text))
 
 
 @pytest.mark.parametrize("op, sym, result", [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +12,9 @@ from muhflz.eval import (
 from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import print_hes
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Arrow, Exists, FALSE, Forall, Ge, INT, IntAbs,
+    Abs, And, App, Arrow, Exists, FALSE, Forall, Ge, INT, IntAbs,
     IntVar, Lit, Mu, Nu, Or, PROP, Plus, Sign, TRUE, Times, Var, contains_mu,
-    formula_has_int_abs, free_vars, spine, subformulas,
+    formula_has_int_abs, free_vars, subformulas,
 )
 from muhflz.driver import approximate, prepare
 from muhflz.tags import infer_tags_formula
@@ -77,7 +79,7 @@ def test_partial_application_gets_wrapped():
     wrapped = [
         g
         for g in subformulas(f)
-        if isinstance(g, App) and isinstance(g.arg, Abs)
+        if isinstance(g, App) and any(isinstance(a, Abs) for a in g.args)
     ]
     assert wrapped, "the partially applied least fixpoint must be eta-wrapped"
 
@@ -94,13 +96,13 @@ def test_binder_that_rebinds_a_mu_name_ends_its_scope():
     # parameter, which stays as it is
     pred = Arrow(INT, PROP)
     rebind = Abs("X", pred, Var("X"))
-    step = AppInt(App(rebind, Var("X")), Plus(IntVar("x"), Lit(-1)))
-    f = AppInt(Mu("X", pred, Abs("x", INT, Or(Ge(IntVar("x"), Lit(0)), step))), Lit(3))
+    step = App(App(rebind, Var("X")), Plus(IntVar("x"), Lit(-1)))
+    f = App(Mu("X", pred, Abs("x", INT, Or(Ge(IntVar("x"), Lit(0)), step))), Lit(3))
     g = eta_expand_mu_partials(f)
-    _, last = g.fn.body.body.children
-    head, args = spine(last)
+    _, last = g.head.body.body.children
+    head, args = last.head, last.args
     assert head is rebind
-    assert isinstance(args[0], Abs) and args[0].body == AppInt(Var("X"), IntVar(args[0].param))
+    assert isinstance(args[0], Abs) and args[0].body == App(Var("X"), IntVar(args[0].param))
     assert check_validity_bounded(g, DOM3) == check_validity_bounded(f, DOM3)
 
 
@@ -294,10 +296,10 @@ def _int_value(e, env):
             return env[x]
         case IntAbs(a):
             return abs(_int_value(a, env))
-        case Plus(l, r):
-            return _int_value(l, env) + _int_value(r, env)
-        case Times(l, r):
-            return _int_value(l, env) * _int_value(r, env)
+        case Plus(children):
+            return sum(_int_value(c, env) for c in children)
+        case Times(children):
+            return math.prod(_int_value(c, env) for c in children)
 
 
 _X, _V = IntVar("x"), IntVar("v")

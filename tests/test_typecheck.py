@@ -4,7 +4,7 @@ from conftest import all_fixture_names, fixture_text
 from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    Abs, And, App, AppInt, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu,
+    Abs, And, App, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu,
     PROP, Sign, Var,
 )
 from muhflz.typecheck import TypeCheckError, formula_type, typecheck
@@ -16,7 +16,7 @@ def _hes(entry, *eqs):
 
 def test_fixpoint_variable_and_body_must_agree():
     # mu x^{int->prop}. x 1 is ill-typed: x 1 has type prop, not int->prop
-    bad = _hes(App(Mu("x", Arrow(INT, PROP), AppInt(Var("x"), Lit(1))), Var("Z")))
+    bad = _hes(App(Mu("x", Arrow(INT, PROP), App(Var("x"), Lit(1))), Var("Z")))
     bad = Hes((Equation("Z", (), Sign.NU, Ge(Lit(0), Lit(0))),), bad.entry)
     with pytest.raises(TypeCheckError) as e:
         typecheck(bad)
@@ -49,18 +49,18 @@ def test_entry_must_be_prop():
 def test_integer_variable_arguments_normalize_to_appint():
     h = typecheck(parse_hes("Main =v forall w. F w;\nF y =u y >= 0;\n"))
     call = h.entry.body
-    assert isinstance(call, AppInt)
-    assert call.arg == IntVar("w")
+    assert isinstance(call, App)
+    assert call.args == (IntVar("w"),)
 
 
 def test_annotations_are_checked():
     good = _hes(
-        App(Abs("p", Arrow(INT, PROP), AppInt(Var("p"), Lit(0))), Var("Q")),
+        App(Abs("p", Arrow(INT, PROP), App(Var("p"), Lit(0))), Var("Q")),
         Equation("Q", (("y", None),), Sign.NU, Ge(IntVar("y"), Lit(0))),
     )
     typecheck(good)
     bad = _hes(
-        App(Abs("p", INT, AppInt(Var("p"), Lit(0))), Var("Q")),
+        App(Abs("p", INT, App(Var("p"), Lit(0))), Var("Q")),
         Equation("Q", (("y", None),), Sign.NU, Ge(IntVar("y"), Lit(0))),
     )
     with pytest.raises(TypeCheckError):
@@ -141,12 +141,12 @@ def test_binder_types_follow_visiting_order():
     # one unannotated lambda object at two positions with different types
     lam = Abs("g", None, Var("g"))
     defs = parse_hes("Main =v P1 0;\nP1 x =v x >= 0;\nP2 x y =v x >= y;\n").equations
-    first = AppInt(App(lam, Var("P1")), Lit(0))
-    second = AppInt(AppInt(App(lam, Var("P2")), Lit(0)), Lit(0))
+    first = App(App(lam, Var("P1")), Lit(0))
+    second = App(App(App(lam, Var("P2")), Lit(0)), Lit(0))
     h = typecheck(Hes(defs, And(first, second)))
     left, right = h.entry.children
-    assert left.fn.fn.ty == Arrow(INT, PROP)
-    assert right.fn.fn.fn.ty == Arrow(INT, Arrow(INT, PROP))
+    assert left.head.ty == Arrow(INT, PROP)
+    assert right.head.ty == Arrow(INT, Arrow(INT, PROP))
 
 
 @pytest.mark.parametrize(
