@@ -615,12 +615,15 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
             return Closure(param, ty, body, names, tuple([env[n] for n in names]))
         case App(head, args):
             # a step per link of the binary spine
-            for _ in args[1:]:
-                ctx.tick()
+            if len(args) > 1:
+                for _ in args[1:]:
+                    ctx.tick()
             v = eval_formula(ctx, head, env)
             for a in args:
-                av = eval_int(ctx, a, env) if isinstance(a, IntExpr) else eval_formula(ctx, a, env)
-                v = apply_value(ctx, v, av)
+                if isinstance(a, IntExpr):
+                    v = apply_value(ctx, v, eval_int(ctx, a, env))
+                else:
+                    v = apply_value(ctx, v, eval_formula(ctx, a, env))
             return v
         case Mu(_, _, body) | Nu(_, _, body):
             recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f)
