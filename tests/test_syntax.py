@@ -98,20 +98,27 @@ def _formula_fields(f):
     return [getattr(f, name) for name, ty in _fields(type(f)) if ty == "Formula"]
 
 
+def _samples():
+    """A sample of each formula node class, and a second application whose
+    last argument is an integer; it keeps the name the application to an
+    integer had when it was a class of its own."""
+    out = [
+        pytest.param(_sample(k), id=k.__name__)
+        for k in Formula.__subclasses__() if k.__module__ == syntax.__name__
+    ]
+    out.append(pytest.param(App(Var("f0"), App(Var("f1"), Var("a1")), IntVar("n")), id="AppInt"))
+    return out
+
+
 def _children(f):
     kids = []
     map_children(f, lambda g, _: kids.append(g) or g)
     return kids
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [k for k in Formula.__subclasses__() if k.__module__ == syntax.__name__],
-    ids=lambda k: k.__name__,
-)
+@pytest.mark.parametrize("f", _samples())
 @pytest.mark.parametrize("env", [None, {"y": INT}], ids=["no-env", "env"])
-def test_map_children_returns_an_unchanged_node_itself(kind, env):
-    f = _sample(kind)
+def test_map_children_returns_an_unchanged_node_itself(f, env):
     seen = []
 
     def same(g, _):
