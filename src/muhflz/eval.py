@@ -26,6 +26,10 @@ Where the window boundary is crossed:
 Validity verdicts are therefore relative to the window; no claim about
 unbounded Z-validity is made here.
 
+Work is counted in steps, which ``step_limit`` caps: one per formula node
+visited and one per application of a value, so a k-way chain or a
+k-argument application costs one step for its node, not k.
+
 Nothing walks the formula before evaluation starts: what evaluation needs
 to know about a node is worked out the first time it reaches the node and
 kept on the context (``_EvalContext.facts_of``).  A function value is
@@ -582,58 +586,45 @@ def eval_int(ctx: _EvalContext, e: IntExpr, env: dict) -> int:
 
 def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
     ctx.tick()
-    match f:
-        case Var(name):
-            return env[name]
-        case Or(children) | And(children):
-            # a step per link of the binary chain; the first deciding operand ends it
-            for _ in children[2:]:
-                ctx.tick()
-            decides = type(f) is Or
-            for g in children:
-                if (eval_formula(ctx, g, env) is True) is decides:
-                    return decides
-            return not decides
-        case Ge(l, r):
-            return eval_int(ctx, l, env) >= eval_int(ctx, r, env)
-        case Forall(var, body):
-            env2 = dict(env)
-            for n in ctx.dom.values():
-                env2[var] = n
-                if eval_formula(ctx, body, env2) is False:
-                    return False
-            return True
-        case Exists(var, body):
-            env2 = dict(env)
-            for n in ctx.dom.values():
-                env2[var] = n
-                if eval_formula(ctx, body, env2) is True:
-                    return True
-            return False
-        case Abs(param, ty, body):
-            (names,) = ctx.facts.get(id(f)) or ctx.facts_of(f)
-            return Closure(param, ty, body, names, tuple([env[n] for n in names]))
-        case App(head, args):
-            # a step per link of the binary spine
-            if len(args) > 1:
-                for _ in args[1:]:
-                    ctx.tick()
-            v = eval_formula(ctx, head, env)
-            for a in args:
-                if isinstance(a, IntExpr):
-                    v = apply_value(ctx, v, eval_int(ctx, a, env))
-                else:
-                    v = apply_value(ctx, v, eval_formula(ctx, a, env))
-            return v
-        case Mu(_, _, body) | Nu(_, _, body):
-            recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f)
-            if not recursive:
-                # the fixpoint is its body
-                return eval_formula(ctx, body, env)
-            inst = ctx.instance(f, names, env)
-            if inst.arity == 0:
-                return inst.full_query(ctx, ())
-            return FixPartial(inst, ())
+    t = type(f)
+    if t is Var:
+        return env[f.name]
+    if t is App:
+        v = eval_formula(ctx, f.head, env)
+        for a in f.args:
+            a = eval_int(ctx, a, env) if isinstance(a, IntExpr) else eval_formula(ctx, a, env)
+            v = apply_value(ctx, v, a)
+        return v
+    if t is Or or t is And:
+        # the first deciding operand ends it
+        decides = t is Or
+        for g in f.children:
+            if (eval_formula(ctx, g, env) is True) is decides:
+                return decides
+        return not decides
+    if t is Ge:
+        return eval_int(ctx, f.lhs, env) >= eval_int(ctx, f.rhs, env)
+    if t is Forall or t is Exists:
+        # a counterexample decides a Forall, a witness an Exists
+        decides = t is Exists
+        env2 = dict(env)
+        for n in ctx.dom.values():
+            env2[f.var] = n
+            if eval_formula(ctx, f.body, env2) is decides:
+                return decides
+        return not decides
+    if t is Abs:
+        (names,) = ctx.facts.get(id(f)) or ctx.facts_of(f)
+        return Closure(f.param, f.ty, f.body, names, tuple([env[n] for n in names]))
+    if t is Mu or t is Nu:
+        recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f)
+        if not recursive:
+            # the fixpoint is its body
+            return eval_formula(ctx, f.body, env)
+        inst = ctx.instance(f, names, env)
+        if inst.arity == 0:
+            return inst.full_query(ctx, ())
+        return FixPartial(inst, ())
     raise TypeError(f"not a Formula: {f!r}")
 
 

@@ -453,6 +453,38 @@ def test_duality_complements(seed):
     assert (a is BoundedResult.VALID) == (b is BoundedResult.INVALID)
 
 
+_X, _Y, _Z = IntVar("x"), IntVar("y"), IntVar("z")
+_FALSE, _TRUE = Ge(Lit(0), Lit(1)), Ge(Lit(1), Lit(0))
+
+# (formula, value, steps) under the cost model: one step per formula node
+# visited and one per application of a value; an integer argument costs
+# nothing beyond its application
+COST_MODEL = {
+    # the Or, then each atom up to the first true one: 1 + 3
+    "three_way_or": (Or(_FALSE, _FALSE, _TRUE), True, 4),
+    # the App and the head λ, then per argument an application and the
+    # next node (a λ, a λ, the atom): 2 + 3 * 2
+    "three_argument_closure": (
+        App(Abs("x", INT, Abs("y", INT, Abs("z", INT, Ge(Plus(_X, _Y), _Z)))),
+            Lit(1), Lit(2), Lit(3)),
+        True,
+        8,
+    ),
+    # on 0..4 the first counterexample to x <= 1 is x = 2: 1 + 3 bodies
+    "forall_first_counterexample": (Forall("x", Ge(Lit(1), _X)), False, 4),
+    # on 0..4 the first witness of x >= 3 is x = 3: 1 + 4 bodies
+    "exists_first_witness": (Exists("x", Ge(_X, Lit(3))), True, 5),
+}
+
+
+@pytest.mark.parametrize("case", COST_MODEL)
+def test_one_step_per_node_and_per_application(case):
+    f, value, steps = COST_MODEL[case]
+    ctx = make_context(Domain(0, 4))
+    assert eval_formula(ctx, f, {}) is value
+    assert ctx.steps == steps
+
+
 def test_iteration_cap_is_defensive():
     f = App(_countdown_mu(), Lit(4))
     with pytest.raises(IterationCap):

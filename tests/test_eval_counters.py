@@ -14,6 +14,8 @@ After a deliberate change of evaluator work, regenerate the file with
 import json
 import pathlib
 
+import pytest
+
 from conftest import DOCUMENTED, ELIMINATION_EDGES, SUCC_PRED, fixture_text
 from gen import instances
 from muhflz.convert import hes_to_formula
@@ -96,12 +98,40 @@ def measure() -> dict:
     return out
 
 
+def _changes(want: dict, got: dict, shown: int = 5) -> str:
+    """How many entries changed, how many of them in their result, and the
+    first ``shown`` of them (changed results first), old and new."""
+    changed = sorted((want[k][0] == got[k][0], k) for k in want if want[k] != got[k])
+    if not changed:
+        return ""
+    results = sum(1 for same, _ in changed if not same)
+    lines = [
+        f"{len(changed)} of {len(want)} entries changed: {results} in their result, "
+        f"{len(changed) - results} in their counters only; the first {shown}:",
+        *(f"  {k}: {want[k]} -> {got[k]}" for _, k in changed[:shown]),
+        "after a deliberate change of evaluator work, regenerate with "
+        "PYTHONPATH=src python tests/test_eval_counters.py",
+    ]
+    return "\n".join(lines)
+
+
 def test_evaluator_work_matches_golden():
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = measure()
     assert got.keys() == want.keys()
-    diffs = {k: (want[k], got[k]) for k in want if want[k] != got[k]}
-    assert not diffs, f"evaluator results or work changed: {diffs}"
+    report = _changes(want, got)
+    if report:
+        pytest.fail(report, pytrace=False)
+
+
+def test_changes_are_counted_and_results_shown_first():
+    want = {"a": ["valid", 5, 1, 2, 0], "b": ["valid", 7, 1, 2, 0], "c": ["invalid", 3, 0, 0, 0]}
+    got = {"a": ["valid", 4, 1, 2, 0], "b": ["invalid", 7, 1, 2, 0], "c": ["invalid", 3, 0, 0, 0]}
+    report = _changes(want, got, shown=1).splitlines()
+    assert report[0] == "2 of 3 entries changed: 1 in their result, 1 in their counters only; the first 1:"
+    assert report[1] == "  b: ['valid', 7, 1, 2, 0] -> ['invalid', 7, 1, 2, 0]"
+    assert len(report) == 3 and "tests/test_eval_counters.py" in report[2]
+    assert _changes(want, want) == ""
 
 
 def test_golden_covers_every_outcome():
