@@ -27,8 +27,7 @@ Validity verdicts are therefore relative to the window; no claim about
 unbounded Z-validity is made here.
 
 Work is counted in steps, which ``step_limit`` caps: one per formula node
-visited and one per application of a value, so a k-way chain or a
-k-argument application costs one step for its node, not k.
+visited (a whole chain or spine is one node) and one per argument applied.
 
 Nothing walks the formula before evaluation starts: what evaluation needs
 to know about a node is worked out the first time it reaches the node and

@@ -515,22 +515,17 @@ class NameSupply:
 def names_in_formula(f: Formula) -> set[str]:
     out: set[str] = set()
     for g in subformulas(f):
-        match g:
-            case Var(name):
-                out.add(name)
-            case Mu(name, _, _) | Nu(name, _, _):
-                out.add(name)
-            case Abs(param, _, _):
-                out.add(param)
-            case Forall(var, _) | Exists(var, _):
-                out.add(var)
-            case App(_, args):
-                for a in args:
-                    if isinstance(a, IntExpr):
-                        out.update(int_free_vars(a))
-            case Ge(l, r):
-                out.update(int_free_vars(l))
-                out.update(int_free_vars(r))
+        t = type(g)
+        if t is Var or t is Mu or t is Nu:
+            out.add(g.name)
+        elif t is Abs:
+            out.add(g.param)
+        elif t is Forall or t is Exists:
+            out.add(g.var)
+        elif t is App or t is Ge:
+            for e in g.args if t is App else (g.lhs, g.rhs):
+                if isinstance(e, IntExpr):
+                    out.update(int_free_vars(e))
     return out
 
 

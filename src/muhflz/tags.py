@@ -27,7 +27,7 @@ from typing import Optional
 from .syntax import (
     Abs, And, App, Exists, Forall, Formula, Ge, INT, IntExpr, IntType,
     Mu, Node, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
-    set_field,
+    names_in_formula, set_field,
 )
 
 
@@ -69,7 +69,11 @@ class TagPred(TaggedArg):
 TAG_INT = TagInt()
 
 
-class TagDerivation(Node):
+class _NamesSlot:
+    __slots__ = ("_names",)  # outside the record's fields, see ``names``
+
+
+class TagDerivation(Node, _NamesSlot):
     """Tags for one normalized formula: the formula itself, a tagged
     argument type per binder name, and per least-fixpoint binder the
     use-side argument types (identical to the binder's own up to outermost
@@ -91,6 +95,15 @@ class TagDerivation(Node):
         set_field(self, "binder", binder)
         set_field(self, "mu_outer", mu_outer)
         set_field(self, "all_f", all_f)
+        set_field(self, "_names", None)
+
+    @property
+    def names(self) -> frozenset[str]:
+        """Every name in ``formula``, taken on first use and then kept, as
+        every schedule row's approximation seeds its fresh names with it."""
+        if self._names is None:
+            set_field(self, "_names", frozenset(names_in_formula(self.formula)))
+        return self._names
 
     def to_json(self) -> str:
         import json

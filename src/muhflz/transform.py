@@ -441,7 +441,7 @@ class _Eliminator:
 def transform_formula(der: TagDerivation, params: ApproxParams) -> Formula:
     """Counter-guarded elimination of least fixpoints on the normalized
     ``der.formula``; output may contain absolute values (see eliminate_abs)."""
-    supply = NameSupply(names_in_formula(der.formula))
+    supply = NameSupply(der.names)
     return _Eliminator(der, params, supply).tr(der.formula, {})
 
 

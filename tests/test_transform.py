@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from muhflz.syntax import (
     IntVar, Lit, Mu, Nu, Or, PROP, Plus, Sign, TRUE, Times, Var, contains_mu,
     formula_has_int_abs, free_vars, subformulas,
 )
-from muhflz.driver import approximate, prepare
+import muhflz.tags
+import muhflz.transform
+from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.tags import infer_tags_formula
 from muhflz.transform import (
     AbsInIllegalPosition, ApproxParams, PartialMuApplication, dual_hes,
@@ -250,6 +254,26 @@ def test_degenerate_nullary_mu():
     assert not contains_mu(out)
     # counter still added; the budget is the constant d
     assert check_validity_bounded(eliminate_abs(out), Domain(-4, 4)) is BoundedResult.INVALID
+
+
+def test_names_are_taken_once_per_derivation(monkeypatch):
+    # every row seeds its fresh names with the derivation's name set, which
+    # is worked out on the first row only; copies work out their own
+    der = prepare(typecheck(parse_hes(fixture_text("partial_apply.hes"))))
+    scans = []
+    for module in (muhflz.tags, muhflz.transform):
+        real = module.names_in_formula
+        monkeypatch.setattr(
+            module, "names_in_formula",
+            lambda f, real=real: (scans.append(f), real(f))[1],
+        )
+    rows = default_schedule(3)
+    first = [transform_formula(der, row) for row in rows]
+    assert len(scans) == 1 and scans[0] is der.formula
+    assert [transform_formula(der, row) for row in rows] == first
+    for again in (copy.copy(der), pickle.loads(pickle.dumps(der))):
+        assert again == der and again.names == der.names
+    assert len(scans) == 3
 
 
 # ---------------------------------------------------------------------------
