@@ -27,7 +27,8 @@ Validity verdicts are therefore relative to the window; no claim about
 unbounded Z-validity is made here.
 
 Work is counted in steps, which ``step_limit`` caps: one per formula node
-visited (a whole chain or spine is one node) and one per argument applied.
+visited (a whole chain or spine is one node), one per argument applied and
+one per entry a fixpoint solver pass re-evaluates.
 
 Nothing walks the formula before evaluation starts: what evaluation needs
 to know about a node is worked out the first time it reaches the node and
