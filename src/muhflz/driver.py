@@ -5,9 +5,10 @@ The prover approximates the input; the disprover approximates its De
 Morgan dual.  A 'valid' verdict from the prover decides Valid; one from
 the disprover decides Invalid.  'invalid' backend verdicts on an
 approximation are never conclusive (the approximation only
-under-approximates) and just advance that side's iteration.  Each side
-runs ``prepare`` once and ``approximate`` per parameter row, so successive
-approximations share one tag derivation and differ only in the
+under-approximates) and just advance that side's iteration.  A side is
+prepared when its first row runs, so a disprover that never runs never
+builds the dual system, and it runs ``approximate`` per parameter row:
+successive approximations share one tag derivation and differ only in the
 coefficients.  ``backend.solve`` takes each approximation as it is, for
 either backend.
 """
@@ -15,13 +16,13 @@ either backend.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from .backend import BackendSpec, BackendVerdict, External, solve
 from .convert import hes_to_formula
 # unused here; perfbench/spans.py wraps this name, so it stays importable
 from .convert import formula_to_hes  # noqa: F401
-from .syntax import Formula, Hes, Node, contains_mu, set_field
+from .syntax import Formula, Hes, Node, set_field
 from .tags import TagDerivation, infer_tags_formula
 from .transform import (
     ApproxParams, desugar_quantifiers, dual_hes, eliminate_abs,
@@ -103,10 +104,10 @@ def override_counters(
 
 
 class _Side:
-    def __init__(self, name: str, h: Hes, *, all_f: bool, desugar: bool):
+    def __init__(self, name: str, system: Callable[[], Hes]):
         self.name = name
-        self.tags = prepare(h, all_f=all_f, desugar=desugar)
-        self.mu_free = not contains_mu(self.tags.formula)
+        self.system = system  # makes the HES this side approximates
+        self.tags: Optional[TagDerivation] = None
         self.exhausted = False
         self.attempted_params: set = set()
 
@@ -126,6 +127,8 @@ def verify(
     backend verdict decides; exhausting the schedule or the deadline yields
     Unknown."""
 
+    if not deadline_s > 0:  # also false for NaN
+        raise ValueError("deadline must be positive")
     start = time.monotonic()
     hard_deadline = start + deadline_s
     schedule = schedule if schedule is not None else default_schedule(8)
@@ -134,9 +137,9 @@ def verify(
 
     sides: list[_Side] = []
     if mode in ("prove", "both"):
-        sides.append(_Side("prover", typed, all_f=no_extra_args, desugar=desugar))
+        sides.append(_Side("prover", lambda: typed))
     if mode in ("disprove", "both"):
-        sides.append(_Side("disprover", dual_hes(typed), all_f=no_extra_args, desugar=desugar))
+        sides.append(_Side("disprover", lambda: dual_hes(typed)))
     if not sides:
         raise ValueError(f"bad mode {mode!r}")
 
@@ -152,6 +155,8 @@ def verify(
         for side in sides:
             if side.exhausted:
                 continue
+            if side.tags is None:  # the side's first row
+                side.tags = prepare(side.system(), all_f=no_extra_args, desugar=desugar)
             now = time.monotonic()
             if now >= hard_deadline:
                 return report("unknown", "none", "timeout")
@@ -159,7 +164,7 @@ def verify(
             budget = (hard_deadline - now) / (2 * remaining_steps)
             step_deadline = min(now + max(budget, 0.05), hard_deadline)
 
-            if side.mu_free and side.attempted_params:
+            if not side.tags.mu_outer and side.attempted_params:  # mu-free
                 side.exhausted = True
                 continue
             if params in side.attempted_params:

@@ -70,7 +70,8 @@ TAG_INT = TagInt()
 
 
 class _NamesSlot:
-    __slots__ = ("_names",)  # outside the record's fields, see ``names``
+    # not a field: equality and repr skip it, and a copy takes its own
+    __slots__ = ("names",)
 
 
 class TagDerivation(Node, _NamesSlot):
@@ -80,7 +81,9 @@ class TagDerivation(Node, _NamesSlot):
     tags).  Binder names are unique within one inlined copy, not across
     the formula: binders that share a name are equal subtrees, one copy at
     several positions (see ``convert``), and the last one walked sets the
-    entry for the name."""
+    entry for the name.  ``names`` is every name in ``formula``, taken
+    once here, as every schedule row's approximation seeds its fresh names
+    with it."""
 
     __slots__ = ("formula", "binder", "mu_outer", "all_f")
 
@@ -95,15 +98,7 @@ class TagDerivation(Node, _NamesSlot):
         set_field(self, "binder", binder)
         set_field(self, "mu_outer", mu_outer)
         set_field(self, "all_f", all_f)
-        set_field(self, "_names", None)
-
-    @property
-    def names(self) -> frozenset[str]:
-        """Every name in ``formula``, taken on first use and then kept, as
-        every schedule row's approximation seeds its fresh names with it."""
-        if self._names is None:
-            set_field(self, "_names", frozenset(names_in_formula(self.formula)))
-        return self._names
+        set_field(self, "names", frozenset(names_in_formula(formula)))
 
     def to_json(self) -> str:
         import json

@@ -6,6 +6,7 @@ from conftest import FIXTURES, fixture_text, tracked_fix_instances
 from gen import instances
 from muhflz.backend import BackendVerdict, Builtin, lower
 from muhflz.convert import hes_to_formula
+import muhflz.driver
 from muhflz.driver import (
     IterationRecord, VerdictReport, approximate, default_schedule,
     emit_report, prepare, report_from_json, verify,
@@ -85,6 +86,51 @@ def test_prove_mode_never_reports_invalid():
     r = verify(h, Builtin(Domain(-4, 4)), default_schedule(2), deadline_s=10, mode="prove")
     assert r.outcome == "unknown"
     assert all(it.side == "prover" for it in r.iterations)
+
+
+def _count_prepares(monkeypatch):
+    calls = []
+    real = muhflz.driver.prepare
+    monkeypatch.setattr(
+        muhflz.driver, "prepare", lambda h, **kw: (calls.append(h), real(h, **kw))[1]
+    )
+    return calls
+
+
+@pytest.mark.parametrize("text,lo,hi,mode,prepared", [
+    (fixture_text("countdown.hes"), -6, 6, "both", 1),
+    ("Main =v 0 >= 1;\n", -4, 4, "both", 2),
+    ("Main =v 0 >= 1;\n", -4, 4, "disprove", 1),
+], ids=["prover_decides_first", "disprover_decides", "disprove_mode"])
+def test_a_side_is_prepared_when_its_first_row_runs(monkeypatch, text, lo, hi, mode, prepared):
+    # the disprover's dual system is made only if the prover has not
+    # decided by then
+    calls = _count_prepares(monkeypatch)
+    h = typecheck(parse_hes(text))
+    verify(h, Builtin(Domain(lo, hi)), default_schedule(8), deadline_s=60, mode=mode)
+    assert len(calls) == prepared
+
+
+@pytest.mark.parametrize("mode,records,reason", [
+    ("prove", [("prover", ApproxParams(1, 2, 1, 1, 1), "invalid")], "schedule exhausted"),
+    ("disprove", [("disprover", ApproxParams(1, 2, 1, 1, 1), "valid")], ""),
+])
+def test_a_mu_free_side_runs_one_row(mode, records, reason):
+    # a side with no least fixpoint has nothing to refine: its first row is
+    # its last
+    h = typecheck(parse_hes("Main =v 0 >= 1;\n"))
+    r = verify(h, Builtin(Domain(-4, 4)), default_schedule(4), deadline_s=10, mode=mode)
+    assert [(it.side, it.params, it.verdict.outcome) for it in r.iterations] == records
+    assert r.reason == reason
+
+
+@pytest.mark.parametrize("deadline_s", [float("nan"), 0.0, -1.0])
+def test_deadline_must_be_positive(deadline_s):
+    # a NaN deadline would compare false against every clock reading and
+    # never stop a step
+    h = typecheck(parse_hes(fixture_text("countdown.hes")))
+    with pytest.raises(ValueError, match="deadline must be positive"):
+        verify(h, Builtin(Domain(-6, 6)), default_schedule(1), deadline_s=deadline_s)
 
 
 def test_schedule_exhaustion_is_unknown():

@@ -78,3 +78,15 @@ def test_eval_imports_only_syntax():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert {m for m in imported if m.startswith((".", "muhflz"))} == {".syntax"}
+
+
+def test_documented_entry_points_import():
+    # the ``from muhflz import (...)`` block under README "Library entry
+    # points" runs as written, so a renamed or removed entry point fails here
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert code.startswith("from muhflz import (")
+    names: dict = {}
+    exec(code, names)
+    assert "verify" in names and "prepare" in names

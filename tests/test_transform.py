@@ -258,8 +258,7 @@ def test_degenerate_nullary_mu():
 
 def test_names_are_taken_once_per_derivation(monkeypatch):
     # every row seeds its fresh names with the derivation's name set, which
-    # is worked out on the first row only; copies work out their own
-    der = prepare(typecheck(parse_hes(fixture_text("partial_apply.hes"))))
+    # is taken when the derivation is made; copies take their own
     scans = []
     for module in (muhflz.tags, muhflz.transform):
         real = module.names_in_formula
@@ -267,13 +266,17 @@ def test_names_are_taken_once_per_derivation(monkeypatch):
             module, "names_in_formula",
             lambda f, real=real: (scans.append(f), real(f))[1],
         )
+    der = prepare(typecheck(parse_hes(fixture_text("partial_apply.hes"))))
+    # eta-expansion scans its own input; the derivation scans its formula
+    assert sum(f is der.formula for f in scans) == 1
+    made = len(scans)
     rows = default_schedule(3)
     first = [transform_formula(der, row) for row in rows]
-    assert len(scans) == 1 and scans[0] is der.formula
     assert [transform_formula(der, row) for row in rows] == first
+    assert len(scans) == made
     for again in (copy.copy(der), pickle.loads(pickle.dumps(der))):
         assert again == der and again.names == der.names
-    assert len(scans) == 3
+    assert len(scans) == made + 2
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,12 @@ def test_leftover_abs_rejected():
     bad = Ge(IntAbs(IntVar("x")), Lit(0))
     with pytest.raises(AbsInIllegalPosition):
         eliminate_abs(typecheck(Hes((), Forall("x", bad))).entry)
+    # an absolute value inside another, as an application argument, has no
+    # sign bounds free of absolute values
+    p = Abs("y", INT, Ge(IntVar("y"), Lit(0)))
+    nested = App(p, IntAbs(IntAbs(IntVar("x"))))
+    with pytest.raises(AbsInIllegalPosition):
+        eliminate_abs(typecheck(Hes((), Forall("x", nested))).entry)
 
 
 # ---------------------------------------------------------------------------
