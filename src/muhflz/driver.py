@@ -6,11 +6,11 @@ Morgan dual.  A 'valid' verdict from the prover decides Valid; one from
 the disprover decides Invalid.  'invalid' backend verdicts on an
 approximation are never conclusive (the approximation only
 under-approximates) and just advance that side's iteration.  A side is
-prepared when its first row runs, so a disprover that never runs never
-builds the dual system, and it runs ``approximate`` per parameter row:
-successive approximations share one tag derivation and differ only in the
-coefficients.  ``backend.solve`` takes each approximation as it is, for
-either backend.
+prepared when its first row runs, so the dual system is built only if the
+disprover gets a row.  Each side then runs ``approximate`` per parameter
+row, so successive approximations share one tag derivation and differ
+only in the coefficients.  ``backend.solve`` takes each approximation as
+it is, for either backend.
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ def verify(
             budget = (hard_deadline - now) / (2 * remaining_steps)
             step_deadline = min(now + max(budget, 0.05), hard_deadline)
 
-            if not side.tags.mu_outer and side.attempted_params:  # mu-free
+            # with no least fixpoint every row gives the same approximation
+            if not side.tags.mu_outer and side.attempted_params:
                 side.exhausted = True
                 continue
             if params in side.attempted_params:

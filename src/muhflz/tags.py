@@ -82,8 +82,8 @@ class TagDerivation(Node, _NamesSlot):
     the formula: binders that share a name are equal subtrees, one copy at
     several positions (see ``convert``), and the last one walked sets the
     entry for the name.  ``names`` is every name in ``formula``, taken
-    once here, as every schedule row's approximation seeds its fresh names
-    with it."""
+    when the derivation is made: every schedule row's approximation seeds
+    its fresh names with it."""
 
     __slots__ = ("formula", "binder", "mu_outer", "all_f")
 

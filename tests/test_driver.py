@@ -88,15 +88,6 @@ def test_prove_mode_never_reports_invalid():
     assert all(it.side == "prover" for it in r.iterations)
 
 
-def _count_prepares(monkeypatch):
-    calls = []
-    real = muhflz.driver.prepare
-    monkeypatch.setattr(
-        muhflz.driver, "prepare", lambda h, **kw: (calls.append(h), real(h, **kw))[1]
-    )
-    return calls
-
-
 @pytest.mark.parametrize("text,lo,hi,mode,prepared", [
     (fixture_text("countdown.hes"), -6, 6, "both", 1),
     ("Main =v 0 >= 1;\n", -4, 4, "both", 2),
@@ -105,7 +96,11 @@ def _count_prepares(monkeypatch):
 def test_a_side_is_prepared_when_its_first_row_runs(monkeypatch, text, lo, hi, mode, prepared):
     # the disprover's dual system is made only if the prover has not
     # decided by then
-    calls = _count_prepares(monkeypatch)
+    calls = []
+    real = muhflz.driver.prepare
+    monkeypatch.setattr(
+        muhflz.driver, "prepare", lambda h, **kw: (calls.append(h), real(h, **kw))[1]
+    )
     h = typecheck(parse_hes(text))
     verify(h, Builtin(Domain(lo, hi)), default_schedule(8), deadline_s=60, mode=mode)
     assert len(calls) == prepared
