@@ -4,7 +4,8 @@
 ``hes_to_formula`` inlines equations bottom-up: the last equation is turned
 into a fixpoint binder and inserted into every earlier body and the entry,
 so earlier equations end up binding outermost.  Each target gets one copy
-with freshly named binders, and every occurrence in that target shares it.
+with freshly named binders, made at its first occurrence, and every
+occurrence in that target shares it; a target without one is kept as it is.
 So binder names are unique per copy, not across the whole formula: two
 binders with the same name are two positions of one subtree (or of equal
 ones), which is what the name-keyed tags of ``tags`` rely on.
@@ -15,6 +16,8 @@ quantifier-bound variables added as leading parameters.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .syntax import (
     Abs, Equation, Formula, Hes, Mu, NameSupply, Nu, PROP, Sign, SimpleType,
@@ -58,10 +61,8 @@ def hes_to_formula(h: Hes) -> Formula:
         closed = ctor(eq.name, _equation_type(eq), body)
 
         def inline(target: Formula) -> Formula:
-            if eq.name not in free_vars(target):
-                return target
-            copy = alpha_normalize_formula(closed, supply)
-            return replace_free(target, eq.name, lambda: copy)
+            copy = functools.cache(lambda: alpha_normalize_formula(closed, supply))
+            return replace_free(target, eq.name, copy)
 
         bodies = {n: inline(b) for n, b in bodies.items()}
         entry = inline(entry)

@@ -372,7 +372,7 @@ def parse_hes(text: str) -> Hes:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a single closed-ish formula (test/REPL convenience)."""
+    """Parse a single formula; free names are allowed."""
     p = _Parser(text)
     f = p.formula()
     p.expect("eof")

@@ -470,22 +470,8 @@ def contains_mu(f: Formula) -> bool:
     return any(isinstance(g, Mu) for g in subformulas(f))
 
 
-def int_exprs(f: Formula) -> Iterator[IntExpr]:
-    for g in subformulas(f):
-        match g:
-            case App(_, args):
-                yield from (a for a in args if isinstance(a, IntExpr))
-            case Ge(l, r):
-                yield l
-                yield r
-
-
 def contains_int_abs(e: IntExpr) -> bool:
     return any(type(n) is IntAbs for n in int_nodes(e))
-
-
-def formula_has_int_abs(f: Formula) -> bool:
-    return any(contains_int_abs(e) for e in int_exprs(f))
 
 
 # ---------------------------------------------------------------------------

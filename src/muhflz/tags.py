@@ -17,7 +17,8 @@ tagging (fewest T, pointwise for the order F < T) satisfying:
   that drops the subsumption rule.
 
 Constraints are equalities plus monotone T-forcing, so a least solution
-always exists; ``TagInferenceError`` is kept as a defensive signal only.
+always exists.  ``TagInferenceError`` refuses a formula that is not closed
+(every name must belong to a binder) and is otherwise a defensive signal.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 from .syntax import (
     Abs, And, App, Exists, Forall, Formula, Ge, INT, IntExpr, IntType,
     Mu, Node, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
-    names_in_formula, set_field,
+    int_free_vars, set_field,
 )
 
 
@@ -69,21 +70,17 @@ class TagPred(TaggedArg):
 TAG_INT = TagInt()
 
 
-class _NamesSlot:
-    # not a field: equality and repr skip it, and a copy takes its own
-    __slots__ = ("names",)
-
-
-class TagDerivation(Node, _NamesSlot):
-    """Tags for one normalized formula: the formula itself, a tagged
-    argument type per binder name, and per least-fixpoint binder the
-    use-side argument types (identical to the binder's own up to outermost
-    tags).  Binder names are unique within one inlined copy, not across
-    the formula: binders that share a name are equal subtrees, one copy at
-    several positions (see ``convert``), and the last one walked sets the
-    entry for the name.  ``names`` is every name in ``formula``, taken
-    when the derivation is made: every schedule row's approximation seeds
-    its fresh names with it."""
+class TagDerivation(Node):
+    """Tags for one normalized, closed formula: the formula itself, a
+    tagged argument type per binder name (``TAG_INT`` for a quantified
+    variable), and per least-fixpoint binder the use-side argument types
+    (identical to the binder's own up to outermost tags).  Binder names are
+    unique within one inlined copy, not across the formula: binders that
+    share a name are equal subtrees, one copy at several positions (see
+    ``convert``), and the last one walked sets the entry for the name.
+    Every name of a closed formula belongs to a binder, so ``binder`` holds
+    every name in ``formula``: every schedule row's approximation seeds its
+    fresh names with it."""
 
     __slots__ = ("formula", "binder", "mu_outer", "all_f")
 
@@ -98,7 +95,6 @@ class TagDerivation(Node, _NamesSlot):
         set_field(self, "binder", binder)
         set_field(self, "mu_outer", mu_outer)
         set_field(self, "all_f", all_f)
-        set_field(self, "names", frozenset(names_in_formula(formula)))
 
     def to_json(self) -> str:
         import json
@@ -190,19 +186,28 @@ class _Inference:
                 out.append(t)
         return out
 
+    @staticmethod
+    def bound(names: set[str], env: dict[str, _Tree]):
+        """Refuses a name that no enclosing binder binds."""
+        if not names <= env.keys():
+            raise TagInferenceError(f"free variable {min(names - env.keys())}")
+
     def walk(self, f: Formula, env: dict[str, _Tree]) -> list:
         """Returns the predicate view (parameter trees) of ``f``."""
         match f:
             case Var(name):
+                self.bound({name}, env)
                 return env[name].params
             case Or(children) | And(children):
                 for g in children:
                     self.walk(g, env)
                 return []
-            case Ge():
+            case Ge(l, r):
+                self.bound(int_free_vars(l) | int_free_vars(r), env)
                 return []
             case Forall(v, body) | Exists(v, body):
-                self.walk(body, {**env, v: _Tree(True, [])})
+                tree = self.binder[v] = _Tree(True, [])
+                self.walk(body, {**env, v: tree})
                 return []
             case Abs(param, pty, body):
                 tree = _Tree.for_type(pty)
@@ -215,6 +220,7 @@ class _Inference:
                     if isinstance(arg, IntExpr):
                         if i >= len(fview) or not fview[i].is_int:
                             raise TagInferenceError("integer argument at predicate position")
+                        self.bound(int_free_vars(arg), env)
                         continue
                     if i >= len(fview):
                         raise TagInferenceError("application of a non-predicate")
@@ -274,8 +280,9 @@ class _Inference:
 
 
 def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:
-    """Tag inference over a typed, alpha-normalized, closed formula.  With
-    ``all_f`` every tag is F: no position carries a companion."""
+    """Tag inference over a typed, alpha-normalized, closed formula; a free
+    variable raises ``TagInferenceError``.  With ``all_f`` every tag is F:
+    no position carries a companion."""
     inf = _Inference()
     view = inf.walk(f, {})
     if view:

@@ -37,7 +37,7 @@ from .syntax import (
     contains_int_abs, free_vars, int_free_vars, lambdas, map_children,
     names_in_formula, neg_ge, peel, replace_free, set_field, shift_expr,
 )
-from .tags import TAG_INT, TagDerivation, TagInt, TagPred, TaggedArg
+from .tags import TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
 
 
@@ -320,7 +320,7 @@ class _Eliminator:
             case Mu():
                 return self.tr_mu(f, (), delta)
             case Forall(v, b) | Exists(v, b):
-                _, scope = self.bind(v, TAG_INT, delta)
+                _, scope = self.bind(v, self.der.binder[v], delta)
                 return type(f)(v, self.tr(b, scope))
             case Abs(p, _, b):
                 t = self.der.binder[p]
@@ -363,13 +363,14 @@ class _Eliminator:
         # carrying predicates referenced by the body, and the companion
         # expression of every predicate argument
         c = self.p.c
-        occ_fvs = set(free_vars(node))
-        for a in args:
-            occ_fvs |= int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a)
+        node_fvs = free_vars(node)
+        occ_fvs = node_fvs.union(*[
+            int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a) for a in args
+        ])
         budget = self._fold(
             self.p.d,
             self.scope_terms(c, occ_fvs, delta, TagInt)
-            + self.scope_terms(c, free_vars(node), delta, TagPred)
+            + self.scope_terms(c, node_fvs, delta, TagPred)
             + [self._scaled(c, ce) for _, ce in tr_args if ce is not None],
         )
 
@@ -440,7 +441,7 @@ class _Eliminator:
 def transform_formula(der: TagDerivation, params: ApproxParams) -> Formula:
     """Counter-guarded elimination of least fixpoints on the normalized
     ``der.formula``; output may contain absolute values (see eliminate_abs)."""
-    supply = NameSupply(der.names)
+    supply = NameSupply(der.binder)
     return _Eliminator(der, params, supply).tr(der.formula, {})
 
 

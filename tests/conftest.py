@@ -8,6 +8,7 @@ import pytest
 
 import muhflz.eval
 from muhflz.eval import Domain
+from muhflz.syntax import App, Ge, IntExpr, contains_int_abs, subformulas
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -37,6 +38,21 @@ def fixture_text(name: str) -> str:
 
 def all_fixture_names() -> list[str]:
     return sorted(p.name for p in FIXTURES.glob("*.hes"))
+
+
+def has_int_abs(f) -> bool:
+    """Whether an absolute value occurs in an integer expression of ``f``:
+    an application argument or a side of a comparison."""
+    for g in subformulas(f):
+        if type(g) is App:
+            exprs = [a for a in g.args if isinstance(a, IntExpr)]
+        elif type(g) is Ge:
+            exprs = [g.lhs, g.rhs]
+        else:
+            continue
+        if any(map(contains_int_abs, exprs)):
+            return True
+    return False
 
 
 # numbers as higher-order predicates (\k. k n), grown by Succ and shrunk by

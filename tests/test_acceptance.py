@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, all_fixture_names, fixture_text
+from conftest import FIXTURES, all_fixture_names, fixture_text, has_int_abs
 from gen import instances
 from muhflz.backend import Builtin
 from muhflz.convert import formula_to_hes, hes_to_formula
@@ -20,7 +20,7 @@ from muhflz.eval import (
 )
 from muhflz.parser import parse_hes
 from muhflz.printer import print_hes
-from muhflz.syntax import Sign, contains_mu, formula_has_int_abs
+from muhflz.syntax import Sign, contains_mu
 from muhflz.tags import infer_tags_formula
 from muhflz.transform import (
     ApproxParams, PartialMuApplication, desugar_quantifiers, dualize,
@@ -251,7 +251,7 @@ def test_criterion_5_structure_and_goldens(corpus):
         assert all(eq.sign is Sign.NU for eq in out.equations), f"{name}: not nu-only"
         f = hes_to_formula(typecheck(out))  # must typecheck
         assert not contains_mu(f)
-        assert not formula_has_int_abs(f)
+        assert not has_int_abs(f)
     random_checked = 0
     for seed, h in corpus:
         try:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import muhflz.convert
 from conftest import all_fixture_names, fixture_text
 from gen import instances, random_instance
 from muhflz.convert import IllFormed, formula_to_hes, hes_to_formula
@@ -168,6 +169,18 @@ def test_inlining_makes_one_copy_per_target():
     uses = [g for g in subformulas(f) if isinstance(g, Mu)]
     assert len(uses) == 2
     assert uses[0] is uses[1]
+
+
+@pytest.mark.parametrize("name", all_fixture_names())
+def test_inlining_walks_free_variables_only_to_check_names(monkeypatch, name):
+    # one free-variable walk per equation body and one of the entry, for the
+    # undefined-name checks; a copy is made when its first occurrence is met
+    h = typecheck(parse_hes(fixture_text(name)))
+    calls = []
+    real = muhflz.convert.free_vars
+    monkeypatch.setattr(muhflz.convert, "free_vars", lambda f: (calls.append(f), real(f))[1])
+    hes_to_formula(h)
+    assert len(calls) == len(h.equations) + 1
 
 
 def test_binders_that_share_a_name_are_equal_subtrees():

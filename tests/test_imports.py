@@ -3,15 +3,18 @@ in that module, unless its import statement carries ``# noqa: F401``.  Such
 a name is a shim: the benchmark tracer (``perfbench/spans.py``) replaces it
 on that module, so each must be listed in the tracer's ``LAYERS``; once the
 tracer stops wrapping it, the shim is dead.  ``__init__`` re-exports by
-design and is not checked."""
+design and is not checked.  No dead definitions either: every public
+module-level function and class is named outside its own definition."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "muhflz"
-SPANS = SRC.parent.parent / "perfbench" / "spans.py"
+ROOT = SRC.parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -80,11 +83,45 @@ def test_eval_imports_only_syntax():
     assert {m for m in imported if m.startswith((".", "muhflz"))} == {".syntax"}
 
 
-def test_documented_entry_points_import():
-    # the ``from muhflz import (...)`` block under README "Library entry
-    # points" runs as written, so a renamed or removed entry point fails here
-    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+def documented_entry_points() -> str:
+    """The ``from muhflz import (...)`` block under README "Library entry
+    points"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library entry points", 1)[1].split("\n## ", 1)[0]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_documented_entry_points_import():
+    # the block runs as written, so a renamed or removed entry point fails here
+    code = documented_entry_points()
     assert code.startswith("from muhflz import (")
     exec(code, {})
+
+
+def uncalled_definitions() -> list[str]:
+    """``module:name`` for each public module-level function or class of
+    ``src/muhflz`` that is named on no line of ``src/muhflz`` outside its
+    own definition (``__init__`` aside), in no ``perfbench/*.py`` file and
+    not in the README's entry points."""
+    lines = {m: (SRC / m).read_text(encoding="utf-8").splitlines() for m in MODULES}
+    elsewhere = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    elsewhere.append(documented_entry_points())
+    out = []
+    for module in MODULES:
+        for node in ast.parse("\n".join(lines[module])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+            own = range(first, node.end_lineno)
+            texts = elsewhere + [
+                line for m in MODULES for i, line in enumerate(lines[m])
+                if not (m == module and i in own)
+            ]
+            if not any(map(word.search, texts)):
+                out.append(f"{module}:{node.name}")
+    return out
+
+
+def test_every_public_definition_is_named_elsewhere():
+    assert uncalled_definitions() == []

@@ -1,11 +1,13 @@
 import pytest
 
-from conftest import all_fixture_names, fixture_text
+from conftest import ELIMINATION_EDGES, LOOP, all_fixture_names, fixture_text
 from gen import instances
 from muhflz.parser import parse_hes
-from muhflz.syntax import Arrow, INT, PROP
+from muhflz.syntax import (
+    App, Arrow, Ge, INT, IntVar, Lit, PROP, Var, names_in_formula,
+)
 from muhflz.driver import prepare
-from muhflz.tags import TAG_INT, TagInt, TagPred
+from muhflz.tags import TAG_INT, TagInferenceError, TagInt, TagPred, infer_tags_formula
 from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
@@ -144,3 +146,28 @@ def test_json_dump_is_parseable():
     h = typecheck(parse_hes(fixture_text("fib_termination.hes")))
     payload = json.loads(prepare(h).to_json())
     assert "binders" in payload and "mu_use_side" in payload
+
+
+def test_binders_name_every_name_of_the_formula():
+    # every row's fresh names are drawn clear of the binder map, so it must
+    # hold every name of the closed formula, quantified integers included
+    texts = [fixture_text(n) for n in all_fixture_names()]
+    texts += [LOOP.read_text(encoding="utf-8"), *ELIMINATION_EDGES.values()]
+    hs = [typecheck(parse_hes(t)) for t in texts] + [h for _, h in instances(30)]
+    checked = 0
+    for h in hs:
+        for g in (h, dual_hes(h)):
+            for all_f in (False, True):
+                for desugar in (False, True):
+                    der = prepare(g, all_f=all_f, desugar=desugar)
+                    assert set(der.binder) == names_in_formula(der.formula)
+                    checked += 1
+    assert checked == 4 * 2 * len(hs)
+
+
+@pytest.mark.parametrize(
+    "formula", [App(Var("p"), Lit(1)), Ge(IntVar("n"), Lit(0))], ids=["predicate", "integer"]
+)
+def test_a_free_variable_is_refused(formula):
+    with pytest.raises(TagInferenceError, match="free variable"):
+        infer_tags_formula(formula)

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_fixture_names, fixture_text
+from conftest import all_fixture_names, fixture_text, has_int_abs
 from gen import instances, random_instance
 from muhflz.convert import formula_to_hes, hes_to_formula
 from muhflz.eval import (
@@ -16,9 +16,8 @@ from muhflz.printer import print_hes
 from muhflz.syntax import (
     Abs, And, App, Arrow, Exists, FALSE, Forall, Ge, INT, IntAbs,
     IntVar, Lit, Mu, Nu, Or, PROP, Plus, Sign, TRUE, Times, Var, contains_mu,
-    formula_has_int_abs, free_vars, subformulas,
+    free_vars, subformulas,
 )
-import muhflz.tags
 import muhflz.transform
 from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.tags import infer_tags_formula
@@ -232,7 +231,7 @@ def test_nu_only_and_typed_on_fixtures():
             assert eq.sign is Sign.NU, f"{name}: mu equation survived"
         f = hes_to_formula(typecheck(out))
         assert not contains_mu(f)
-        assert not formula_has_int_abs(f)
+        assert not has_int_abs(f)
 
 
 def test_eta_precondition_enforced():
@@ -257,26 +256,22 @@ def test_degenerate_nullary_mu():
 
 
 def test_names_are_taken_once_per_derivation(monkeypatch):
-    # every row seeds its fresh names with the derivation's name set, which
-    # is taken when the derivation is made; copies take their own
+    # the derivation's binder map names every binder of its closed formula,
+    # so every row seeds its fresh names with it and nothing rescans the
+    # formula; only eta-expansion scans, once, its own input
     scans = []
-    for module in (muhflz.tags, muhflz.transform):
-        real = module.names_in_formula
-        monkeypatch.setattr(
-            module, "names_in_formula",
-            lambda f, real=real: (scans.append(f), real(f))[1],
-        )
+    real = muhflz.transform.names_in_formula
+    monkeypatch.setattr(
+        muhflz.transform, "names_in_formula", lambda f: (scans.append(f), real(f))[1]
+    )
     der = prepare(typecheck(parse_hes(fixture_text("partial_apply.hes"))))
-    # eta-expansion scans its own input; the derivation scans its formula
-    assert sum(f is der.formula for f in scans) == 1
-    made = len(scans)
+    assert len(scans) == 1 and scans[0] is not der.formula
     rows = default_schedule(3)
     first = [transform_formula(der, row) for row in rows]
     assert [transform_formula(der, row) for row in rows] == first
-    assert len(scans) == made
     for again in (copy.copy(der), pickle.loads(pickle.dumps(der))):
-        assert again == der and again.names == der.names
-    assert len(scans) == made + 2
+        assert again == der
+    assert len(scans) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +282,9 @@ def test_abs_form_and_quantified_form_agree():
     h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
     tags = prepare(h)
     direct = transform_formula(tags, ApproxParams(1, 1, 1, 1))
-    assert formula_has_int_abs(direct)
+    assert has_int_abs(direct)
     noabs = eliminate_abs(direct)
-    assert not formula_has_int_abs(noabs)
+    assert not has_int_abs(noabs)
     dom = Domain(-3, 3)
     a = check_validity_bounded(direct, dom)
     b = check_validity_bounded(noabs, dom)
