@@ -22,8 +22,8 @@ import functools
 from .syntax import (
     Abs, Equation, Formula, Hes, Mu, NameSupply, Nu, PROP, Sign, SimpleType,
     Var, alpha_normalize, alpha_normalize_formula, apply_vars, arg_types,
-    arrow, free_vars, lambdas, map_children, names_in_formula, names_in_hes,
-    peel, replace_free,
+    arrow, free_vars, lambdas, map_children, names_in_formula, peel,
+    replace_free,
 )
 
 
@@ -42,8 +42,8 @@ def hes_to_formula(h: Hes) -> Formula:
     """Close the equation system into a single formula, earlier equations
     binding outermost."""
 
-    h = alpha_normalize(h)
-    supply = NameSupply(names_in_hes(h))
+    supply = NameSupply()
+    h = alpha_normalize(h, supply)
     defined = {eq.name for eq in h.equations}
     for eq in h.equations:
         undef = (free_vars(eq.body) - {p for p, _ in eq.params}) - defined

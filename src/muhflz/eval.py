@@ -305,10 +305,8 @@ class _EvalContext:
         if f.ty is None:
             raise ValueError("evaluator needs typed binders; run typecheck")
         free = free_vars(f.body)
-        if isinstance(f, Abs):
-            got = (tuple(sorted(free - {f.param})),)
-        else:
-            got = (f.name in free, tuple(sorted(free - {f.name})))
+        names = tuple(sorted(free - {f.name}))
+        got = (names,) if isinstance(f, Abs) else (f.name in free, names)
         self.facts[id(f)] = got
         return got
 
@@ -609,13 +607,13 @@ def eval_formula(ctx: _EvalContext, f: Formula, env: dict):
         decides = t is Exists
         env2 = dict(env)
         for n in ctx.dom.values():
-            env2[f.var] = n
+            env2[f.name] = n
             if eval_formula(ctx, f.body, env2) is decides:
                 return decides
         return not decides
     if t is Abs:
         (names,) = ctx.facts.get(id(f)) or ctx.facts_of(f)
-        return Closure(f.param, f.ty, f.body, names, tuple([env[n] for n in names]))
+        return Closure(f.name, f.ty, f.body, names, tuple([env[n] for n in names]))
     if t is Mu or t is Nu:
         recursive, names = ctx.facts.get(id(f)) or ctx.facts_of(f)
         if not recursive:

@@ -33,7 +33,7 @@ import re
 from typing import Optional, Union
 
 from .syntax import (
-    And, App, Equation, Exists, FALSE, Forall, Formula, Hes, IntExpr,
+    And, App, Equation, Exists, FALSE, Forall, Formula, Hes, INT, IntExpr,
     IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge, lambdas,
     set_field, shift_expr,
 )
@@ -360,9 +360,9 @@ class _Parser:
             body = self.formula()
             del self.scope[len(self.scope) - len(params):]
             if t.kind == "forall":
-                return Forall(params[0], body)
+                return Forall(params[0], INT, body)
             if t.kind == "exists":
-                return Exists(params[0], body)
+                return Exists(params[0], INT, body)
             return lambdas([(p, None) for p in params], body)
         self.fail({"identifier", "integer", "("})
 

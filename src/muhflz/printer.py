@@ -38,12 +38,9 @@ def _fmt_formula(f: Formula, ctx: int) -> str:
         first, *rest = f.children
         s = op.join([_fmt_formula(first, level), *[_fmt_formula(g, level + 1) for g in rest]])
         return f"({s})" if ctx > level else s
-    if t is Abs:
-        s = f"\\{f.param}. {_fmt_formula(f.body, _BINDER)}"
-        return f"({s})" if ctx > _BINDER else s
-    if t is Forall or t is Exists:
-        q = "forall" if t is Forall else "exists"
-        s = f"{q} {f.var}. {_fmt_formula(f.body, _BINDER)}"
+    if t is Abs or t is Forall or t is Exists:
+        lead = "\\" if t is Abs else "forall " if t is Forall else "exists "
+        s = f"{lead}{f.name}. {_fmt_formula(f.body, _BINDER)}"
         return f"({s})" if ctx > _BINDER else s
     if t is Mu or t is Nu:
         raise PrintError(

@@ -11,6 +11,12 @@ variable, and it renames nothing: where a binder could capture what it
 inserts, rename first (``alpha_normalize``, or ``alpha_normalize_formula``
 on what is inserted).
 
+Every binder is ``(name, ty, body)``: the bound ``name``, its type
+``ty`` (None until typechecking) and the ``body`` it scopes.  ``BINDERS``
+names the five binder classes, ``Abs``, ``Mu``, ``Nu``, ``Forall`` and
+``Exists``; a quantifier's ``ty`` is Int.  So each walker has one binder
+case, and a class pattern on a binder gives all three fields or none.
+
 Every associative chain is one node.  A ``\\/`` or ``/\\`` chain is one
 ``Or`` or ``And`` and a sum or product one ``Plus`` or ``Times``, each with
 a tuple of ``children``: the constructor merges a first operand of the
@@ -233,6 +239,14 @@ class Formula(Node):
     __slots__ = ()
 
 
+def _binder_init(self, name: str, ty: Optional[SimpleType], body: Formula):
+    """The bound ``name``, its type ``ty`` (None until typechecking, Int
+    for a quantifier) and the ``body`` it scopes."""
+    set_field(self, "name", name)
+    set_field(self, "ty", ty)
+    set_field(self, "body", body)
+
+
 class Var(Formula):
     __slots__ = ("name",)
 
@@ -254,29 +268,17 @@ class And(Formula):
 
 class Mu(Formula):
     __slots__ = ("name", "ty", "body")
-
-    def __init__(self, name: str, ty: Optional[SimpleType], body: Formula):
-        set_field(self, "name", name)
-        set_field(self, "ty", ty)
-        set_field(self, "body", body)
+    __init__ = _binder_init
 
 
 class Nu(Formula):
     __slots__ = ("name", "ty", "body")
-
-    def __init__(self, name: str, ty: Optional[SimpleType], body: Formula):
-        set_field(self, "name", name)
-        set_field(self, "ty", ty)
-        set_field(self, "body", body)
+    __init__ = _binder_init
 
 
 class Abs(Formula):
-    __slots__ = ("param", "ty", "body")
-
-    def __init__(self, param: str, ty: Optional[SimpleType], body: Formula):
-        set_field(self, "param", param)
-        set_field(self, "ty", ty)
-        set_field(self, "body", body)
+    __slots__ = ("name", "ty", "body")
+    __init__ = _binder_init
 
 
 class App(Formula):
@@ -306,20 +308,16 @@ class Ge(Formula):
 
 
 class Forall(Formula):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        set_field(self, "var", var)
-        set_field(self, "body", body)
+    __slots__ = ("name", "ty", "body")
+    __init__ = _binder_init
 
 
 class Exists(Formula):
-    __slots__ = ("var", "body")
+    __slots__ = ("name", "ty", "body")
+    __init__ = _binder_init
 
-    def __init__(self, var: str, body: Formula):
-        set_field(self, "var", var)
-        set_field(self, "body", body)
 
+BINDERS = (Abs, Mu, Nu, Forall, Exists)
 
 TRUE = Ge(Lit(0), Lit(0))
 FALSE = Ge(Lit(0), Lit(1))
@@ -394,23 +392,19 @@ def int_free_vars(e: IntExpr) -> set[str]:
 
 
 def free_vars(f: Formula) -> set[str]:
-    match f:
-        case Var(name):
-            return {name}
-        case Or(children) | And(children):
-            return set().union(*map(free_vars, children))
-        case Mu(name, _, body) | Nu(name, _, body):
-            return free_vars(body) - {name}
-        case Abs(param, _, body):
-            return free_vars(body) - {param}
-        case App(head, args):
-            return free_vars(head).union(*[
-                int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a) for a in args
-            ])
-        case Ge(l, r):
-            return int_free_vars(l) | int_free_vars(r)
-        case Forall(var, body) | Exists(var, body):
-            return free_vars(body) - {var}
+    t = type(f)
+    if t is Var:
+        return {f.name}
+    if t is Or or t is And:
+        return set().union(*map(free_vars, f.children))
+    if t is App:
+        return free_vars(f.head).union(*[
+            int_free_vars(a) if isinstance(a, IntExpr) else free_vars(a) for a in f.args
+        ])
+    if t is Ge:
+        return int_free_vars(f.lhs) | int_free_vars(f.rhs)
+    if t in BINDERS:
+        return free_vars(f.body) - {f.name}
     raise TypeError(f"not a Formula: {f!r}")
 
 
@@ -419,8 +413,7 @@ def map_children(
 ) -> Formula:
     """Rebuild ``f`` from ``go(child, env)`` for each child formula, left to
     right.  Under a binder ``env`` (when given) is extended with the bound
-    name and its type, Int for a quantifier; integer expressions are kept
-    as they are.
+    name and its type; integer expressions are kept as they are.
 
     Sharing: when every child comes back as the very object it was, ``f``
     itself is returned, so a rewrite copies only the nodes on the paths to
@@ -433,15 +426,9 @@ def map_children(
         head = go(f.head, env)
         args = [a if isinstance(a, IntExpr) else go(a, env) for a in f.args]
         return f if head is f.head and all(map(is_, args, f.args)) else App(head, *args)
-    if t is Abs:
-        body = go(f.body, env if env is None else {**env, f.param: f.ty})
-        return f if body is f.body else Abs(f.param, f.ty, body)
-    if t is Mu or t is Nu:
+    if t in BINDERS:
         body = go(f.body, env if env is None else {**env, f.name: f.ty})
         return f if body is f.body else t(f.name, f.ty, body)
-    if t is Forall or t is Exists:
-        body = go(f.body, env if env is None else {**env, f.var: INT})
-        return f if body is f.body else t(f.var, body)
     if t is Var or t is Ge:
         return f
     raise TypeError(f"not a Formula: {f!r}")
@@ -454,16 +441,14 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        match g:
-            case Or(children) | And(children):
-                stack.extend(reversed(children))
-            case App(head, args):
-                stack.extend([a for a in reversed(args) if not isinstance(a, IntExpr)])
-                stack.append(head)
-            case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
-                stack.append(body)
-            case Forall(_, body) | Exists(_, body):
-                stack.append(body)
+        t = type(g)
+        if t is Or or t is And:
+            stack.extend(reversed(g.children))
+        elif t is App:
+            stack.extend([a for a in reversed(g.args) if not isinstance(a, IntExpr)])
+            stack.append(g.head)
+        elif t in BINDERS:
+            stack.append(g.body)
 
 
 def contains_mu(f: Formula) -> bool:
@@ -502,25 +487,12 @@ def names_in_formula(f: Formula) -> set[str]:
     out: set[str] = set()
     for g in subformulas(f):
         t = type(g)
-        if t is Var or t is Mu or t is Nu:
+        if t is Var or t in BINDERS:
             out.add(g.name)
-        elif t is Abs:
-            out.add(g.param)
-        elif t is Forall or t is Exists:
-            out.add(g.var)
         elif t is App or t is Ge:
             for e in g.args if t is App else (g.lhs, g.rhs):
                 if isinstance(e, IntExpr):
                     out.update(int_free_vars(e))
-    return out
-
-
-def names_in_hes(h: Hes) -> set[str]:
-    out = names_in_formula(h.entry)
-    for eq in h.equations:
-        out.add(eq.name)
-        out.update(p for p, _ in eq.params)
-        out.update(names_in_formula(eq.body))
     return out
 
 
@@ -553,11 +525,7 @@ def replace_free(f: Formula, name: str, make: Callable[[], Formula]) -> Formula:
     t = type(f)
     if t is Var:
         return make() if f.name == name else f
-    if (
-        (t is Mu or t is Nu) and f.name == name
-        or t is Abs and f.param == name
-        or (t is Forall or t is Exists) and f.var == name
-    ):
+    if t in BINDERS and f.name == name:
         return f
     return map_children(f, lambda g, _: replace_free(g, name, make))
 
@@ -582,26 +550,22 @@ def alpha_normalize_formula(
         if t is Ge:
             l, r = rename_int(f.lhs, env), rename_int(f.rhs, env)
             return f if l is f.lhs and r is f.rhs else Ge(l, r)
-        if t is Mu or t is Nu:
+        if t in BINDERS:
             new = supply.fresh(f.name)
             return t(new, f.ty, go(f.body, {**env, f.name: new}))
-        if t is Abs:
-            new = supply.fresh(f.param)
-            return Abs(new, f.ty, go(f.body, {**env, f.param: new}))
-        if t is Forall or t is Exists:
-            new = supply.fresh(f.var)
-            return t(new, go(f.body, {**env, f.var: new}))
         return map_children(f, go, env)
 
     return go(f, env or {})
 
 
-def alpha_normalize(h: Hes) -> Hes:
+def alpha_normalize(h: Hes, supply: NameSupply) -> Hes:
     """Alpha-normalize a whole HES: equation names are kept (they are
     top-level and pairwise distinct), parameters and inner binders are made
-    globally unique."""
+    globally unique.  ``supply`` takes the equation names and then gives
+    every new name, so afterwards it holds each equation, parameter and
+    binder name of the result."""
 
-    supply = NameSupply({eq.name for eq in h.equations})
+    supply.taken.update(eq.name for eq in h.equations)
     new_eqs = []
     for eq in h.equations:
         env: dict[str, str] = {}
@@ -645,7 +609,7 @@ def peel(
     instead."""
     binders: list[tuple[str, SimpleType]] = []
     while len(binders) < len(want) and isinstance(body, Abs):
-        binders.append((body.param, body.ty if body.ty is not None else want[len(binders)]))
+        binders.append((body.name, body.ty if body.ty is not None else want[len(binders)]))
         body = body.body
     pads = [(supply.fresh("z"), ty) for ty in want[len(binders):]]
     return binders + pads, apply_vars(body, pads)

@@ -205,15 +205,11 @@ class _Inference:
             case Ge(l, r):
                 self.bound(int_free_vars(l) | int_free_vars(r), env)
                 return []
-            case Forall(v, body) | Exists(v, body):
-                tree = self.binder[v] = _Tree(True, [])
-                self.walk(body, {**env, v: tree})
-                return []
-            case Abs(param, pty, body):
-                tree = _Tree.for_type(pty)
-                self.binder[param] = tree
-                rest = self.walk(body, {**env, param: tree})
-                return [tree] + rest
+            case Abs(name, ty, body) | Forall(name, ty, body) | Exists(name, ty, body):
+                # a quantifier's view is its Prop body's: none
+                tree = self.binder[name] = _Tree.for_type(ty)
+                rest = self.walk(body, {**env, name: tree})
+                return [tree, *rest] if type(f) is Abs else rest
             case App(head, args):
                 fview = self.walk(head, env)
                 for i, arg in enumerate(args):

@@ -31,11 +31,12 @@ import itertools
 from typing import Optional
 
 from .syntax import (
-    Abs, And, App, Arrow, Equation, Exists, Forall, Formula, Ge, Hes, INT,
-    IntAbs, IntExpr, IntVar, Lit, Mu, NameSupply, Node, Nu, Or, Plus, PROP,
-    Sign, SimpleType, Times, Var, apply_vars, arg_types, arrow, canon_ge,
-    contains_int_abs, free_vars, int_free_vars, lambdas, map_children,
-    names_in_formula, neg_ge, peel, replace_free, set_field, shift_expr,
+    Abs, And, App, Arrow, BINDERS, Equation, Exists, Forall, Formula, Ge,
+    Hes, INT, IntAbs, IntExpr, IntVar, Lit, Mu, NameSupply, Node, Nu, Or,
+    Plus, PROP, Sign, SimpleType, Times, Var, apply_vars, arg_types, arrow,
+    canon_ge, contains_int_abs, free_vars, int_free_vars, lambdas,
+    map_children, names_in_formula, neg_ge, peel, replace_free, set_field,
+    shift_expr,
 )
 from .tags import TagDerivation, TagInt, TagPred, TaggedArg
 from .typecheck import formula_type
@@ -73,26 +74,22 @@ class ApproxParams(Node):
 # Dualization
 
 
+_DUAL = {Mu: Nu, Nu: Mu, And: Or, Or: And, Forall: Exists, Exists: Forall}
+
+
 def dualize(f: Formula) -> Formula:
     """De Morgan dual: mu/nu, and/or, forall/exists swapped and atoms
     complemented.  An involution on the canonical atoms produced by the
     parser and the transformation pipeline; always a semantic complement."""
-    match f:
-        case Or(children):
-            return And(*map(dualize, children))
-        case And(children):
-            return Or(*map(dualize, children))
-        case Ge(l, r):
-            return neg_ge(l, r)
-        case Mu(n, ty, b):
-            return Nu(n, ty, dualize(b))
-        case Nu(n, ty, b):
-            return Mu(n, ty, dualize(b))
-        case Forall(v, b):
-            return Exists(v, dualize(b))
-        case Exists(v, b):
-            return Forall(v, dualize(b))
-    return map_children(f, lambda g, _: dualize(g))
+    t = type(f)
+    if t is Ge:
+        return neg_ge(f.lhs, f.rhs)
+    dual = _DUAL.get(t)
+    if dual is None:
+        return map_children(f, lambda g, _: dualize(g))
+    if t is Or or t is And:
+        return dual(*map(dualize, f.children))
+    return dual(f.name, f.ty, dualize(f.body))
 
 
 def dual_hes(h: Hes) -> Hes:
@@ -140,10 +137,8 @@ def eta_expand_mu_partials(f: Formula) -> Formula:
                 return out
             ys = [(supply.fresh("y"), a) for a in arg_types(ty)[len(args):]]
             return lambdas(ys, apply_vars(out, ys))
-        if t is Abs or t is Nu or t is Forall or t is Exists:
-            bound = g.param if t is Abs else g.name if t is Nu else g.var
-            if bound in mus:
-                mus = {n: ty for n, ty in mus.items() if n != bound}
+        if t in BINDERS and g.name in mus:
+            mus = {n: ty for n, ty in mus.items() if n != g.name}
         return map_children(g, lambda h, _: go(h, mus))
 
     return go(f, {})
@@ -176,11 +171,9 @@ def desugar_quantifiers(f: Formula) -> Formula:
         return App(walker, Abs(var, INT, body))
 
     def go(g: Formula, _=None) -> Formula:
-        match g:
-            case Forall(v, b):
-                return encode(True, v, go(b))
-            case Exists(v, b):
-                return encode(False, v, go(b))
+        t = type(g)
+        if t is Forall or t is Exists:
+            return encode(t is Forall, g.name, go(g.body))
         return map_children(g, go)
 
     return go(f)
@@ -319,13 +312,11 @@ class _Eliminator:
                 return _apply_tagged(out, self.tr_args(args, self.view(head), delta))
             case Mu():
                 return self.tr_mu(f, (), delta)
-            case Forall(v, b) | Exists(v, b):
-                _, scope = self.bind(v, self.der.binder[v], delta)
-                return type(f)(v, self.tr(b, scope))
-            case Abs(p, _, b):
-                t = self.der.binder[p]
-                comp, scope = self.bind(p, t, delta)
-                out = Abs(p, _tr_type(t), self.tr(b, scope))
+            case Abs() | Forall() | Exists():
+                # a quantified integer is tagged Int: no companion, type Int
+                t = self.der.binder[f.name]
+                comp, scope = self.bind(f.name, t, delta)
+                out = type(f)(f.name, _tr_type(t), self.tr(f.body, scope))
                 return out if comp is None else Abs(comp, INT, out)
             case Nu(n, _, b):
                 t = self.der.binder[n]
@@ -512,7 +503,7 @@ def _forall_at_least(names: list[str], e: IntExpr, body: Formula) -> Formula:
     bounds = sign_bounds(e)
     out: Formula = Or(*[neg_ge(IntVar(u), b) for u in names for b in bounds], body)
     for u in reversed(names):
-        out = Forall(u, out)
+        out = Forall(u, INT, out)
     return out
 
 

@@ -37,6 +37,13 @@ from .syntax import (
 )
 
 
+# the rule each node is checked under
+_RULE = {
+    Or: "T-Or", And: "T-And", Abs: "T-Abs", Mu: "T-Mu", Nu: "T-Nu",
+    Forall: "T-Forall", Exists: "T-Exists",
+}
+
+
 class TypeCheckError(Exception):
     def __init__(self, rule: str, message: str):
         self.rule = rule
@@ -172,7 +179,7 @@ class _Checker:
                     u.unify(argty, self.infer(a, env), rule, "argument")
             return ty
         if t is Or or t is And:
-            rule = "T-Or" if t is Or else "T-And"
+            rule = _RULE[t]
             # as the binary chain: two operands inferred before either is unified
             first, second, *rest = f.children
             lt, rt = self.infer(first, env), self.infer(second, env)
@@ -185,20 +192,19 @@ class _Checker:
             self.check_int(f.lhs, env)
             self.check_int(f.rhs, env)
             return PROP
-        if t is Abs:
-            pty: SimpleType = f.ty if f.ty is not None else u.fresh()
-            self.binder_types.append(pty)
-            return Arrow(pty, self.infer(f.body, {**env, f.param: pty}))
-        if t is Mu or t is Nu:
-            xty: SimpleType = f.ty if f.ty is not None else u.fresh()
-            self.binder_types.append(xty)
-            bt = self.infer(f.body, {**env, f.name: xty})
-            rule = "T-Mu" if t is Mu else "T-Nu"
-            u.unify(xty, bt, rule, f"fixpoint variable {f.name} and its body")
-            return xty
+        if t is Abs or t is Mu or t is Nu:
+            ty: SimpleType = f.ty if f.ty is not None else u.fresh()
+            self.binder_types.append(ty)
+            bt = self.infer(f.body, {**env, f.name: ty})
+            if t is Abs:
+                return Arrow(ty, bt)
+            u.unify(ty, bt, _RULE[t], f"fixpoint variable {f.name} and its body")
+            return ty
         if t is Forall or t is Exists:
-            bt = self.infer(f.body, {**env, f.var: INT})
-            u.unify(bt, PROP, "T-Or", "quantifier body")
+            rule = _RULE[t]
+            u.unify(f.ty, INT, rule, f"quantified variable {f.name}")
+            bt = self.infer(f.body, {**env, f.name: INT})
+            u.unify(bt, PROP, rule, "quantifier body")
             return PROP
         raise TypeCheckError("T-Var", f"not a formula: {f!r}")
 
@@ -208,23 +214,14 @@ class _Checker:
         resolved types.  A node that needs neither is returned as it is
         (``map_children``)."""
         t = type(f)
-        if t is Abs:
-            ty = self.next_binder()
-            _validate(ty, "T-Abs", f"parameter {f.param}")
-            body = self.finalize(f.body, {**env, f.param: ty})
-            if body is f.body and ty == f.ty:
-                return f
-            return Abs(f.param, ty, body)
-        if t is Mu or t is Nu:
-            rule = "T-Mu" if t is Mu else "T-Nu"
-            ty = self.next_binder()
-            if not is_predicate_type(ty):
-                raise TypeCheckError(rule, f"fixpoint {f.name} has type {ty}, not a predicate type")
-            _validate(ty, rule, f"fixpoint {f.name}")
+        if t is Abs or t is Mu or t is Nu:
+            ty, rule = self.next_binder(), _RULE[t]
+            what = f"parameter {f.name}" if t is Abs else f"fixpoint {f.name}"
+            if t is not Abs and not is_predicate_type(ty):
+                raise TypeCheckError(rule, f"{what} has type {ty}, not a predicate type")
+            _validate(ty, rule, what)
             body = self.finalize(f.body, {**env, f.name: ty})
-            if body is f.body and ty == f.ty:
-                return f
-            return t(f.name, ty, body)
+            return f if body is f.body and ty == f.ty else t(f.name, ty, body)
         if t is App:
             args = [
                 IntVar(a.name) if type(a) is Var and type(env[a.name]) is IntType else a

@@ -79,7 +79,7 @@ class _Gen:
         if pick == "quant":
             v = self.name("q")
             body = self.prop({**env, v: INT}, depth - 1)
-            return Forall(v, body) if rng.random() < 0.5 else Exists(v, body)
+            return Forall(v, INT, body) if rng.random() < 0.5 else Exists(v, INT, body)
         name, ty = rng.choice(preds)
         out: Formula = Var(name)
         for aty in arg_types(ty):

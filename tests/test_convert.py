@@ -9,9 +9,9 @@ from muhflz.driver import approximate, prepare
 from muhflz.eval import BoundedResult, Domain, IterationCap, check_validity_bounded
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    Abs, App, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu, Or,
-    And, Exists, Forall, PROP, Sign, Var, alpha_normalize, contains_mu, free_vars,
-    subformulas,
+    Abs, App, Arrow, BINDERS, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu,
+    Or, And, Forall, NameSupply, PROP, Sign, Var, alpha_normalize,
+    contains_mu, free_vars, names_in_formula, subformulas,
 )
 from muhflz.printer import print_hes
 from muhflz.transform import ApproxParams, dual_hes
@@ -125,13 +125,13 @@ def test_inline_lift_semantic_round_trip(seed):
 def test_alpha_normalize_idempotent_on_fixtures():
     for name in all_fixture_names():
         h = parse_hes(fixture_text(name))
-        once = alpha_normalize(h)
-        assert alpha_normalize(once) == once
+        once = alpha_normalize(h, NameSupply())
+        assert alpha_normalize(once, NameSupply()) == once
 
 
 def test_lifting_passes_captured_variables_through_an_enclosing_head():
     # Z uses X, whose head takes the quantified y: Z must take y as well
-    f = Forall("y", Nu("X", PROP, And(
+    f = Forall("y", INT, Nu("X", PROP, And(
         Ge(IntVar("y"), Lit(0)), Nu("Z", PROP, And(Var("X"), Var("Z")))
     )))
     h = formula_to_hes(f)
@@ -183,6 +183,22 @@ def test_inlining_walks_free_variables_only_to_check_names(monkeypatch, name):
     assert len(calls) == len(h.equations) + 1
 
 
+def test_normalizing_takes_every_name_that_closing_must_avoid():
+    # hes_to_formula seeds its fresh names with what alpha_normalize took:
+    # every equation, parameter and binder name, so every name of the system
+    hs = [h for _, h in instances(100)]
+    hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
+    for h in hs:
+        for g in (h, dual_hes(h)):
+            supply = NameSupply()
+            g = alpha_normalize(g, supply)
+            names = names_in_formula(g.entry).union(*[
+                {eq.name, *[p for p, _ in eq.params]} | names_in_formula(eq.body)
+                for eq in g.equations
+            ])
+            assert supply.taken == names
+
+
 def test_binders_that_share_a_name_are_equal_subtrees():
     # the tag derivation keys binders by name
     hs = [h for _, h in instances(200)]
@@ -192,12 +208,11 @@ def test_binders_that_share_a_name_are_equal_subtrees():
         for g in (h, dual_hes(h)):
             first = {}
             for node in subformulas(hes_to_formula(g)):
-                match node:
-                    case Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _) | Exists(n, _):
-                        binders += 1
-                        if n in first:
-                            assert node == first[n], n
-                            shared += 1
-                        else:
-                            first[n] = node
+                if isinstance(node, BINDERS):
+                    binders += 1
+                    if node.name in first:
+                        assert node == first[node.name], node.name
+                        shared += 1
+                    else:
+                        first[node.name] = node
     assert binders > 1_000 and shared > 200

@@ -86,7 +86,7 @@ def test_prefix_conjunction_nu():
 
 
 def test_quantifiers_range_over_window():
-    f = Exists("x", Ge(IntVar("x"), Lit(5)))
+    f = Exists("x", INT, Ge(IntVar("x"), Lit(5)))
     assert evaluate(f, dom=Domain(0, 8)) is True
     assert evaluate(f, dom=Domain(0, 4)) is False
 
@@ -471,9 +471,9 @@ COST_MODEL = {
         8,
     ),
     # on 0..4 the first counterexample to x <= 1 is x = 2: 1 + 3 bodies
-    "forall_first_counterexample": (Forall("x", Ge(Lit(1), _X)), False, 4),
+    "forall_first_counterexample": (Forall("x", INT, Ge(Lit(1), _X)), False, 4),
     # on 0..4 the first witness of x >= 3 is x = 3: 1 + 4 bodies
-    "exists_first_witness": (Exists("x", Ge(_X, Lit(3))), True, 5),
+    "exists_first_witness": (Exists("x", INT, Ge(_X, Lit(3))), True, 5),
 }
 
 

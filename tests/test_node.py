@@ -38,7 +38,7 @@ def _samples():
     e = IntAbs(Times(Plus(n, m), Lit(3)))
     ty = Arrow(Arrow(INT, PROP), Arrow(INT, PROP))
     g = Ge(e, n)
-    body = And(Or(Var("X"), g), App(App(Var("p"), e), Abs("z", INT, Forall("k", Exists("m", g)))))
+    body = And(Or(Var("X"), g), App(App(Var("p"), e), Abs("z", INT, Forall("k", INT, Exists("m", INT, g)))))
     row = ApproxParams(1, 2, 3, 4, 2)
     verdict = BackendVerdict("unknown", "range escape", 0.5)
     tag = TagPred((TagInt(), TagPred((TagInt(),), False)), True)
@@ -46,7 +46,7 @@ def _samples():
         IntType(), PropType(), ty, Lit(7), n, Plus(n, m), Times(m, n), e,
         Var("x"), Or(Var("a"), Var("b")), body, Mu("X", ty, body), Nu("Y", None, body),
         Abs("p", ty, body), App(Var("f"), Var("g")), App(Var("f"), e), g,
-        Forall("k", g), Exists("k", g),
+        Forall("k", INT, g), Exists("k", INT, g),
         Equation("X", (("x", INT), ("p", Arrow(INT, PROP))), Sign.MU, body),
         Hes((Equation("Y", (), Sign.NU, Var("Y")),), Var("Y")),
         _TyVar(3), Domain(-3, 3, False), _Tok("ident", "X'", 2, 5), row,
@@ -156,7 +156,7 @@ def test_same_fields_in_another_class_are_not_equal():
     a, b = Var("a"), Var("b")
     assert Or(a, b) != And(a, b)
     assert Mu("X", PROP, a) != Nu("X", PROP, a)
-    assert Forall("x", a) != Exists("x", a)
+    assert Forall("x", INT, a) != Exists("x", INT, a)
     assert Plus(Lit(1), Lit(2)) != Times(Lit(1), Lit(2))
     assert IntType() != PropType() and TagInt() != IntType()
     assert Lit(1) != Lit(2) and Var("a") != IntVar("a")
@@ -207,9 +207,12 @@ def test_fields_cannot_be_assigned_or_deleted(x):
 def test_repr_is_the_dataclass_text():
     f = Mu("X", Arrow(INT, PROP), Abs("x", INT, Or(App(Var("X"), Plus(IntVar("x"), Lit(1))), Ge(IntVar("x"), Lit(0)))))
     assert repr(f) == (
-        "Mu(name='X', ty=Arrow(arg=IntType(), ret=PropType()), body=Abs(param='x', "
+        "Mu(name='X', ty=Arrow(arg=IntType(), ret=PropType()), body=Abs(name='x', "
         "ty=IntType(), body=Or(children=(App(head=Var(name='X'), args=(Plus(children=("
         "IntVar(name='x'), Lit(value=1))),)), Ge(lhs=IntVar(name='x'), rhs=Lit(value=0))))))"
+    )
+    assert repr(Exists("k", INT, Ge(IntVar("k"), Lit(0)))) == (
+        "Exists(name='k', ty=IntType(), body=Ge(lhs=IntVar(name='k'), rhs=Lit(value=0)))"
     )
     assert repr(SAMPLES[-1]) == (
         "VerdictReport(outcome='unknown', winning_side='none', iterations=(IterationRecord("

@@ -102,7 +102,7 @@ def test_literal_argument_prints_bare_unless_negative():
 a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
 x_ge_y, y_ge_x = Ge(x, y), Ge(y, x)
 x_gt_y, y_gt_x = Ge(Plus(x, Lit(-1)), y), Ge(Plus(y, Lit(-1)), x)
-all_x = Forall("x", Ge(x, Lit(0)))
+all_x = Forall("x", INT, Ge(x, Lit(0)))
 
 # each junction shape, with the text it prints as
 JUNCTION_SHAPES = [

@@ -30,14 +30,12 @@ def _preorder(f):
         case Or(children) | And(children):
             for g in children:
                 yield from _preorder(g)
-        case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body):
-            yield from _preorder(body)
         case App(head, args):
             yield from _preorder(head)
             for a in args:
                 if isinstance(a, Formula):
                     yield from _preorder(a)
-        case Forall(_, body) | Exists(_, body):
+        case Mu(_, _, body) | Nu(_, _, body) | Abs(_, _, body) | Forall(_, _, body) | Exists(_, _, body):
             yield from _preorder(body)
 
 
@@ -151,10 +149,10 @@ def test_map_children_merges_a_head_that_becomes_an_application():
     # application and at its recursive call, by its name applied to x
     x, y = IntVar("x"), IntVar("y")
     loop = Mu("X", Arrow(INT, PROP), Abs("y", INT, Or(Ge(y, x), App(Var("X"), Plus(y, Lit(-1))))))
-    lifted = formula_to_hes(Forall("x", App(loop, Lit(0))))
+    lifted = formula_to_hes(Forall("x", INT, App(loop, Lit(0))))
     (eq,) = lifted.equations
     call = lifted.entry.body
-    assert call == App(Var(eq.name), IntVar(lifted.entry.var), Lit(0))
+    assert call == App(Var(eq.name), IntVar(lifted.entry.name), Lit(0))
     (rec,) = [g for g in subformulas(eq.body) if type(g) is App]
     assert rec.head == Var(eq.name) and len(rec.args) == 2
 
@@ -233,7 +231,7 @@ def _free_count(f, name):
     match f:
         case Var(n):
             return int(n == name)
-        case Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _) | Exists(n, _) if n == name:
+        case Mu(n, _, _) | Nu(n, _, _) | Abs(n, _, _) | Forall(n, _, _) | Exists(n, _, _) if n == name:
             return 0
     return sum(_free_count(c, name) for c in _children(f))
 
@@ -300,8 +298,8 @@ def test_replace_free_stops_at_every_binder_that_rebinds_the_name():
         Abs("x", INT, x),
         Mu("x", PROP, x),
         Nu("x", PROP, x),
-        Forall("x", And(x, Ge(IntVar("x"), Lit(0)))),
-        Exists("x", x),
+        Forall("x", INT, And(x, Ge(IntVar("x"), Lit(0)))),
+        Exists("x", INT, x),
     ]
     f = x
     for b in shadowed:
@@ -332,7 +330,7 @@ def test_rename_int_renames_under_int_abs_and_shares_the_rest():
                          ids=["sum", "product"])
 def test_integer_walkers_do_not_recurse_along_a_chain(op, sym, valid):
     e = functools.reduce(op, [IntVar("x")] * 5000)
-    f = Forall("x", Ge(e, Lit(0)))
+    f = Forall("x", INT, Ge(e, Lit(0)))
     with shallow_stack(100):
         assert int_free_vars(e) == {"x"}
         assert not contains_int_abs(e)
@@ -364,7 +362,7 @@ def test_formula_walkers_do_not_recurse_along_an_application():
         replaced = replace_free(f, "G", lambda: Var("H"))
         assert free_vars(replaced) == {"F", "H", "x", "y"}
         renamed = alpha_normalize_formula(f, NameSupply(names_in_formula(f)))
-        assert len({a.param for a in renamed.args if type(a) is Abs}) == 1000
+        assert len({a.name for a in renamed.args if type(a) is Abs}) == 1000
         assert dualize(f) != f and dualize(dualize(f)) == f
         assert print_formula(f) == text
         _check_twins(f, parse_formula(text))

@@ -72,16 +72,11 @@ def test_erasure_matches_simple_types():
     h = typecheck(parse_hes(fixture_text("succ_chain_pure.hes")))
     der = prepare(h)
     f = der.formula
-    from muhflz.syntax import Abs, Mu, Nu, subformulas
+    from muhflz.syntax import BINDERS, subformulas
 
     for g in subformulas(f):
-        if isinstance(g, (Abs, Mu, Nu)):
-            name = g.param if isinstance(g, Abs) else g.name
-            t = der.binder[name]
-            if isinstance(g, Abs):
-                assert t.erase() == g.ty
-            else:
-                assert t.erase() == g.ty
+        if isinstance(g, BINDERS):
+            assert der.binder[g.name].erase() == g.ty
 
 
 def test_deterministic():

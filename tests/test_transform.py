@@ -105,7 +105,7 @@ def test_binder_that_rebinds_a_mu_name_ends_its_scope():
     _, last = g.head.body.body.children
     head, args = last.head, last.args
     assert head is rebind
-    assert isinstance(args[0], Abs) and args[0].body == App(Var("X"), IntVar(args[0].param))
+    assert isinstance(args[0], Abs) and args[0].body == App(Var("X"), IntVar(args[0].name))
     assert check_validity_bounded(g, DOM3) == check_validity_bounded(f, DOM3)
 
 
@@ -355,13 +355,13 @@ def test_leftover_abs_rejected():
 
     bad = Ge(IntAbs(IntVar("x")), Lit(0))
     with pytest.raises(AbsInIllegalPosition):
-        eliminate_abs(typecheck(Hes((), Forall("x", bad))).entry)
+        eliminate_abs(typecheck(Hes((), Forall("x", INT, bad))).entry)
     # an absolute value inside another, as an application argument, has no
     # sign bounds free of absolute values
     p = Abs("y", INT, Ge(IntVar("y"), Lit(0)))
     nested = App(p, IntAbs(IntAbs(IntVar("x"))))
     with pytest.raises(AbsInIllegalPosition):
-        eliminate_abs(typecheck(Hes((), Forall("x", nested))).entry)
+        eliminate_abs(typecheck(Hes((), Forall("x", INT, nested))).entry)
 
 
 # ---------------------------------------------------------------------------

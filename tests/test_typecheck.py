@@ -4,8 +4,8 @@ from conftest import all_fixture_names, fixture_text
 from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    Abs, And, App, Arrow, Equation, Ge, Hes, INT, IntVar, Lit, Mu,
-    PROP, Sign, Var,
+    Abs, And, App, Arrow, Equation, Exists, Forall, Ge, Hes, INT, IntVar,
+    Lit, Mu, PROP, Sign, Var,
 )
 from muhflz.typecheck import TypeCheckError, formula_type, typecheck
 
@@ -30,6 +30,21 @@ def test_formula_in_an_integer_position_is_t_int():
         typecheck(bad)
     assert e.value.rule == "T-Int"
     assert "Var(name='x')" in str(e.value)
+
+
+@pytest.mark.parametrize("q, rule", [("forall", "T-Forall"), ("exists", "T-Exists")])
+def test_a_quantifier_body_is_checked_under_its_own_rule(q, rule):
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(parse_hes(f"Main =v {q} x. (\\y. y >= x);\n"))
+    assert str(e.value) == f"[{rule}] quantifier body: cannot unify 't1 -> prop with prop"
+
+
+@pytest.mark.parametrize("q, rule", [(Forall, "T-Forall"), (Exists, "T-Exists")])
+def test_a_quantified_variable_is_an_integer(q, rule):
+    # only a programmatic Hes can give a quantifier another type
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(_hes(q("x", PROP, Ge(Lit(0), Lit(0)))))
+    assert str(e.value) == f"[{rule}] quantified variable x: cannot unify prop with int"
 
 
 def test_fib_gets_expected_type():
