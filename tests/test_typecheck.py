@@ -32,14 +32,14 @@ def test_formula_in_an_integer_position_is_t_int():
     assert "Var(name='x')" in str(e.value)
 
 
-@pytest.mark.parametrize("q, rule", [("forall", "T-Forall"), ("exists", "T-Exists")])
+@pytest.mark.parametrize("q, rule", [("forall", "T-Forall"), ("exists", "T-Exists")], ids=["forall", "exists"])
 def test_a_quantifier_body_is_checked_under_its_own_rule(q, rule):
     with pytest.raises(TypeCheckError) as e:
         typecheck(parse_hes(f"Main =v {q} x. (\\y. y >= x);\n"))
     assert str(e.value) == f"[{rule}] quantifier body: cannot unify 't1 -> prop with prop"
 
 
-@pytest.mark.parametrize("q, rule", [(Forall, "T-Forall"), (Exists, "T-Exists")])
+@pytest.mark.parametrize("q, rule", [(Forall, "T-Forall"), (Exists, "T-Exists")], ids=["forall", "exists"])
 def test_a_quantified_variable_is_an_integer(q, rule):
     # only a programmatic Hes can give a quantifier another type
     with pytest.raises(TypeCheckError) as e:
