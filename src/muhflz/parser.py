@@ -359,11 +359,9 @@ class _Parser:
             self.scope.extend(params)
             body = self.formula()
             del self.scope[len(self.scope) - len(params):]
-            if t.kind == "forall":
-                return Forall(params[0], INT, body)
-            if t.kind == "exists":
-                return Exists(params[0], INT, body)
-            return lambdas([(p, None) for p in params], body)
+            if t.kind == "sym":
+                return lambdas([(p, None) for p in params], body)
+            return (Forall if t.kind == "forall" else Exists)(params[0], INT, body)
         self.fail({"identifier", "integer", "("})
 
 
