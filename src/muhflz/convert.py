@@ -76,13 +76,24 @@ def formula_to_hes(f: Formula) -> Hes:
     first), preserving nesting priority."""
 
     supply = NameSupply(names_in_formula(f) | {"Main"})
+    lifter = _Lifter(supply)
     # every binder gets a fresh name, so fixpoint names are unique and each
     # can name its equation
-    f = alpha_normalize_formula(f, supply)
-    equations: list[Equation] = []
-    heads: dict[str, Formula] = {}
+    entry = lifter.lift(alpha_normalize_formula(f, supply), {})
+    return Hes(tuple(lifter.equations), entry)
 
-    def lift(g: Formula, env: dict[str, SimpleType]) -> Formula:
+
+class _Lifter:
+    """The equations lifted so far, in order, and the head that replaces
+    each lifted fixpoint variable."""
+
+    def __init__(self, supply: NameSupply):
+        self.supply = supply
+        self.equations: list[Equation] = []
+        self.heads: dict[str, Formula] = {}
+
+    def lift(self, g: Formula, env: dict[str, SimpleType]) -> Formula:
+        heads, equations = self.heads, self.equations
         match g:
             case Var(name) if name in heads:
                 return heads[name]
@@ -102,12 +113,9 @@ def formula_to_hes(f: Formula) -> Hes:
                 slot = len(equations)
                 equations.append(None)  # type: ignore[arg-type]
                 # peel the parameter lambdas of the fixpoint's own type
-                binders, rest = peel(lift(body, env), arg_types(ty), supply)
+                binders, rest = peel(self.lift(body, env), arg_types(ty), self.supply)
                 params = captured + binders
                 sign = Sign.MU if isinstance(g, Mu) else Sign.NU
                 equations[slot] = Equation(name, tuple(params), sign, rest)
                 return head
-        return map_children(g, lift, env)
-
-    entry = lift(f, {})
-    return Hes(tuple(equations), entry)
+        return map_children(g, self.lift, env)

@@ -229,39 +229,50 @@ def _enumerate(ctx: "_EvalContext", ty: SimpleType) -> list:
     if isinstance(ty.arg, IntType) and len(rets) ** len(args) > _ENUM_LIMIT:
         # discrete argument order: the count is exact, fail fast
         raise IterationCap("enumeration")
-    n = len(args)
-    below = [
-        [j for j in range(n) if j != i and value_leq(ty.arg, args[j], args[i])]
-        for i in range(n)
-    ]
-    above = [
-        [j for j in range(n) if j != i and value_leq(ty.arg, args[i], args[j])]
-        for i in range(n)
-    ]
-    out: list = []
-    entries: list = [None] * n
+    search = _TableSearch(ty, args, rets)
+    search.assign(0)
+    return search.out
 
-    def assign(i: int):
+
+class _TableSearch:
+    """The monotone tables of an arrow type, found by backtracking: each
+    argument's entry is chosen in turn, in the order of ``rets``, so that
+    it is consistent with the entries already chosen for the arguments
+    below and above it."""
+
+    def __init__(self, ty: Arrow, args: list, rets: list):
+        n = len(args)
+        self.ty, self.rets = ty, rets
+        self.below = [
+            [j for j in range(n) if j != i and value_leq(ty.arg, args[j], args[i])]
+            for i in range(n)
+        ]
+        self.above = [
+            [j for j in range(n) if j != i and value_leq(ty.arg, args[i], args[j])]
+            for i in range(n)
+        ]
+        self.entries: list = [None] * n
+        self.out: list = []
+
+    def assign(self, i: int):
+        ty, entries, out = self.ty, self.entries, self.out
         if len(out) > _ENUM_LIMIT:
             raise IterationCap("enumeration")
-        if i == n:
+        if i == len(entries):
             out.append(Table(ty.arg, tuple(entries)))
             return
-        for r in rets:
+        for r in self.rets:
             ok = all(
                 entries[j] is None or value_leq(ty.ret, entries[j], r)
-                for j in below[i]
+                for j in self.below[i]
             ) and all(
                 entries[j] is None or value_leq(ty.ret, r, entries[j])
-                for j in above[i]
+                for j in self.above[i]
             )
             if ok:
                 entries[i] = r
-                assign(i + 1)
+                self.assign(i + 1)
                 entries[i] = None
-
-    assign(0)
-    return out
 
 
 # ---------------------------------------------------------------------------

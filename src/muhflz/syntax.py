@@ -537,25 +537,26 @@ def alpha_normalize_formula(
     occurrences with it; ``env`` maps names renamed by an enclosing scope.
     Binders are rebuilt; any other node with nothing to rename is kept as
     it is."""
-
-    def go(f: Formula, env: dict[str, str]) -> Formula:
-        t = type(f)
-        if t is Var:
-            new = env.get(f.name)
-            return f if new is None else Var(new)
-        if t is App:
-            head = go(f.head, env)
-            args = [rename_int(a, env) if isinstance(a, IntExpr) else go(a, env) for a in f.args]
-            return f if head is f.head and all(map(is_, args, f.args)) else App(head, *args)
-        if t is Ge:
-            l, r = rename_int(f.lhs, env), rename_int(f.rhs, env)
-            return f if l is f.lhs and r is f.rhs else Ge(l, r)
-        if t in BINDERS:
-            new = supply.fresh(f.name)
-            return t(new, f.ty, go(f.body, {**env, f.name: new}))
-        return map_children(f, go, env)
-
-    return go(f, env or {})
+    t = type(f)
+    env = env or {}
+    if t is Var:
+        new = env.get(f.name)
+        return f if new is None else Var(new)
+    if t is App:
+        head = alpha_normalize_formula(f.head, supply, env)
+        args = [
+            rename_int(a, env) if isinstance(a, IntExpr)
+            else alpha_normalize_formula(a, supply, env)
+            for a in f.args
+        ]
+        return f if head is f.head and all(map(is_, args, f.args)) else App(head, *args)
+    if t is Ge:
+        l, r = rename_int(f.lhs, env), rename_int(f.rhs, env)
+        return f if l is f.lhs and r is f.rhs else Ge(l, r)
+    if t in BINDERS:
+        new = supply.fresh(f.name)
+        return t(new, f.ty, alpha_normalize_formula(f.body, supply, {**env, f.name: new}))
+    return map_children(f, lambda g, e: alpha_normalize_formula(g, supply, e), env)
 
 
 def alpha_normalize(h: Hes, supply: NameSupply) -> Hes:

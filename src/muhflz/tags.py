@@ -99,19 +99,20 @@ class TagDerivation(Node):
     def to_json(self) -> str:
         import json
 
-        def enc(t: TaggedArg):
-            if isinstance(t, TagInt):
-                return "int"
-            return {"tag": "T" if t.tag else "F", "params": [enc(p) for p in t.params]}
-
         payload = {
-            "binders": {n: enc(t) for n, t in sorted(self.binder.items())},
+            "binders": {n: _tag_json(t) for n, t in sorted(self.binder.items())},
             "mu_use_side": {
-                n: [enc(t) for t in ts] for n, ts in sorted(self.mu_outer.items())
+                n: [_tag_json(t) for t in ts] for n, ts in sorted(self.mu_outer.items())
             },
             "all_f": self.all_f,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _tag_json(t: TaggedArg):
+    if isinstance(t, TagInt):
+        return "int"
+    return {"tag": "T" if t.tag else "F", "params": [_tag_json(p) for p in t.params]}
 
 
 # ---------------------------------------------------------------------------

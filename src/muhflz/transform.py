@@ -115,33 +115,33 @@ def eta_expand_mu_partials(f: Formula) -> Formula:
     occurrence becomes syntactically fully applied.  The arity is read off
     the mu's type annotation; a binder that rebinds the name ends the
     mu's scope."""
+    return _eta(f, {}, NameSupply(names_in_formula(f)))
 
-    supply = NameSupply(names_in_formula(f))
 
-    def go(g: Formula, mus: dict[str, SimpleType]) -> Formula:
-        t = type(g)
-        if t is App or t is Var or t is Mu:
-            # a lone variable or mu is a spine without arguments
-            head, args = (g.head, g.args) if t is App else (g, ())
-            ty = None
-            if type(head) is Mu:
-                ty = head.ty
-                head = Mu(head.name, ty, go(head.body, {**mus, head.name: ty}))
-            elif type(head) is Var:
-                ty = mus.get(head.name)
-            else:
-                head = go(head, mus)
-            args = [a if isinstance(a, IntExpr) else go(a, mus) for a in args]
-            out = App(head, *args) if args else head
-            if ty is None:
-                return out
-            ys = [(supply.fresh("y"), a) for a in arg_types(ty)[len(args):]]
-            return lambdas(ys, apply_vars(out, ys))
-        if t in BINDERS and g.name in mus:
-            mus = {n: ty for n, ty in mus.items() if n != g.name}
-        return map_children(g, lambda h, _: go(h, mus))
-
-    return go(f, {})
+def _eta(g: Formula, mus: dict[str, SimpleType], supply: NameSupply) -> Formula:
+    """``eta_expand_mu_partials`` on ``g``, where ``mus`` maps the names of
+    the least-fixpoint predicates in scope to their types."""
+    t = type(g)
+    if t is App or t is Var or t is Mu:
+        # a lone variable or mu is a spine without arguments
+        head, args = (g.head, g.args) if t is App else (g, ())
+        ty = None
+        if type(head) is Mu:
+            ty = head.ty
+            head = Mu(head.name, ty, _eta(head.body, {**mus, head.name: ty}, supply))
+        elif type(head) is Var:
+            ty = mus.get(head.name)
+        else:
+            head = _eta(head, mus, supply)
+        args = [a if isinstance(a, IntExpr) else _eta(a, mus, supply) for a in args]
+        out = App(head, *args) if args else head
+        if ty is None:
+            return out
+        ys = [(supply.fresh("y"), a) for a in arg_types(ty)[len(args):]]
+        return lambdas(ys, apply_vars(out, ys))
+    if t in BINDERS and g.name in mus:
+        mus = {n: ty for n, ty in mus.items() if n != g.name}
+    return map_children(g, lambda h, _: _eta(h, mus, supply))
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +152,30 @@ def desugar_quantifiers(f: Formula) -> Formula:
     """Replace quantifiers by fixpoint predicates walking the integer line
     in both directions: universal by a greatest fixpoint, existential by a
     least fixpoint."""
+    return _desugar(f, NameSupply(names_in_formula(f)))
 
-    supply = NameSupply(names_in_formula(f))
+
+def _desugar(g: Formula, supply: NameSupply) -> Formula:
+    t = type(g)
+    if t is Forall or t is Exists:
+        return _encode_quantifier(t is Forall, g.name, _desugar(g.body, supply), supply)
+    return map_children(g, lambda h, _: _desugar(h, supply))
+
+
+def _encode_quantifier(is_forall: bool, var: str, body: Formula, supply: NameSupply) -> Formula:
     qty = Arrow(Arrow(INT, PROP), PROP)
-
-    def encode(is_forall: bool, var: str, body: Formula) -> Formula:
-        q = supply.fresh("Q")
-        p = supply.fresh("p")
-        x = supply.fresh("x")
-        here = App(Var(p), Lit(0))
-        down = App(Var(q), Abs(x, INT, App(Var(p), Plus(IntVar(x), Lit(-1)))))
-        x2 = supply.fresh("x")
-        up = App(Var(q), Abs(x2, INT, App(Var(p), Plus(IntVar(x2), Lit(1)))))
-        if is_forall:
-            walker: Formula = Nu(q, qty, Abs(p, Arrow(INT, PROP), And(here, And(down, up))))
-        else:
-            walker = Mu(q, qty, Abs(p, Arrow(INT, PROP), Or(here, Or(down, up))))
-        return App(walker, Abs(var, INT, body))
-
-    def go(g: Formula, _=None) -> Formula:
-        t = type(g)
-        if t is Forall or t is Exists:
-            return encode(t is Forall, g.name, go(g.body))
-        return map_children(g, go)
-
-    return go(f)
+    q = supply.fresh("Q")
+    p = supply.fresh("p")
+    x = supply.fresh("x")
+    here = App(Var(p), Lit(0))
+    down = App(Var(q), Abs(x, INT, App(Var(p), Plus(IntVar(x), Lit(-1)))))
+    x2 = supply.fresh("x")
+    up = App(Var(q), Abs(x2, INT, App(Var(p), Plus(IntVar(x2), Lit(1)))))
+    if is_forall:
+        walker: Formula = Nu(q, qty, Abs(p, Arrow(INT, PROP), And(here, And(down, up))))
+    else:
+        walker = Mu(q, qty, Abs(p, Arrow(INT, PROP), Or(here, Or(down, up))))
+    return App(walker, Abs(var, INT, body))
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +447,23 @@ def _split_abs(e: IntExpr) -> tuple[list[tuple[int, IntExpr]], list[IntExpr]]:
     another is refused, so no term of a sign bound holds one."""
     absterms: list[tuple[int, IntExpr]] = []
     rest: list[IntExpr] = []
-
-    def walk(t: IntExpr, k: int):
+    # each term with the literal factor it is scaled by, left term on top
+    stack = [(e, 1)]
+    while stack:
+        t, k = stack.pop()
         match t:
             case Plus(children):
-                for u in children:
-                    walk(u, k)
+                stack.extend((u, k) for u in reversed(children))
             case IntAbs(a) if not contains_int_abs(a):
                 absterms.append((k, a))
             case Times((Lit(c), u)) | Times((u, Lit(c))) if contains_int_abs(u):
-                walk(u, k * c)
+                stack.append((u, k * c))
             case _ if contains_int_abs(t):
                 raise AbsInIllegalPosition(f"non-linear absolute value in {t!r}")
             case Lit(n):
                 rest.append(Lit(k * n))
             case _:
                 rest.append(t if k == 1 else Times(Lit(k), t))
-
-    walk(e, 1)
     return absterms, rest
 
 
@@ -514,33 +512,32 @@ def eliminate_abs(f: Formula) -> Formula:
     positions that are monotone in the argument (unfolding budgets and
     companions).  Requires a typed formula (lambda-wrapping non-Prop
     applications needs arities)."""
+    return _abs_free(f, {}, NameSupply(names_in_formula(f)))
 
-    supply = NameSupply(names_in_formula(f))
 
-    def rewrite_app(g: App, env: dict) -> Formula:
-        head = go(g.head, env)
-        args = [a if isinstance(a, IntExpr) else go(a, env) for a in g.args]
-        pending: list[tuple[str, IntExpr]] = []
-        for i, a in enumerate(args):
-            if isinstance(a, IntExpr) and contains_int_abs(a):
-                u = supply.fresh("u")
-                pending.append((u, a))
-                args[i] = IntVar(u)
-        if not pending:
-            return App(head, *args)
+def _abs_free(g: Formula, env: dict, supply: NameSupply) -> Formula:
+    match g:
+        case App():
+            return _abs_free_app(g, env, supply)
+        case Ge(l, r) if contains_int_abs(l) or contains_int_abs(r):
+            raise AbsInIllegalPosition(f"absolute value in comparison {g!r}")
+    return map_children(g, lambda h, e: _abs_free(h, e, supply), env)
 
-        pads = [(supply.fresh("q"), t) for t in arg_types(formula_type(g, env))]
-        inner = apply_vars(App(head, *args), pads)
-        for u, e in reversed(pending):
-            inner = _forall_at_least([u], e, inner)
-        return lambdas(pads, inner)
 
-    def go(g: Formula, env: dict) -> Formula:
-        match g:
-            case App():
-                return rewrite_app(g, env)
-            case Ge(l, r) if contains_int_abs(l) or contains_int_abs(r):
-                raise AbsInIllegalPosition(f"absolute value in comparison {g!r}")
-        return map_children(g, go, env)
+def _abs_free_app(g: App, env: dict, supply: NameSupply) -> Formula:
+    head = _abs_free(g.head, env, supply)
+    args = [a if isinstance(a, IntExpr) else _abs_free(a, env, supply) for a in g.args]
+    pending: list[tuple[str, IntExpr]] = []
+    for i, a in enumerate(args):
+        if isinstance(a, IntExpr) and contains_int_abs(a):
+            u = supply.fresh("u")
+            pending.append((u, a))
+            args[i] = IntVar(u)
+    if not pending:
+        return App(head, *args)
 
-    return go(f, {})
+    pads = [(supply.fresh("q"), t) for t in arg_types(formula_type(g, env))]
+    inner = apply_vars(App(head, *args), pads)
+    for u, e in reversed(pending):
+        inner = _forall_at_least([u], e, inner)
+    return lambdas(pads, inner)
