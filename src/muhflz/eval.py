@@ -38,7 +38,12 @@ The context caches each forced table under that key, in
 ``forced_partials``; an escaping entry is ``_ESC``.  A table is a plain
 value, equal to any table with the same argument type and entries, and the
 context enumerates each type at most once.  Nothing outlives an evaluation:
-this module keeps no state of its own.
+this module keeps no state of its own, and makes no reference cycle, so
+reference counting frees an evaluation's context, instances and tables
+when it returns.  No nested function here names itself, which would make
+its closure a cycle (``_TableSearch`` recurses as a method); tier-1
+checks both, in ``tests/test_nested_cycles.py`` and the cyclic-garbage
+tests of ``tests/test_driver.py``.
 """
 
 from __future__ import annotations

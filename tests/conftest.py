@@ -14,6 +14,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 LOOP = FIXTURES.parent / "perfbench" / "loop.hes"
+# an external solver that reads its input and answers unknown
+STUB_SOLVER = FIXTURES.parent / "perfbench" / "stub_solver.sh"
 
 # the evaluable fixtures, each with the window and the verdict that README
 # "Fixtures" and the file's header document
@@ -109,6 +111,19 @@ def tracked_fix_instances() -> int:
     """Fixpoint instances the collector tracks, garbage not yet collected
     included."""
     return sum(1 for o in gc.get_objects() if type(o) is muhflz.eval._FixInstance)
+
+
+@contextlib.contextmanager
+def gc_off():
+    """The cyclic collector off inside the block, after one collection, so
+    that only reference counting frees what the block makes and a
+    ``gc.collect()`` in it counts the cyclic garbage the block left."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @contextlib.contextmanager

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, STUB_SOLVER
 from muhflz.backend import Builtin, External
 from muhflz.cli import _build_parser, _checked_backend, run
 from muhflz.eval import Domain
@@ -241,9 +241,6 @@ def _flat(op: str, n: int = 1000) -> str:
     return f" {op} ".join(["x"] * n)
 
 
-STUB = FIXTURES.parent / "perfbench" / "stub_solver.sh"
-
-
 # a sum nests nothing, so its length meets no nesting bound
 @pytest.mark.parametrize("text, flags, code", [
     (f"{_flat('+')} >= 0;", [], 1),
@@ -252,7 +249,7 @@ STUB = FIXTURES.parent / "perfbench" / "stub_solver.sh"
     (f"F ({_flat('+')});\nF y =v y >= 0 \\/ y < 0;", [], 0),
     (f"{_flat('-')} >= 0;", ["--emit", "nu"], 0),
     (f"{_flat('+', 10_000)} >= 0;",
-     ["--backend", f"sh {shlex.quote(str(STUB))}", "--no-quantifiers"], 2),
+     ["--backend", f"sh {shlex.quote(str(STUB_SOLVER))}", "--no-quantifiers"], 2),
 ], ids=["sum", "difference", "product", "argument", "emit_nu", "sum_10000_external"])
 def test_flat_sum_of_a_thousand_terms_gets_a_verdict(tmp_path, capsys, text, flags, code):
     path = tmp_path / "flat.hes"
@@ -281,7 +278,7 @@ MU_BODY = "forall x. F x;\nF y =u " + _OR.join([f"y + {i} >= 0" for i in range(3
     (MU_BODY, ["--emit", "tags"], 0),
     (WIDE_AND, ["--report", "json"], 1),
     (_OR.join(["0 >= 1"] * 30_000) + ";",
-     ["--backend", f"sh {shlex.quote(str(STUB))}", "--no-quantifiers"], 2),
+     ["--backend", f"sh {shlex.quote(str(STUB_SOLVER))}", "--no-quantifiers"], 2),
 ], ids=["or", "and", "mixed", "mu_body", "emit_nu", "emit_dual", "emit_tags", "report_json",
         "or_30000_external"])
 def test_wide_chain_gets_a_verdict(tmp_path, capsys, text, flags, code):
@@ -302,10 +299,9 @@ def test_wide_chain_gets_a_verdict(tmp_path, capsys, text, flags, code):
 def test_scaled_companion_with_abs_ends_unknown():
     # at the c=2 rows a companion holding |x| is scaled as 2*(2|x| + 2),
     # which the abs elimination must distribute rather than reject
-    stub = FIXTURES.parent / "perfbench" / "stub_solver.sh"
     proc = subprocess.run(
         [sys.executable, "-m", "muhflz.cli", str(FIXTURES / "partial_apply.hes"),
-         "--backend", f"sh {shlex.quote(str(stub))}", "--no-quantifiers"],
+         "--backend", f"sh {shlex.quote(str(STUB_SOLVER))}", "--no-quantifiers"],
         capture_output=True,
         text=True,
     )

@@ -1,10 +1,13 @@
 import gc
+from types import FunctionType
 
 import pytest
 
-from conftest import FIXTURES, fixture_text, tracked_fix_instances
+from conftest import (
+    DOCUMENTED, FIXTURES, LOOP, STUB_SOLVER, fixture_text, gc_off, tracked_fix_instances,
+)
 from gen import instances
-from muhflz.backend import BackendVerdict, Builtin, lower
+from muhflz.backend import BackendVerdict, Builtin, External, lower
 from muhflz.convert import hes_to_formula
 import muhflz.driver
 from muhflz.driver import (
@@ -245,7 +248,23 @@ def test_same_tags_reused_across_steps():
         assert outcomes[-1] == "valid"  # the winning step ends the run
 
 
-def test_no_table_outlives_verify(monkeypatch):
+# the evaluable fixtures in their README windows, and the vacuous-budget
+# repro in the CLI's default window
+_EVALUABLE = (
+    *((FIXTURES / f"{name}.hes", dom, outcome) for name, (dom, outcome) in DOCUMENTED.items()),
+    (LOOP, Domain(-8, 8), "invalid"),
+)
+_EVALUABLE_IDS = [p.stem for p, *_ in _EVALUABLE]
+
+
+# the evaluable fixtures whose verify makes tables; the others make none
+_TABULATING = [
+    e for e in _EVALUABLE if e[0].stem in {"fib_termination", "partial_apply", "succ_chain"}
+]
+
+
+@pytest.mark.parametrize("path,dom,outcome", _TABULATING, ids=[p.stem for p, *_ in _TABULATING])
+def test_no_table_outlives_verify(monkeypatch, path, dom, outcome):
     # a finished evaluation is freed by reference counting and nothing
     # else keeps a table, so the tables a verify makes are gone as soon as
     # it returns, with the cyclic collector off
@@ -258,52 +277,75 @@ def test_no_table_outlives_verify(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Table, "__init__", counting)
-    h = typecheck(parse_hes(fixture_text("partial_apply.hes")))
-    spec = Builtin(Domain(-6, 6))
-    gc.collect()
-    before = sum(1 for o in gc.get_objects() if type(o) is Table)
-    gc.disable()
-    try:
+    h = typecheck(parse_hes(path.read_text(encoding="utf-8")))
+    with gc_off():
+        before = sum(1 for o in gc.get_objects() if type(o) is Table)
         for _ in range(2):
             made = 0
-            assert verify(h, spec, default_schedule(8), deadline_s=60).outcome == "valid"
+            assert verify(h, Builtin(dom), default_schedule(8), deadline_s=300).outcome == outcome
             assert made, "the verify must make tables of its own"
             assert sum(1 for o in gc.get_objects() if type(o) is Table) == before
-    finally:
-        gc.enable()
 
 
-# the evaluable fixtures in their README windows, and the vacuous-budget
-# repro in the CLI's default window
-_EVALUABLE = (
-    *(
-        (FIXTURES / f"{name}.hes", lo, hi, "valid")
-        for name, lo, hi in (
-            ("countdown", -6, 6),
-            ("countdown_scaled", -8, 8),
-            ("fib_termination", -5, 5),
-            ("partial_apply", -6, 6),
-            ("succ_chain", 0, 10),
-            ("inner_outer_loop", 0, 8),
-        )
-    ),
-    (FIXTURES.parent / "perfbench" / "loop.hes", -8, 8, "invalid"),
-)
-
-
-@pytest.mark.parametrize(
-    "path,lo,hi,outcome", _EVALUABLE, ids=[p.stem for p, *_ in _EVALUABLE]
-)
-def test_no_context_survives_verify(eval_contexts, path, lo, hi, outcome):
+@pytest.mark.parametrize("path,dom,outcome", _EVALUABLE, ids=_EVALUABLE_IDS)
+def test_no_context_survives_verify(eval_contexts, path, dom, outcome):
     h = typecheck(parse_hes(path.read_text(encoding="utf-8")))
-    gc.collect()
-    before = tracked_fix_instances()
-    gc.disable()
-    try:
-        r = verify(h, Builtin(Domain(lo, hi)), default_schedule(8), deadline_s=300)
+    with gc_off():
+        before = tracked_fix_instances()
+        r = verify(h, Builtin(dom), default_schedule(8), deadline_s=300)
         assert r.outcome == outcome
         assert eval_contexts
         assert all(c() is None for c in eval_contexts)
         assert tracked_fix_instances() == before
-    finally:
-        gc.enable()
+
+
+# No reference cycle: what each call below builds is freed by reference
+# counting when it returns, so the collector finds no garbage after it.
+
+
+@pytest.mark.parametrize("path,dom,outcome", _EVALUABLE, ids=_EVALUABLE_IDS)
+def test_verify_leaves_no_cyclic_garbage(path, dom, outcome):
+    h = typecheck(parse_hes(path.read_text(encoding="utf-8")))
+    with gc_off():
+        assert verify(h, Builtin(dom), default_schedule(8), deadline_s=300).outcome == outcome
+        assert gc.collect() == 0
+
+
+def test_verify_on_generated_instances_leaves_no_cyclic_garbage():
+    hs = [h for _, h in instances(40)]
+    with gc_off():
+        for h in hs:
+            verify(h, Builtin(Domain(-3, 3)), deadline_s=2)
+        assert gc.collect() == 0
+
+
+def test_external_verify_leaves_no_cyclic_garbage():
+    # the stub answers unknown, so every row is lowered and printed
+    spec = External(("sh", str(STUB_SOLVER)), supports_quantifiers=False)
+    h = typecheck(parse_hes(fixture_text("countdown.hes")))
+    with gc_off():
+        assert verify(h, spec, default_schedule(4), deadline_s=60).outcome == "unknown"
+        assert gc.collect() == 0
+
+
+def test_tag_json_makes_no_cycle_of_its_own():
+    # json.dumps with an indent runs the standard library's Python encoder,
+    # whose nested functions make a cycle on every call; to_json adds none
+    der = prepare(typecheck(parse_hes(fixture_text("partial_apply.hes"))))
+    with gc_off():
+        assert der.to_json()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+        finally:
+            gc.set_debug(0)
+        garbage, gc.garbage[:] = gc.garbage[:], []
+    assert {o.__module__ for o in garbage if isinstance(o, FunctionType)} <= {"json.encoder"}
+
+
+def test_lower_leaves_no_cyclic_garbage():
+    der = prepare(typecheck(parse_hes(fixture_text("countdown.hes"))))
+    g = approximate(der, default_schedule(1)[0])
+    with gc_off():
+        assert lower(g, quantifiers=False).equations
+        assert gc.collect() == 0

@@ -4,7 +4,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SUCC_PRED, tracked_fix_instances
+from conftest import SUCC_PRED, gc_off, tracked_fix_instances
 from gen import instances, random_instance
 import muhflz.eval
 from muhflz.convert import hes_to_formula
@@ -416,10 +416,8 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
         Nu("x", Arrow(INT, PROP), Abs("y", INT, App(Var("x"), Plus(IntVar("y"), Lit(1))))),
         Lit(0),
     )
-    gc.collect()
-    before = tracked_fix_instances()
-    gc.disable()
-    try:
+    with gc_off():
+        before = tracked_fix_instances()
         assert check_validity_bounded(f, Domain(0, 4)) is BoundedResult.VALID
         assert check_validity_bounded(self_capturing, Domain(-3, 3)) is BoundedResult.VALID
         assert check_validity_bounded(nested, Domain(-3, 3)) is BoundedResult.VALID
@@ -433,8 +431,7 @@ def test_context_freed_when_evaluation_ends(eval_contexts):
         assert len(eval_contexts) == 5
         assert all(r() is None for r in eval_contexts)
         assert tracked_fix_instances() == before
-    finally:
-        gc.enable()
+        assert gc.collect() == 0
 
 
 @settings(max_examples=60, deadline=None)
