@@ -63,6 +63,10 @@ class BackendVerdict(Node):
         set_field(self, "elapsed_s", elapsed_s)
 
 
+# each verdict word maps to its literal, so a verdict keeps no copy of the line
+_OUTCOMES = {w: w for w in ("valid", "invalid", "unknown")}
+
+
 def _reject_mu(f: Formula) -> None:
     if contains_mu(f):
         raise ValueError("backend given a formula containing a least fixpoint")
@@ -119,8 +123,8 @@ def solve(spec: BackendSpec, f: Formula, *, deadline: Optional[float] = None) ->
             timeout=timeout,
         )
         for line in proc.stdout.splitlines():
-            word = line.strip().lower()
-            if word in ("valid", "invalid", "unknown"):
+            word = _OUTCOMES.get(line.strip().lower())
+            if word is not None:
                 return BackendVerdict(word, "", time.monotonic() - start)
         detail = f"exit {proc.returncode} without a verdict"
         if proc.stderr.strip():

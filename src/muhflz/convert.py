@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 
 from .syntax import (
-    Abs, Equation, Formula, Hes, Mu, NameSupply, Nu, PROP, Sign, SimpleType,
+    Abs, Equation, Formula, Hes, Mu, NameSupply, Nu, PROP, SimpleType,
     Var, alpha_normalize, alpha_normalize_formula, apply_vars, arg_types,
     arrow, free_vars, lambdas, map_children, names_in_formula, peel,
     replace_free,
@@ -57,8 +57,7 @@ def hes_to_formula(h: Hes) -> Formula:
     entry = h.entry
     for eq in reversed(h.equations):
         body = lambdas(eq.params, bodies.pop(eq.name))
-        ctor = Mu if eq.sign is Sign.MU else Nu
-        closed = ctor(eq.name, _equation_type(eq), body)
+        closed = eq.sign(eq.name, _equation_type(eq), body)
 
         def inline(target: Formula) -> Formula:
             copy = functools.cache(lambda: alpha_normalize_formula(closed, supply))
@@ -115,7 +114,6 @@ class _Lifter:
                 # peel the parameter lambdas of the fixpoint's own type
                 binders, rest = peel(self.lift(body, env), arg_types(ty), self.supply)
                 params = captured + binders
-                sign = Sign.MU if isinstance(g, Mu) else Sign.NU
-                equations[slot] = Equation(name, tuple(params), sign, rest)
+                equations[slot] = Equation(name, tuple(params), type(g), rest)
                 return head
         return map_children(g, self.lift, env)

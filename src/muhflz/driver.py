@@ -46,6 +46,10 @@ def default_schedule(max_iterations: int) -> tuple[ApproxParams, ...]:
     return tuple(steps)
 
 
+# the rows verify runs when given none, shared by every report it makes
+_DEFAULT_SCHEDULE = default_schedule(8)
+
+
 class IterationRecord(Node):
     __slots__ = ("side", "params", "verdict")  # side: "prover" | "disprover"
 
@@ -131,7 +135,7 @@ def verify(
         raise ValueError("deadline must be positive")
     start = time.monotonic()
     hard_deadline = start + deadline_s
-    schedule = schedule if schedule is not None else default_schedule(8)
+    schedule = schedule if schedule is not None else _DEFAULT_SCHEDULE
     typed = typecheck(h)
     desugar = isinstance(spec, External) and not spec.supports_quantifiers
 

@@ -454,7 +454,7 @@ class _FixInstance:
 
     def __init__(self, node, env: dict, stamp: tuple):
         self.env = env
-        self.sign = "mu" if isinstance(node, Mu) else "nu"
+        self.sign = type(node)
         self.name = node.name
         self.body = node.body
         self.param_tys = arg_types(node.ty)
@@ -489,7 +489,7 @@ class _FixInstance:
         try:
             key = tuple(map(ctx.config_key, values))
         except RangeEscape:
-            if self.sign == "mu":
+            if self.sign is Mu:
                 # descending out of the window: a least fixpoint bottoms out
                 return False
             raise
@@ -497,7 +497,7 @@ class _FixInstance:
         # solved must not survive that fixpoint's updates
         stamp = ctx.stamp(values, self)
         if key not in self.asg or self.stamps[key] != stamp:
-            self.asg[key] = self.sign == "nu"
+            self.asg[key] = self.sign is Nu
             self.argvals[key] = values
             self.stamps[key] = stamp
             self.version += 1

@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 from .syntax import (
     And, App, Equation, Exists, FALSE, Forall, Formula, Hes, INT, IntExpr,
-    IntVar, Lit, Node, Or, Plus, Sign, Times, TRUE, Var, canon_ge, lambdas,
+    IntVar, Lit, Mu, Node, Nu, Or, Plus, Times, TRUE, Var, canon_ge, lambdas,
     set_field, shift_expr,
 )
 
@@ -232,7 +232,7 @@ class _Parser:
             self.next()
         else:
             self.fail({"=v", "=u"})
-        sign = Sign.NU if t.text == "=v" else Sign.MU
+        sign = Nu if t.text == "=v" else Mu
         saved = len(self.scope)
         self.scope.extend(p for p, _ in params)
         body = self.formula()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .syntax import (
     Abs, And, App, Exists, Forall, Formula, Ge, Hes, IntAbs, IntExpr,
-    IntVar, Lit, Mu, Nu, Or, Plus, Sign, Times, Var,
+    IntVar, Lit, Mu, Nu, Or, Plus, Times, Var,
 )
 
 
@@ -27,7 +27,8 @@ def _fmt_formula(f: Formula, ctx: int) -> str:
         return f.name
     if t is App:
         s = " ".join([_fmt_formula(f.head, _APP), *[
-            _fmt_arg(a) if isinstance(a, IntExpr) else _fmt_formula(a, _APP + 1) for a in f.args
+            _fmt_int(a, _IATOM) if isinstance(a, IntExpr) else _fmt_formula(a, _APP + 1)
+            for a in f.args
         ]])
         return f"({s})" if ctx > _APP else s
     if t is Ge:
@@ -82,17 +83,6 @@ def _fmt_int(e: IntExpr, ctx: int) -> str:
     raise PrintError(f"cannot print {e!r}")
 
 
-def _fmt_arg(e: IntExpr) -> str:
-    """Integer expression in application-argument position: anything but a
-    plain variable or non-negative literal needs parentheses."""
-    t = type(e)
-    if t is IntVar:
-        return e.name
-    if t is Lit and e.value >= 0:
-        return str(e.value)
-    return f"({_fmt_int(e, _PLUS)})"
-
-
 def print_formula(f: Formula) -> str:
     return _fmt_formula(f, _BINDER)
 
@@ -101,6 +91,6 @@ def print_hes(h: Hes) -> str:
     lines = [f"Main =v {print_formula(h.entry)};"]
     for eq in h.equations:
         params = "".join(f" {p}" for p, _ in eq.params)
-        sign = "=u" if eq.sign is Sign.MU else "=v"
+        sign = "=u" if eq.sign is Mu else "=v"
         lines.append(f"{eq.name}{params} {sign} {print_formula(eq.body)};")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,9 @@ Every binder is ``(name, ty, body)``: the bound ``name``, its type
 ``ty`` (None until typechecking) and the ``body`` it scopes.  ``BINDERS``
 names the five binder classes, ``Abs``, ``Mu``, ``Nu``, ``Forall`` and
 ``Exists``; a quantifier's ``ty`` is Int.  So each walker has one binder
-case, and a class pattern on a binder gives all three fields or none.
+case, and a class pattern on a binder gives all three fields or none.  A
+fixpoint's sign is its binder class, ``Mu`` or ``Nu``, and an equation's
+``sign`` is that class too.
 
 Every associative chain is one node.  A ``\\/`` or ``/\\`` chain is one
 ``Or`` or ``And`` and a sum or product one ``Plus`` or ``Times``, each with
@@ -45,7 +47,6 @@ parameters.
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -327,19 +328,17 @@ FALSE = Ge(Lit(0), Lit(1))
 # Hierarchical equation systems
 
 
-class Sign(Enum):
-    MU = "mu"
-    NU = "nu"
-
-
 class Equation(Node):
+    """An equation's ``sign`` is ``Mu`` (``=u``, least) or ``Nu`` (``=v``,
+    greatest): the binder class it closes into."""
+
     __slots__ = ("name", "params", "sign", "body")
 
     def __init__(
         self,
         name: str,
         params: tuple[tuple[str, Optional[SimpleType]], ...],
-        sign: Sign,
+        sign: type[Mu] | type[Nu],
         body: Formula,
     ):
         set_field(self, "name", name)

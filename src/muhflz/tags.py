@@ -228,17 +228,11 @@ class _Inference:
                     _unify_pred(pos.params, aview)
                     self.edges.append((pos, self.outer_preds(free_vars(arg), env)))
                 return fview[len(args):]
-            case Nu(name, ty, body):
-                tree = _Tree.for_type(ty)
-                self.binder[name] = tree
-                bview = self.walk(body, {**env, name: tree})
-                _unify_pred(tree.params, bview)
-                return tree.params
-            case Mu(name, ty, body):
-                inner = _Tree.for_type(ty)
-                self.binder[name] = inner
-                bview = self.walk(body, {**env, name: inner})
-                _unify_pred(inner.params, bview)
+            case Mu(name, ty, body) | Nu(name, ty, body):
+                inner = self.binder[name] = _Tree.for_type(ty)
+                _unify_pred(inner.params, self.walk(body, {**env, name: inner}))
+                if type(f) is Nu:
+                    return inner.params
                 # use-side argument types: raw-equal to the inner ones
                 outer = []
                 for p in inner.params:

@@ -33,7 +33,7 @@ from typing import Optional
 from .syntax import (
     Abs, And, App, Arrow, BINDERS, Equation, Exists, Forall, Formula, Ge,
     Hes, INT, IntAbs, IntExpr, IntVar, Lit, Mu, NameSupply, Node, Nu, Or,
-    Plus, PROP, Sign, SimpleType, Times, Var, apply_vars, arg_types, arrow,
+    Plus, PROP, SimpleType, Times, Var, apply_vars, arg_types, arrow,
     canon_ge, contains_int_abs, free_vars, int_free_vars, lambdas,
     map_children, names_in_formula, neg_ge, peel, replace_free, set_field,
     shift_expr,
@@ -94,13 +94,7 @@ def dualize(f: Formula) -> Formula:
 
 def dual_hes(h: Hes) -> Hes:
     eqs = tuple(
-        Equation(
-            eq.name,
-            eq.params,
-            Sign.NU if eq.sign is Sign.MU else Sign.MU,
-            dualize(eq.body),
-        )
-        for eq in h.equations
+        Equation(eq.name, eq.params, _DUAL[eq.sign], dualize(eq.body)) for eq in h.equations
     )
     return Hes(eqs, dualize(h.entry))
 
@@ -227,7 +221,7 @@ class _Eliminator:
     def view(self, f: Formula) -> tuple[TaggedArg, ...]:
         """Use-side tagged parameter list of a predicate-typed subterm."""
         match f:
-            case Var(name):
+            case Var(name) | Nu(name, _, _):
                 t = self.der.binder.get(name)
                 return t.params if isinstance(t, TagPred) else ()
             case Abs(p, _, b):
@@ -235,9 +229,6 @@ class _Eliminator:
                 return (t,) + self.view(b)
             case App(head, args):
                 return self.view(head)[len(args):]
-            case Nu(n, _, _):
-                t = self.der.binder[n]
-                return t.params if isinstance(t, TagPred) else ()
             case Mu(n, _, _):
                 return self.der.mu_outer[n]
             case _:

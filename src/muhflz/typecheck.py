@@ -261,7 +261,7 @@ def typecheck(h: Hes) -> Hes:
 
     for eq in h.equations:
         bt = c.infer(eq.body, {**eq_types, **dict(eq_params[eq.name])})
-        u.unify(bt, PROP, "T-Mu" if eq.sign.value == "mu" else "T-Nu", f"body of {eq.name}")
+        u.unify(bt, PROP, _RULE[eq.sign], f"body of {eq.name}")
 
     et = c.infer(h.entry, eq_types)
     try:

@@ -13,7 +13,7 @@ import random
 
 from muhflz.syntax import (
     Abs, And, App, Arrow, Equation, Exists, Forall, Formula, Ge, Hes,
-    INT, IntExpr, IntVar, Lit, Or, Plus, PROP, Sign, SimpleType, Times, Var,
+    INT, IntExpr, IntVar, Lit, Mu, Nu, Or, Plus, PROP, SimpleType, Times, Var,
     arg_types, canon_ge,
 )
 from muhflz.typecheck import typecheck
@@ -144,7 +144,7 @@ def random_instance(seed: int, *, max_depth: int = 4) -> Hes:
                 else:
                     rec = App(rec, Var(p))
             body = Or(base, And(body, rec) if rng.random() < 0.3 else rec)
-        sign = Sign.MU if rng.random() < 0.6 else Sign.NU
+        sign = Mu if rng.random() < 0.6 else Nu
         equations.append(Equation(name, tuple(params), sign, body))
 
     entry = g.prop(eq_env, max_depth - 1)

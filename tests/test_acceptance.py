@@ -20,7 +20,7 @@ from muhflz.eval import (
 )
 from muhflz.parser import parse_hes
 from muhflz.printer import print_hes
-from muhflz.syntax import Sign, contains_mu
+from muhflz.syntax import Nu, contains_mu
 from muhflz.tags import infer_tags_formula
 from muhflz.transform import (
     ApproxParams, PartialMuApplication, desugar_quantifiers, dualize,
@@ -248,7 +248,7 @@ def test_criterion_5_structure_and_goldens(corpus):
     for name in all_fixture_names():
         h = _load(name)
         out = formula_to_hes(approximate(prepare(h), params))
-        assert all(eq.sign is Sign.NU for eq in out.equations), f"{name}: not nu-only"
+        assert all(eq.sign is Nu for eq in out.equations), f"{name}: not nu-only"
         f = hes_to_formula(typecheck(out))  # must typecheck
         assert not contains_mu(f)
         assert not has_int_abs(f)
@@ -258,7 +258,7 @@ def test_criterion_5_structure_and_goldens(corpus):
             out = formula_to_hes(approximate(prepare(h), params))
         except IterationCap:
             continue
-        assert all(eq.sign is Sign.NU for eq in out.equations), f"seed {seed}"
+        assert all(eq.sign is Nu for eq in out.equations), f"seed {seed}"
         typecheck(out)
         random_checked += 1
     assert random_checked >= 450

@@ -10,7 +10,7 @@ from muhflz.eval import BoundedResult, Domain, IterationCap, check_validity_boun
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
     Abs, App, Arrow, BINDERS, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu,
-    Or, And, Forall, NameSupply, PROP, Sign, Var, alpha_normalize,
+    Or, And, Forall, NameSupply, PROP, Var, alpha_normalize,
     contains_mu, free_vars, names_in_formula, subformulas,
 )
 from muhflz.printer import print_hes
@@ -50,7 +50,7 @@ def test_round_trip_inverse_of_inlining():
     f = hes_to_formula(h)
     h2 = formula_to_hes(f)
     assert len(h2.equations) == 1
-    assert h2.equations[0].sign is Sign.MU
+    assert h2.equations[0].sign is Mu
     f2 = hes_to_formula(typecheck(h2))
     dom = Domain(-4, 4)
     assert check_validity_bounded(f, dom) == check_validity_bounded(f2, dom)
@@ -83,7 +83,7 @@ def test_lambda_lifting_adds_captured_parameter():
 
 def test_undefined_equation_reference_rejected():
     bad = Hes(
-        (Equation("F", (("x", None),), Sign.MU, App(Var("G"), Var("x"))),),
+        (Equation("F", (("x", None),), Mu, App(Var("G"), Var("x"))),),
         App(Var("F"), Lit(0)),
     )
     with pytest.raises(IllFormed):

@@ -1,4 +1,5 @@
 import gc
+import sys
 from types import FunctionType
 
 import pytest
@@ -18,7 +19,7 @@ from muhflz.eval import (
     BoundedResult, Domain, IterationCap, Table, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
-from muhflz.syntax import Exists, Forall, Mu, Sign, subformulas
+from muhflz.syntax import Exists, Forall, Mu, Nu, subformulas
 from muhflz.transform import ApproxParams
 from muhflz.typecheck import typecheck
 
@@ -175,7 +176,7 @@ def test_lower_desugars_what_prepare_left():
     g = approximate(prepare(h, desugar=True), row)
     assert any(isinstance(s, Forall) for s in subformulas(g)), "a budget quantifier is left"
     out = lower(g, quantifiers=False)
-    assert all(eq.sign is Sign.NU for eq in out.equations)
+    assert all(eq.sign is Nu for eq in out.equations)
     bodies = (out.entry, *(eq.body for eq in out.equations))
     assert not any(isinstance(s, (Exists, Forall, Mu)) for b in bodies for s in subformulas(b))
 
@@ -326,6 +327,18 @@ def test_external_verify_leaves_no_cyclic_garbage():
     with gc_off():
         assert verify(h, spec, default_schedule(4), deadline_s=60).outcome == "unknown"
         assert gc.collect() == 0
+
+
+def test_reports_share_default_rows_and_verdict_words():
+    # verify's default rows are built once, and an external verdict's
+    # outcome is the literal word, so the reports a caller keeps share both
+    spec = External(("sh", str(STUB_SOLVER)))
+    h = typecheck(parse_hes(fixture_text("countdown.hes")))
+    a, b = (verify(h, spec, deadline_s=60, mode="prove") for _ in range(2))
+    assert len(a.iterations) == len(b.iterations) == 8
+    assert all(r.params is s.params for r, s in zip(a.iterations, b.iterations))
+    word = sys.intern("unknown")
+    assert all(r.verdict.outcome is word for r in a.iterations + b.iterations)
 
 
 def test_tag_json_makes_no_cycle_of_its_own():

@@ -200,7 +200,7 @@ def test_non_recursive_instances_keep_nothing():
         assert eval_formula(ctx, f, {}) is True
         insts = list(ctx.instances.values())
         assert sorted((i.name.rsplit("_", 1)[0], i.sign) for i in insts) == [
-            ("All", "nu"), ("F", "mu"),
+            ("All", Nu), ("F", Mu),
         ]
         forced = set(ctx.forced_partials.values())
         closures = {

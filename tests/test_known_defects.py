@@ -4,13 +4,18 @@ Each test asserts the right answer.  When a change mends the defect the
 test passes, strict xfail turns that into a failure, and the mark comes
 off with the mend."""
 
+import contextlib
 import copy
+import os
+import pathlib
+import signal
+import time
 
 import pytest
 
 from conftest import ELIMINATION_EDGES, fixture_text
 from gen import random_instance
-from muhflz.backend import Builtin
+from muhflz.backend import Builtin, External, solve
 from muhflz.convert import hes_to_formula
 from muhflz.driver import default_schedule, verify
 from muhflz.eval import BoundedResult, Domain, check_validity_bounded, evaluate
@@ -98,3 +103,39 @@ def test_empty_least_fixpoint_is_not_proved():
     assert evaluate(hes_to_formula(h), Domain(-8, 8)) is False
     report = verify(h, Builtin(Domain(-8, 8)), default_schedule(2), mode="prove")
     assert report.outcome != "valid"
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` runs: a zombie left to its reaper does not."""
+    try:
+        os.kill(pid, 0)
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except ProcessLookupError:
+        return False
+    except OSError:  # no /proc: signal 0 reached it
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8, process hygiene: on a timeout solve kills only the shell "
+    "it started, so the solver's own child keeps running"
+))
+def test_timed_out_solver_leaves_no_child(tmp_path):
+    pidfile = tmp_path / "pid"
+    stub = tmp_path / "solver.sh"
+    # no `exec`: the sleep is the shell's child, not the shell itself
+    stub.write_text(f'#!/bin/sh\nsleep 30 &\necho $! > "{pidfile}"\nwait\n')
+    stub.chmod(0o755)
+    try:
+        v = solve(External((str(stub),), timeout_s=0.5), hes_to_formula(_typed("Main =v true;")))
+        assert (v.outcome, v.detail) == ("unknown", "timeout")
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid), f"solver child {pid} outlived the timeout"
+    finally:
+        if pidfile.exists():
+            with contextlib.suppress(ProcessLookupError, ValueError):
+                os.kill(int(pidfile.read_text()), signal.SIGKILL)

@@ -24,7 +24,7 @@ from muhflz.parser import _Tok
 from muhflz.syntax import (
     INT, PROP, Abs, And, App, Arrow, Equation, Exists, Forall, Formula,
     Ge, Hes, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Node, Nu, Or, Plus,
-    PropType, Sign, SimpleType, Times, Var,
+    PropType, SimpleType, Times, Var,
 )
 from muhflz.tags import TagDerivation, TaggedArg, TagInt, TagPred
 from muhflz.transform import ApproxParams
@@ -47,8 +47,8 @@ def _samples():
         Var("x"), Or(Var("a"), Var("b")), body, Mu("X", ty, body), Nu("Y", None, body),
         Abs("p", ty, body), App(Var("f"), Var("g")), App(Var("f"), e), g,
         Forall("k", INT, g), Exists("k", INT, g),
-        Equation("X", (("x", INT), ("p", Arrow(INT, PROP))), Sign.MU, body),
-        Hes((Equation("Y", (), Sign.NU, Var("Y")),), Var("Y")),
+        Equation("X", (("x", INT), ("p", Arrow(INT, PROP))), Mu, body),
+        Hes((Equation("Y", (), Nu, Var("Y")),), Var("Y")),
         _TyVar(3), Domain(-3, 3, False), _Tok("ident", "X'", 2, 5), row,
         TagInt(), tag, TagDerivation(body, {"p": tag}, {"X": (TagInt(),)}, True),
         Builtin(Domain(0, 10)), External(("sh", "-c", "x"), 2.5, False), verdict,

@@ -8,8 +8,8 @@ from muhflz.parser import (
 )
 from muhflz.printer import print_hes
 from muhflz.syntax import (
-    And, App, Exists, FALSE, Forall, Ge, IntVar, Lit, Or,
-    Plus, Sign, Times, TRUE, Var,
+    And, App, Exists, FALSE, Forall, Ge, IntVar, Lit, Mu, Or,
+    Plus, Times, TRUE, Var,
 )
 
 
@@ -18,7 +18,7 @@ def test_single_mu_equation():
     assert h.entry == App(Var("F"), Lit(0))
     assert len(h.equations) == 1
     eq = h.equations[0]
-    assert eq.name == "F" and eq.sign is Sign.MU
+    assert eq.name == "F" and eq.sign is Mu
     assert eq.params == (("x", None),)
 
 
@@ -29,7 +29,7 @@ def test_countdown_shape():
     body = h.entry.body
     assert body == Or(Ge(Lit(-1), IntVar("w")), App(Var("F"), Var("w")))
     eq = h.equations[0]
-    assert eq.sign is Sign.MU
+    assert eq.sign is Mu
     # y = 0 desugars into a conjunction of >= atoms; the compound
     # argument parses straight into an integer application
     assert eq.body == Or(

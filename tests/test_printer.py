@@ -12,7 +12,7 @@ from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import PrintError, print_formula, print_hes
 from muhflz.syntax import (
     Abs, And, App, Equation, Forall, Ge, Hes, INT, IntAbs, IntVar, Lit,
-    Mu, Or, Plus, PROP, Sign, Times, Var,
+    Mu, Nu, Or, Plus, PROP, Times, Var,
 )
 from muhflz.transform import desugar_quantifiers
 from muhflz.typecheck import typecheck
@@ -34,14 +34,14 @@ def test_deterministic_output():
 
 def test_lambda_syntax():
     h = Hes((), App(Var("G"), Abs("x", None, Ge(IntVar("x"), Lit(0)))))
-    h = Hes((Equation("G", (("p", None),), Sign.NU, App(Var("p"), Var("p"))),), h.entry)
+    h = Hes((Equation("G", (("p", None),), Nu, App(Var("p"), Var("p"))),), h.entry)
     out = print_hes(h)
     assert "\\x. x >= 0" in out
 
 
 def test_internal_abs_node_refused():
     bad = Hes((), App(Var("F"), IntAbs(IntVar("x"))))
-    bad = Hes((Equation("F", (("y", None),), Sign.NU, Ge(IntVar("y"), Lit(0))),), bad.entry)
+    bad = Hes((Equation("F", (("y", None),), Nu, Ge(IntVar("y"), Lit(0))),), bad.entry)
     with pytest.raises(PrintError):
         print_hes(bad)
 

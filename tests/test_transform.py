@@ -15,7 +15,7 @@ from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import print_hes
 from muhflz.syntax import (
     Abs, And, App, Arrow, Exists, FALSE, Forall, Ge, INT, IntAbs,
-    IntVar, Lit, Mu, Nu, Or, PROP, Plus, Sign, TRUE, Times, Var, contains_mu,
+    IntVar, Lit, Mu, Nu, Or, PROP, Plus, TRUE, Times, Var, contains_mu,
     free_vars, subformulas,
 )
 import muhflz.transform
@@ -60,7 +60,7 @@ def test_dualize_swaps_everything():
 def test_dual_hes_flips_signs():
     h = parse_hes(fixture_text("countdown.hes"))
     d = dual_hes(h)
-    assert d.equations[0].sign is Sign.NU
+    assert d.equations[0].sign is Nu
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +192,7 @@ def test_countdown_step_one_valid():
 def test_fib_has_leading_counter():
     out = _transformed("fib_termination.hes", ApproxParams(1, 1, 1, 1))
     eq = [e for e in out.equations if e.name.startswith("Fib")][0]
-    assert eq.sign is Sign.NU
+    assert eq.sign is Nu
     assert eq.params[0][1] == INT  # the unfolding counter leads
     text = print_hes(out)
     assert ">= 1" in text  # the counter guard
@@ -228,7 +228,7 @@ def test_nu_only_and_typed_on_fixtures():
         h = typecheck(parse_hes(fixture_text(name)))
         out = formula_to_hes(approximate(prepare(h), ApproxParams(1, 2, 1, 1)))
         for eq in out.equations:
-            assert eq.sign is Sign.NU, f"{name}: mu equation survived"
+            assert eq.sign is Nu, f"{name}: mu equation survived"
         f = hes_to_formula(typecheck(out))
         assert not contains_mu(f)
         assert not has_int_abs(f)

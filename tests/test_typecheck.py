@@ -5,7 +5,7 @@ from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
     Abs, And, App, Arrow, Equation, Exists, Forall, Ge, Hes, INT, IntVar,
-    Lit, Mu, PROP, Sign, Var,
+    Lit, Mu, Nu, PROP, TRUE, Var,
 )
 from muhflz.typecheck import TypeCheckError, formula_type, typecheck
 
@@ -17,7 +17,7 @@ def _hes(entry, *eqs):
 def test_fixpoint_variable_and_body_must_agree():
     # mu x^{int->prop}. x 1 is ill-typed: x 1 has type prop, not int->prop
     bad = _hes(App(Mu("x", Arrow(INT, PROP), App(Var("x"), Lit(1))), Var("Z")))
-    bad = Hes((Equation("Z", (), Sign.NU, Ge(Lit(0), Lit(0))),), bad.entry)
+    bad = Hes((Equation("Z", (), Nu, Ge(Lit(0), Lit(0))),), bad.entry)
     with pytest.raises(TypeCheckError) as e:
         typecheck(bad)
     assert e.value.rule in ("T-Mu", "T-App")
@@ -55,7 +55,7 @@ def test_fib_gets_expected_type():
 
 
 def test_entry_must_be_prop():
-    bad = _hes(Var("F"), Equation("F", (("x", None),), Sign.NU, Ge(IntVar("x"), Lit(0))))
+    bad = _hes(Var("F"), Equation("F", (("x", None),), Nu, Ge(IntVar("x"), Lit(0))))
     with pytest.raises(TypeCheckError) as e:
         typecheck(bad)
     assert "entry" in str(e.value)
@@ -71,12 +71,12 @@ def test_integer_variable_arguments_normalize_to_appint():
 def test_annotations_are_checked():
     good = _hes(
         App(Abs("p", Arrow(INT, PROP), App(Var("p"), Lit(0))), Var("Q")),
-        Equation("Q", (("y", None),), Sign.NU, Ge(IntVar("y"), Lit(0))),
+        Equation("Q", (("y", None),), Nu, Ge(IntVar("y"), Lit(0))),
     )
     typecheck(good)
     bad = _hes(
         App(Abs("p", INT, App(Var("p"), Lit(0))), Var("Q")),
-        Equation("Q", (("y", None),), Sign.NU, Ge(IntVar("y"), Lit(0))),
+        Equation("Q", (("y", None),), Nu, Ge(IntVar("y"), Lit(0))),
     )
     with pytest.raises(TypeCheckError):
         typecheck(bad)
@@ -87,6 +87,35 @@ def test_unbound_variable():
     # still get a typed error
     with pytest.raises(TypeCheckError):
         typecheck(_hes(Var("nope")))
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (parse_hes("Main =v F (\\y. y >= 0);\nF x =v x x;\n"), "[T-App] infinite type for argument"),
+        # the rest only a programmatic Hes can hold: the parser scopes
+        # names, gives each equation a predicate type and refuses a
+        # repeated equation name
+        (_hes(Ge(IntVar("n"), Lit(0))), "[T-Var] unbound variable n"),
+        (
+            _hes(App(Abs("n", None, TRUE), Mu("X", None, Var("X")))),
+            "[T-Mu] fixpoint X has type int, not a predicate type",
+        ),
+        (
+            _hes(TRUE, Equation("F", (("f", Arrow(INT, INT)),), Nu, TRUE)),
+            "[T-Abs] parameter f of F: arrow returning int is not a predicate type",
+        ),
+        (
+            _hes(Var("F"), Equation("F", (), Nu, TRUE), Equation("F", (), Mu, TRUE)),
+            "[T-Var] duplicate equation F",
+        ),
+    ],
+    ids=["occurs_check", "unbound_int", "fixpoint_not_predicate", "arrow_to_int", "duplicate"],
+)
+def test_ill_typed_system_names_its_rule(h, message):
+    with pytest.raises(TypeCheckError) as e:
+        typecheck(h)
+    assert str(e.value) == message
 
 
 def test_formula_type_on_annotated_tree():

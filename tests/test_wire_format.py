@@ -17,7 +17,7 @@ from muhflz.driver import approximate, default_schedule, prepare
 from muhflz.eval import check_validity_bounded
 from muhflz.parser import parse_hes
 from muhflz.printer import print_hes
-from muhflz.syntax import Exists, Forall, Sign, subformulas
+from muhflz.syntax import Exists, Forall, Nu, subformulas
 from muhflz.transform import dual_hes
 from muhflz.typecheck import typecheck
 
@@ -47,7 +47,7 @@ def test_lowered_text_reads_back_nu_only(name, quantifiers):
             _, text = _wire(h, row, quantifiers)
             back = typecheck(parse_hes(text))
             where = f"{name} {side} k={row.counters}"
-            assert all(eq.sign is Sign.NU for eq in back.equations), where
+            assert all(eq.sign is Nu for eq in back.equations), where
             assert print_hes(back) == text, where
             if not quantifiers:
                 bodies = (back.entry, *(eq.body for eq in back.equations))
