@@ -9,7 +9,7 @@ built-in bounded-domain evaluator or an external solver.
 from .syntax import (
     Abs, And, App, Arrow, Equation, Exists, FALSE, Forall, Formula,
     Ge, Hes, INT, IntAbs, IntExpr, IntType, IntVar, Lit, Mu, Nu, Or, Plus,
-    PROP, PropType, SimpleType, Times, TRUE, Var, alpha_normalize,
+    PROP, PropType, SimpleType, Times, TRUE, Var,
 )
 from .parser import ParseError, parse_formula, parse_hes
 from .printer import PrintError, print_formula, print_hes

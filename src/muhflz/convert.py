@@ -1,9 +1,12 @@
 """Conversion between the equation view (Hes) and the nested-binder view
 (Formula).
 
-``hes_to_formula`` inlines equations bottom-up: the last equation is turned
-into a fixpoint binder and inserted into every earlier body and the entry,
-so earlier equations end up binding outermost.  Each target gets one copy
+``hes_to_formula`` first renames the system apart with one ``NameSupply``:
+each equation's parameters and body, as one closed lambda, then the entry go
+through ``alpha_normalize_formula``, which keeps the equation names.  It
+then inlines equations bottom-up: the last equation is turned into a
+fixpoint binder and inserted into every earlier body and the entry, so
+earlier equations end up binding outermost.  Each target gets one copy
 with freshly named binders, made at its first occurrence, and every
 occurrence in that target shares it; a target without one is kept as it is.
 So binder names are unique per copy, not across the whole formula: two
@@ -21,9 +24,8 @@ import functools
 
 from .syntax import (
     Abs, Equation, Formula, Hes, Mu, NameSupply, Nu, PROP, SimpleType,
-    Var, alpha_normalize, alpha_normalize_formula, apply_vars, arg_types,
-    arrow, free_vars, lambdas, map_children, names_in_formula, peel,
-    replace_free,
+    Var, alpha_normalize_formula, apply_vars, arg_types, arrow, free_vars,
+    lambdas, map_children, names_in_formula, peel, replace_free,
 )
 
 
@@ -42,8 +44,6 @@ def hes_to_formula(h: Hes) -> Formula:
     """Close the equation system into a single formula, earlier equations
     binding outermost."""
 
-    supply = NameSupply()
-    h = alpha_normalize(h, supply)
     defined = {eq.name for eq in h.equations}
     for eq in h.equations:
         undef = (free_vars(eq.body) - {p for p, _ in eq.params}) - defined
@@ -53,11 +53,14 @@ def hes_to_formula(h: Hes) -> Formula:
     if undef:
         raise IllFormed(f"entry references undefined {sorted(undef)}")
 
-    bodies = {eq.name: eq.body for eq in h.equations}
-    entry = h.entry
+    supply = NameSupply(defined)
+    bodies = {
+        eq.name: alpha_normalize_formula(lambdas(eq.params, eq.body), supply)
+        for eq in h.equations
+    }
+    entry = alpha_normalize_formula(h.entry, supply)
     for eq in reversed(h.equations):
-        body = lambdas(eq.params, bodies.pop(eq.name))
-        closed = eq.sign(eq.name, _equation_type(eq), body)
+        closed = eq.sign(eq.name, _equation_type(eq), bodies.pop(eq.name))
 
         def inline(target: Formula) -> Formula:
             copy = functools.cache(lambda: alpha_normalize_formula(closed, supply))

@@ -169,7 +169,7 @@ def verify(
             step_deadline = min(now + max(budget, 0.05), hard_deadline)
 
             # with no least fixpoint every row gives the same approximation
-            if not side.tags.mu_outer and side.attempted_params:
+            if not side.tags.mus and side.attempted_params:
                 side.exhausted = True
                 continue
             if params in side.attempted_params:

@@ -8,8 +8,8 @@ other record in muhflz, is a ``Node``: a slotted class with no instance
 ``set_field``, and never changed.  Binder uniqueness is not guaranteed by
 construction.  ``replace_free`` is the one way to replace a
 variable, and it renames nothing: where a binder could capture what it
-inserts, rename first (``alpha_normalize``, or ``alpha_normalize_formula``
-on what is inserted).
+inserts, rename first with ``alpha_normalize_formula``, as closing does
+(``convert``).
 
 Every binder is ``(name, ty, body)``: the bound ``name``, its type
 ``ty`` (None until typechecking) and the ``body`` it scopes.  ``BINDERS``
@@ -556,28 +556,6 @@ def alpha_normalize_formula(
         new = supply.fresh(f.name)
         return t(new, f.ty, alpha_normalize_formula(f.body, supply, {**env, f.name: new}))
     return map_children(f, lambda g, e: alpha_normalize_formula(g, supply, e), env)
-
-
-def alpha_normalize(h: Hes, supply: NameSupply) -> Hes:
-    """Alpha-normalize a whole HES: equation names are kept (they are
-    top-level and pairwise distinct), parameters and inner binders are made
-    globally unique.  ``supply`` takes the equation names and then gives
-    every new name, so afterwards it holds each equation, parameter and
-    binder name of the result."""
-
-    supply.taken.update(eq.name for eq in h.equations)
-    new_eqs = []
-    for eq in h.equations:
-        env: dict[str, str] = {}
-        params = []
-        for p, ty in eq.params:
-            np = supply.fresh(p)
-            env[p] = np
-            params.append((np, ty))
-        body = alpha_normalize_formula(eq.body, supply, env)
-        new_eqs.append(Equation(eq.name, tuple(params), eq.sign, body))
-    entry = alpha_normalize_formula(h.entry, supply, {})
-    return Hes(tuple(new_eqs), entry)
 
 
 # ---------------------------------------------------------------------------

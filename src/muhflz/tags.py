@@ -73,8 +73,8 @@ TAG_INT = TagInt()
 class TagDerivation(Node):
     """Tags for one normalized, closed formula: the formula itself, a
     tagged argument type per binder name (``TAG_INT`` for a quantified
-    variable), and per least-fixpoint binder the use-side argument types
-    (identical to the binder's own up to outermost tags).  Binder names are
+    variable), and ``mus``, the names of its least-fixpoint binders, each
+    of whose use sides ``use_side`` reads off its binder.  Binder names are
     unique within one inlined copy, not across the formula: binders that
     share a name are equal subtrees, one copy at several positions (see
     ``convert``), and the last one walked sets the entry for the name.
@@ -82,19 +82,28 @@ class TagDerivation(Node):
     every name in ``formula``: every schedule row's approximation seeds its
     fresh names with it."""
 
-    __slots__ = ("formula", "binder", "mu_outer", "all_f")
+    __slots__ = ("formula", "binder", "mus", "all_f")
 
     def __init__(
         self,
         formula: Formula,
         binder: dict[str, TaggedArg],
-        mu_outer: dict[str, tuple[TaggedArg, ...]],
+        mus: frozenset[str],
         all_f: bool = False,
     ):
         set_field(self, "formula", formula)
         set_field(self, "binder", binder)
-        set_field(self, "mu_outer", mu_outer)
+        set_field(self, "mus", mus)
         set_field(self, "all_f", all_f)
+
+    def use_side(self, mu: str) -> tuple[TaggedArg, ...]:
+        """The argument types at a use of the least fixpoint ``mu``: its
+        binder's parameters, each predicate position's outer tag T unless
+        ``all_f``, as an applied argument's companion feeds the budget."""
+        return tuple(
+            p if isinstance(p, TagInt) else TagPred(p.params, not self.all_f)
+            for p in self.binder[mu].params
+        )
 
     def to_json(self) -> str:
         import json
@@ -102,7 +111,7 @@ class TagDerivation(Node):
         payload = {
             "binders": {n: _tag_json(t) for n, t in sorted(self.binder.items())},
             "mu_use_side": {
-                n: [_tag_json(t) for t in ts] for n, ts in sorted(self.mu_outer.items())
+                n: [_tag_json(t) for t in self.use_side(n)] for n in sorted(self.mus)
             },
             "all_f": self.all_f,
         }
@@ -175,7 +184,7 @@ def _unify_pred(ps: list, qs: list):
 class _Inference:
     def __init__(self):
         self.binder: dict[str, _Tree] = {}
-        self.mu_outer: dict[str, list[_Tree]] = {}
+        self.mus: set[str] = set()
         # (tree, trees-to-force-when-tree-is-T)
         self.edges: list[tuple[_Tree, list[_Tree]]] = []
 
@@ -186,6 +195,11 @@ class _Inference:
             if t is not None and not t.is_int:
                 out.append(t)
         return out
+
+    def force(self, names, env: dict[str, _Tree]):
+        """Tags T every predicate variable among ``names``."""
+        for t in self.outer_preds(names, env):
+            t.find().forced = True
 
     @staticmethod
     def bound(names: set[str], env: dict[str, _Tree]):
@@ -226,28 +240,21 @@ class _Inference:
                     if pos.is_int:
                         raise TagInferenceError("predicate argument at int position")
                     _unify_pred(pos.params, aview)
-                    self.edges.append((pos, self.outer_preds(free_vars(arg), env)))
+                    if type(head) is Mu:
+                        # a use-side position of a least fixpoint is T
+                        self.force(free_vars(arg), env)
+                    else:
+                        self.edges.append((pos, self.outer_preds(free_vars(arg), env)))
                 return fview[len(args):]
             case Mu(name, ty, body) | Nu(name, ty, body):
                 inner = self.binder[name] = _Tree.for_type(ty)
                 _unify_pred(inner.params, self.walk(body, {**env, name: inner}))
-                if type(f) is Nu:
-                    return inner.params
-                # use-side argument types: raw-equal to the inner ones
-                outer = []
-                for p in inner.params:
-                    if p.is_int:
-                        outer.append(p)
-                    else:
-                        o = _Tree(False, p.params)
-                        o.forced = True  # applied arguments are free in the body
-                        outer.append(o)
-                self.mu_outer[name] = outer
-                # every free predicate variable of the body must carry a
-                # companion so the unfolding budget can mention it
-                for t in self.outer_preds(free_vars(f), env):
-                    t.find().forced = True
-                return outer
+                if type(f) is Mu:
+                    self.mus.add(name)
+                    # every free predicate variable of the body must carry a
+                    # companion so the unfolding budget can mention it
+                    self.force(free_vars(f), env)
+                return inner.params
         raise TagInferenceError(f"not a formula: {f!r}")
 
     def propagate(self):
@@ -282,6 +289,6 @@ def infer_tags_formula(f: Formula, all_f: bool = False) -> TagDerivation:
     return TagDerivation(
         f,
         {n: inf.resolve(t, all_f) for n, t in inf.binder.items()},
-        {n: tuple(inf.resolve(t, all_f) for t in ts) for n, ts in inf.mu_outer.items()},
+        frozenset(inf.mus),
         all_f=all_f,
     )

@@ -221,7 +221,7 @@ class _Eliminator:
     def view(self, f: Formula) -> tuple[TaggedArg, ...]:
         """Use-side tagged parameter list of a predicate-typed subterm."""
         match f:
-            case Var(name) | Nu(name, _, _):
+            case Var(name) | Mu(name, _, _) | Nu(name, _, _):
                 t = self.der.binder.get(name)
                 return t.params if isinstance(t, TagPred) else ()
             case Abs(p, _, b):
@@ -229,8 +229,6 @@ class _Eliminator:
                 return (t,) + self.view(b)
             case App(head, args):
                 return self.view(head)[len(args):]
-            case Mu(n, _, _):
-                return self.der.mu_outer[n]
             case _:
                 return ()
 
@@ -331,7 +329,7 @@ class _Eliminator:
     def tr_mu(self, node: Mu, args: list, delta: dict) -> Formula:
         name = node.name
         inner = self.der.binder[name]
-        outer = self.der.mu_outer[name]
+        outer = self.der.use_side(name)
         if len(args) != len(outer):
             raise PartialMuApplication(
                 f"least fixpoint {name} applied to {len(args)} of {len(outer)} arguments"

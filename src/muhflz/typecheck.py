@@ -293,14 +293,10 @@ def formula_type(f: Formula, env: Optional[dict[str, SimpleType]] = None) -> Sim
             return env[name]
         case Or() | And() | Ge() | Forall() | Exists():
             return PROP
-        case Abs(param, ty, body):
+        case Abs(name, ty, body) | Mu(name, ty, body) | Nu(name, ty, body):
             if ty is None:
-                raise TypeCheckError("T-Abs", f"missing annotation on {param}")
-            return Arrow(ty, formula_type(body, {**env, param: ty}))
-        case Mu(name, ty, _) | Nu(name, ty, _):
-            if ty is None:
-                raise TypeCheckError("T-Mu", f"missing annotation on {name}")
-            return ty
+                raise TypeCheckError(_RULE[type(f)], f"missing annotation on {name}")
+            return Arrow(ty, formula_type(body, {**env, name: ty})) if type(f) is Abs else ty
         case App(head, args):
             ft = formula_type(head, env)
             for a in args:

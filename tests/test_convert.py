@@ -10,8 +10,8 @@ from muhflz.eval import BoundedResult, Domain, IterationCap, check_validity_boun
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
     Abs, App, Arrow, BINDERS, Equation, Ge, Hes, INT, IntVar, Lit, Mu, Nu,
-    Or, And, Forall, NameSupply, PROP, Var, alpha_normalize,
-    contains_mu, free_vars, names_in_formula, subformulas,
+    Or, And, Forall, NameSupply, PROP, Var, contains_mu, free_vars,
+    names_in_formula, peel, subformulas,
 )
 from muhflz.printer import print_hes
 from muhflz.transform import ApproxParams, dual_hes
@@ -122,11 +122,34 @@ def test_inline_lift_semantic_round_trip(seed):
         assert a == b
 
 
-def test_alpha_normalize_idempotent_on_fixtures():
+def _renamed(monkeypatch, h):
+    """What ``hes_to_formula(h)`` renames ``h`` to before it inlines: the
+    system with each equation's parameters and body renamed, as one closed
+    lambda, and its entry renamed; and the names its supply then holds."""
+    made = []
+    real = muhflz.convert.alpha_normalize_formula
+
+    def spy(f, supply, env=None):
+        made.append((real(f, supply, env), set(supply.taken)))
+        return made[-1][0]
+
+    with monkeypatch.context() as m:
+        m.setattr(muhflz.convert, "alpha_normalize_formula", spy)
+        hes_to_formula(h)
+    # the first calls rename each equation, then the entry; copies follow
+    n = len(h.equations)
+    eqs = []
+    for eq, (closed, _) in zip(h.equations, made):
+        params, body = peel(closed, [ty for _, ty in eq.params], NameSupply())
+        eqs.append(Equation(eq.name, tuple(params), eq.sign, body))
+    entry, taken = made[n]
+    return Hes(tuple(eqs), entry), taken
+
+
+def test_alpha_normalize_idempotent_on_fixtures(monkeypatch):
     for name in all_fixture_names():
-        h = parse_hes(fixture_text(name))
-        once = alpha_normalize(h, NameSupply())
-        assert alpha_normalize(once, NameSupply()) == once
+        once, _ = _renamed(monkeypatch, typecheck(parse_hes(fixture_text(name))))
+        assert _renamed(monkeypatch, once)[0] == once
 
 
 def test_lifting_passes_captured_variables_through_an_enclosing_head():
@@ -183,20 +206,19 @@ def test_inlining_walks_free_variables_only_to_check_names(monkeypatch, name):
     assert len(calls) == len(h.equations) + 1
 
 
-def test_normalizing_takes_every_name_that_closing_must_avoid():
-    # hes_to_formula seeds its fresh names with what alpha_normalize took:
+def test_normalizing_takes_every_name_that_closing_must_avoid(monkeypatch):
+    # hes_to_formula's copies draw from the supply that renamed the system:
     # every equation, parameter and binder name, so every name of the system
     hs = [h for _, h in instances(100)]
     hs += [typecheck(parse_hes(fixture_text(n))) for n in all_fixture_names()]
     for h in hs:
         for g in (h, dual_hes(h)):
-            supply = NameSupply()
-            g = alpha_normalize(g, supply)
+            g, taken = _renamed(monkeypatch, g)
             names = names_in_formula(g.entry).union(*[
                 {eq.name, *[p for p, _ in eq.params]} | names_in_formula(eq.body)
                 for eq in g.equations
             ])
-            assert supply.taken == names
+            assert taken == names
 
 
 def test_binders_that_share_a_name_are_equal_subtrees():

@@ -2,7 +2,8 @@
 
 Each test asserts the right answer.  When a change mends the defect the
 test passes, strict xfail turns that into a failure, and the mark comes
-off with the mend."""
+off with the mend.  Each mark names the exception the defect raises, so a
+test that breaks in another way (a name gone, a wrong call) fails the run."""
 
 import contextlib
 import copy
@@ -18,7 +19,9 @@ from gen import random_instance
 from muhflz.backend import Builtin, External, solve
 from muhflz.convert import hes_to_formula
 from muhflz.driver import default_schedule, verify
-from muhflz.eval import BoundedResult, Domain, check_validity_bounded, evaluate
+from muhflz.eval import (
+    BoundedResult, Domain, IterationCap, check_validity_bounded, evaluate,
+)
 from muhflz.parser import parse_hes
 from muhflz.syntax import map_children
 from muhflz.typecheck import typecheck
@@ -28,7 +31,7 @@ def _typed(text: str):
     return typecheck(parse_hes(text))
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1, note (c): a vacuous budget quantifier makes the row-1 "
     "disprover step valid, so partial_apply, VALID in its window, is reported invalid"
 ))
@@ -37,7 +40,7 @@ def test_partial_apply_disprover_does_not_decide_invalid():
     assert verify(h, Builtin(Domain(-6, 6)), mode="disprove").outcome != "invalid"
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1: the beta-redex repro; the budget premise u <= 3 + |n| holds "
     "for every u in -3..3, so the row-1 prover step is vacuously valid"
 ))
@@ -47,7 +50,7 @@ def test_beta_redex_head_is_not_reported_valid():
     assert verify(h, Builtin(Domain(-3, 3))).outcome != "valid"
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 3, defect 1: a strict closure keyed by its table over the window "
     "also computes outside it, so the conjunction reads VALID though its second "
     "conjunct alone is INVALID"
@@ -60,7 +63,7 @@ def test_strict_sharing_conjunction_is_not_valid():
     assert check_validity_bounded(f, Domain(0, 4)) is not BoundedResult.VALID
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=IterationCap, reason=(
     "ROADMAP item 3, defect 2: a closure capturing an in-flight instance is keyed "
     "by its syntax, so the keys grow and the solver ends in IterationCap('fixpoint-passes')"
 ))
@@ -79,7 +82,7 @@ def _unshared(f):
     return copy.copy(g) if g is f else g
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 3, defect 3: one instance per fixpoint node object, so gen152 "
     "escapes the window as hes_to_formula shares its nodes, and is VALID rebuilt "
     "with no node shared"
@@ -93,7 +96,7 @@ def test_results_do_not_depend_on_sharing():
     assert got[0] is got[1]
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1, the smallest vacuous-reset repro: mu F. F is false, but the "
     "k=2 reset forall r needs r >= 2 + u1 + u0, which leaves the window after two "
     "unfoldings, so prover row 2 is vacuously valid"
@@ -117,7 +120,7 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 8, process hygiene: on a timeout solve kills only the shell "
     "it started, so the solver's own child keeps running"
 ))

@@ -22,14 +22,15 @@ def test_deterministic_output():
     text = fixture_text("fib_termination.hes")
     assert print_hes(parse_hes(text)) == print_hes(parse_hes(text))
     # nor does the output depend on the string hash seed
-    emitted = [
-        subprocess.run(
-            [sys.executable, "-m", "muhflz.cli", "--emit", "dual", str(FIXTURES / "fib_termination.hes")],
-            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
-        ).stdout
-        for seed in ("1", "2")
-    ]
-    assert emitted[0] == emitted[1] and emitted[0]
+    for emit, name in (("dual", "fib_termination"), ("nu", "countdown"), ("tags", "countdown")):
+        emitted = [
+            subprocess.run(
+                [sys.executable, "-m", "muhflz.cli", "--emit", emit, str(FIXTURES / f"{name}.hes")],
+                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert emitted[0] == emitted[1] and emitted[0], (emit, name)
 
 
 def test_lambda_syntax():

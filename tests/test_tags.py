@@ -4,7 +4,8 @@ from conftest import ELIMINATION_EDGES, LOOP, all_fixture_names, fixture_text
 from gen import instances
 from muhflz.parser import parse_hes
 from muhflz.syntax import (
-    App, Arrow, Ge, INT, IntVar, Lit, PROP, Var, names_in_formula,
+    App, Arrow, Ge, INT, IntVar, Lit, Mu, PROP, Var, names_in_formula,
+    subformulas,
 )
 from muhflz.driver import prepare
 from muhflz.tags import TAG_INT, TagInferenceError, TagInt, TagPred, infer_tags_formula
@@ -49,7 +50,7 @@ def test_mu_free_system_is_all_f():
     for t in der.binder.values():
         if isinstance(t, TagPred):
             assert not t.tag
-    assert der.mu_outer == {}
+    assert der.mus == frozenset()
 
 
 def test_fib_continuation_parameter_untagged():
@@ -64,7 +65,8 @@ def test_fib_continuation_parameter_untagged():
     ]
     assert conts and all(not t.tag for t in conts)
     # use-side argument positions of a least fixpoint are always tagged
-    (outer,) = der.mu_outer.values()
+    (mu,) = der.mus
+    outer = der.use_side(mu)
     assert isinstance(outer[-1], TagPred) and outer[-1].tag
 
 
@@ -72,7 +74,7 @@ def test_erasure_matches_simple_types():
     h = typecheck(parse_hes(fixture_text("succ_chain_pure.hes")))
     der = prepare(h)
     f = der.formula
-    from muhflz.syntax import BINDERS, subformulas
+    from muhflz.syntax import BINDERS
 
     for g in subformulas(f):
         if isinstance(g, BINDERS):
@@ -126,13 +128,26 @@ def test_use_side_predicate_tags_follow_all_f(all_f):
             for desugar in (False, True):
                 der = prepare(g, all_f=all_f, desugar=desugar)
                 assert der.all_f == all_f
-                for mu, params in der.mu_outer.items():
-                    for t in params:
+                for mu in der.mus:
+                    for t in der.use_side(mu):
                         if isinstance(t, TagPred):
                             seen += 1
                             if t.tag != (not der.all_f):
                                 wrong.append((side, desugar, mu))
     assert seen and not wrong
+
+
+def test_mus_are_the_least_fixpoint_binders():
+    # the driver reads mu-freeness off der.mus, and to_json keys use sides by it
+    checked = 0
+    for name, h in _tag_inputs():
+        for g in (h, dual_hes(h)):
+            for desugar in (False, True):
+                der = prepare(g, desugar=desugar)
+                mus = {f.name for f in subformulas(der.formula) if isinstance(f, Mu)}
+                assert der.mus == mus, (name, desugar)
+                checked += bool(mus)
+    assert checked
 
 
 def test_json_dump_is_parseable():

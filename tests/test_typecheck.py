@@ -126,6 +126,13 @@ def test_formula_type_on_annotated_tree():
     assert formula_type(eq.body, env) == PROP
 
 
+@pytest.mark.parametrize("binder,rule", [(Mu, "T-Mu"), (Nu, "T-Nu")], ids=["mu", "nu"])
+def test_formula_type_names_the_rule_of_an_unannotated_fixpoint(binder, rule):
+    with pytest.raises(TypeCheckError) as e:
+        formula_type(binder("X", None, TRUE))
+    assert str(e.value) == f"[{rule}] missing annotation on X"
+
+
 def test_typecheck_idempotent():
     # an already-typed system comes back equal, its equation bodies and
     # entry as the very objects it was given
