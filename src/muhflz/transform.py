@@ -19,9 +19,10 @@ binder and its companion, and ``let_companion`` binds a companion to its
 value.  ``_apply_tagged`` applies a head to arguments with their
 companions, and ``_tr_type`` is a binder's type after elimination.
 ``magnitude`` is the budget term c*|x| of an integer or c*v_x of a
-companion, and ``_forall_at_least`` quantifies a budget or a counter reset
-under its sign-bound premise.  Every lambda spine and every application
-to bound variables, eta-expansion included, is built by ``syntax.lambdas``
+companion.  A budget, initial or a counter reset, is passed as a value;
+``eliminate_abs`` alone quantifies one that holds an absolute value under
+its sign-bound premise.  Every lambda spine and every application to
+bound variables, eta-expansion included, is built by ``syntax.lambdas``
 and ``syntax.apply_vars``.
 """
 
@@ -380,40 +381,31 @@ class _Eliminator:
 
     def _chooser(self, name: str, counters: list[str], inner: TagPred) -> Formula:
         """The multi-counter recursion chooser: decrement one counter and
-        reset all lower ones, universally quantified with a shared lower
-        bound over the current counters and new argument magnitudes."""
-        fresh_params = []
+        reset all lower ones to one bound over the current counters and new
+        argument magnitudes.  The approximation is monotone in its counters,
+        so passing the bound equals quantifying every value above it."""
+        binders = []
+        terms = []
+        c = self.p.c
         for pos in inner.params:
             y = self.supply.fresh("y")
-            fresh_params.append((y, pos, self.companion(y, pos)))
-        c = self.p.c
+            comp = self.companion(y, pos)
+            if comp is not None:
+                binders.append((comp, INT))
+            binders.append((y, _tr_type(pos)))
+            terms.append(self.magnitude(c, y, pos, comp))
         reset_bound = self._fold(
-            self.p.d,
-            [self._scaled(c, IntVar(u)) for u in counters]
-            + [self.magnitude(c, y, pos, comp) for y, pos, comp in fresh_params],
+            self.p.d, [self._scaled(c, IntVar(u)) for u in counters] + terms
         )
 
         disjuncts: list[Formula] = []
         for j in range(len(counters)):  # j = 0 decrements the highest counter
-            resets = [self.supply.fresh("r") for _ in range(len(counters) - 1 - j)]
             exprs = [IntVar(u) for u in counters[:j]] + [Plus(IntVar(counters[j]), Lit(-1))]
-            exprs += [IntVar(r) for r in resets]
-            body = _apply_tagged(Var(name), [(e, None) for e in exprs] + [
-                (IntVar(y), None) if isinstance(pos, TagInt)
-                else (Var(y), None if comp is None else IntVar(comp))
-                for y, pos, comp in fresh_params
-            ])
-            if resets:
-                body = _forall_at_least(resets, reset_bound, body)
-            disjuncts.append(body)
+            exprs += [reset_bound] * (len(counters) - 1 - j)
+            disjuncts.append(apply_vars(App(Var(name), *exprs), binders))
         out = disjuncts[-1]
         for d in reversed(disjuncts[:-1]):
             out = Or(d, out)
-        binders = []
-        for y, pos, comp in fresh_params:
-            if comp is not None:
-                binders.append((comp, INT))
-            binders.append((y, _tr_type(pos)))
         return lambdas(binders, out)
 
 
@@ -483,24 +475,14 @@ def sign_bounds(e: IntExpr) -> list[IntExpr]:
     return out
 
 
-def _forall_at_least(names: list[str], e: IntExpr, body: Formula) -> Formula:
-    """``body`` for every value of each of ``names`` that is at least ``e``:
-    the premise ``u < b`` for each name ``u`` and sign bound ``b`` of ``e``,
-    one disjunction under one universal per name."""
-    bounds = sign_bounds(e)
-    out: Formula = Or(*[neg_ge(IntVar(u), b) for u in names for b in bounds], body)
-    for u in reversed(names):
-        out = Forall(u, INT, out)
-    return out
-
-
 def eliminate_abs(f: Formula) -> Formula:
     """Replace each application argument containing absolute values with a
     universally quantified integer bounded below by every sign combination
     of the absolute-value terms.  Sound because such arguments only feed
-    positions that are monotone in the argument (unfolding budgets and
-    companions).  Requires a typed formula (lambda-wrapping non-Prop
-    applications needs arities)."""
+    positions that are monotone in the argument (unfolding budgets, counter
+    resets and companions).  The one builder of budget quantifiers.
+    Requires a typed formula (lambda-wrapping non-Prop applications needs
+    arities)."""
     return _abs_free(f, {}, NameSupply(names_in_formula(f)))
 
 
@@ -528,5 +510,5 @@ def _abs_free_app(g: App, env: dict, supply: NameSupply) -> Formula:
     pads = [(supply.fresh("q"), t) for t in arg_types(formula_type(g, env))]
     inner = apply_vars(App(head, *args), pads)
     for u, e in reversed(pending):
-        inner = _forall_at_least([u], e, inner)
+        inner = Forall(u, INT, Or(*[neg_ge(IntVar(u), b) for b in sign_bounds(e)], inner))
     return lambdas(pads, inner)

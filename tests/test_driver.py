@@ -16,7 +16,7 @@ from muhflz.driver import (
     emit_report, prepare, report_from_json, verify,
 )
 from muhflz.eval import (
-    BoundedResult, Domain, IterationCap, Table, check_validity_bounded,
+    BoundedResult, Domain, IterationCap, Table, check_validity_bounded, evaluate,
 )
 from muhflz.parser import parse_hes
 from muhflz.syntax import Exists, Forall, Mu, Nu, subformulas
@@ -90,6 +90,31 @@ def test_prove_mode_never_reports_invalid():
     r = verify(h, Builtin(Domain(-4, 4)), default_schedule(2), deadline_s=10, mode="prove")
     assert r.outcome == "unknown"
     assert all(it.side == "prover" for it in r.iterations)
+
+
+def test_empty_least_fixpoint_is_not_proved():
+    # mu F. F is false; a k=2 reset passes its bound 2 + u1 + u0 as a
+    # value, so prover row 2 escapes the window rather than holding vacuously
+    h = typecheck(parse_hes("Main =v F; F =u F;"))
+    assert evaluate(hes_to_formula(h), Domain(-8, 8)) is False
+    report = verify(h, Builtin(Domain(-8, 8)), default_schedule(2), mode="prove")
+    assert report.outcome != "valid"
+
+
+def test_prove_and_disprove_contradict_on_known_seeds():
+    """The generated instances that ``prove`` decides valid and ``disprove``
+    decides invalid, each mode run alone.  One of the two is wrong on each;
+    ROADMAP items 1 and 22 own the rest of this list."""
+    dom = Domain(-3, 3)
+    both = [
+        seed for seed, h in instances(480)
+        if verify(h, Builtin(dom), deadline_s=60.0, mode="prove").outcome == "valid"
+        and verify(h, Builtin(dom), deadline_s=60.0, mode="disprove").outcome == "invalid"
+    ]
+    assert both == [
+        6, 10, 17, 22, 29, 90, 103, 135, 181, 194, 199, 205, 221, 273, 291,
+        297, 313, 328, 329, 351, 358, 389, 395, 401, 408, 435, 452, 457, 463, 471,
+    ]
 
 
 @pytest.mark.parametrize("text,lo,hi,mode,prepared", [

