@@ -22,7 +22,7 @@ from .backend import BackendSpec, BackendVerdict, External, solve
 from .convert import hes_to_formula
 # unused here; perfbench/spans.py wraps this name, so it stays importable
 from .convert import formula_to_hes  # noqa: F401
-from .syntax import Formula, Hes, Node, set_field
+from .syntax import Formula, Hes, Node, json_text, set_field
 from .tags import TagDerivation, infer_tags_formula
 from .transform import (
     ApproxParams, desugar_quantifiers, dual_hes, eliminate_abs,
@@ -197,10 +197,7 @@ def verify(
 
 def emit_report(r: VerdictReport, format: str = "text") -> str:
     if format == "json":
-        import json
-
-        # json asks _as_dict for each record, so slot order is key order
-        return json.dumps(r, default=_as_dict, indent=2)
+        return json_text(r)
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     lines = [r.outcome]
@@ -215,10 +212,6 @@ def emit_report(r: VerdictReport, format: str = "text") -> str:
         )
     lines.append(f"elapsed: {r.total_elapsed_s:.3f}s")
     return "\n".join(lines) + "\n"
-
-
-def _as_dict(record: Node) -> dict:
-    return {name: getattr(record, name) for name in record.__slots__}
 
 
 def report_from_json(text: str) -> VerdictReport:

@@ -4,8 +4,9 @@ Semantics over a finite integer window [lo, hi]:
 
 * arithmetic and comparisons are exact over Z;
 * quantifiers range over the window;
-* function spaces are the monotone maps over window-enumerated arguments,
-  materialized as tables when a value has to be enumerated or compared;
+* function spaces are the monotone maps over window-enumerated arguments;
+  a function value becomes a table when it has to be compared, and a
+  space is enumerated when a value has to be tabulated over it;
 * recursive fixpoints are computed by local (demand-driven) Kleene
   iteration: only the argument tuples actually queried get table entries,
   so higher-order fixpoints whose full argument space is astronomically
@@ -36,8 +37,12 @@ kept on the context (``_EvalContext.facts_of``).  A function value is
 code plus the values it holds, and ``_EvalContext.key`` keys it by both.
 The context caches each forced table under that key, in
 ``forced_partials``; an escaping entry is ``_ESC``.  A table is a plain
-value, equal to any table with the same argument type and entries, and the
-context enumerates each type at most once.  Nothing outlives an evaluation:
+value, equal to any table with the same argument type and entries.  The
+context works out each type's enumeration at most once, and stores the
+tables of a function space only when its argument is not an integer: over
+an integer argument every map is monotone, so the space is a product of
+the result's values, whose tables are built as they are read and ranked by
+arithmetic (``_Product``).  Nothing outlives an evaluation:
 this module keeps no state of its own, and makes no reference cycle, so
 reference counting frees an evaluation's context, instances and tables
 when it returns.  No nested function here names itself, which would make
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import time
 from enum import Enum
+from itertools import product, repeat
 from typing import Optional, Union
 
 from .syntax import (
@@ -84,6 +90,10 @@ class Domain(Node):
 
     def values(self) -> range:
         return range(self.lo, self.hi + 1)
+
+    def position(self, v: int) -> Optional[int]:
+        """The index of ``v`` in ``values()``, None outside the window."""
+        return v - self.lo if self.lo <= v <= self.hi else None
 
 
 class BoundedResult(Enum):
@@ -221,22 +231,76 @@ def value_leq(ty: SimpleType, a, b) -> bool:
     return all(value_leq(ty.ret, x, y) for x, y in zip(a.entries, b.entries))
 
 
-def _enumerate(ctx: "_EvalContext", ty: SimpleType) -> list:
+def _enumerate(ctx: "_EvalContext", ty: SimpleType) -> tuple:
     if isinstance(ty, IntType):
-        return list(ctx.dom.values())
+        return ctx.dom.values(), ctx.dom.position
     if isinstance(ty, PropType):
-        return [False, True]
-    assert isinstance(ty, Arrow)
-    args = ctx.enumeration(ty.arg)[0]
-    if len(args) > _ENUM_ARG_LIMIT:
-        raise IterationCap("enumeration")
-    rets = ctx.enumeration(ty.ret)[0]
-    if isinstance(ty.arg, IntType) and len(rets) ** len(args) > _ENUM_LIMIT:
-        # discrete argument order: the count is exact, fail fast
-        raise IterationCap("enumeration")
-    search = _TableSearch(ty, args, rets)
-    search.assign(0)
-    return search.out
+        values = [False, True]
+    else:
+        assert isinstance(ty, Arrow)
+        args = ctx.enumeration(ty.arg)[0]
+        if len(args) > _ENUM_ARG_LIMIT:
+            raise IterationCap("enumeration")
+        rets, ret_position = ctx.enumeration(ty.ret)
+        if isinstance(ty.arg, IntType):
+            if len(rets) ** len(args) > _ENUM_LIMIT:
+                # discrete argument order: the count is exact, fail fast
+                raise IterationCap("enumeration")
+            tables = _Product(ty.arg, rets, ret_position, len(args))
+            return tables, tables.position
+        search = _TableSearch(ty, list(args), list(rets))
+        search.assign(0)
+        values = search.out
+    return values, {v: i for i, v in enumerate(values)}.get
+
+
+class _Product:
+    """The tables of ``int -> ret`` over an ``n``-point window.  The
+    argument order is discrete, so every map is monotone and the tables are
+    the n-tuples of ``rets``, in lexicographic order: the order
+    ``_TableSearch`` would find them in.  None is stored.  Iterating or
+    indexing builds each table from its digits, and ``position`` reads a
+    table's rank off its entries, a mixed-radix numeral in base
+    ``len(rets)`` (Knuth, TAOCP 4A, 7.2.1.1)."""
+
+    __slots__ = ("arg_ty", "rets", "ret_position", "n")
+
+    def __init__(self, arg_ty: IntType, rets, ret_position, n: int):
+        self.arg_ty = arg_ty
+        self.rets = rets
+        self.ret_position = ret_position
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.rets) ** self.n
+
+    def __iter__(self):
+        return map(Table, repeat(self.arg_ty), product(self.rets, repeat=self.n))
+
+    def __getitem__(self, i: int) -> Table:
+        if not 0 <= i < len(self):
+            raise IndexError("table index out of range")
+        rets, base = self.rets, len(self.rets)
+        entries = [None] * self.n
+        for k in range(self.n - 1, -1, -1):
+            i, digit = divmod(i, base)
+            entries[k] = rets[digit]
+        return Table(self.arg_ty, tuple(entries))
+
+    def position(self, v) -> Optional[int]:
+        """The index of ``v``, or None when it is not one of the tables: a
+        value that is not a table, a table over another argument type or
+        of another length, or one with an entry outside ``rets`` (an
+        ``_ESC`` among them)."""
+        if v.__class__ is not Table or v.arg_ty != self.arg_ty or len(v.entries) != self.n:
+            return None
+        i, base, ret_position = 0, len(self.rets), self.ret_position
+        for e in v.entries:
+            digit = ret_position(e)
+            if digit is None:
+                return None
+            i = i * base + digit
+        return i
 
 
 class _TableSearch:
@@ -326,18 +390,21 @@ class _EvalContext:
         self.facts[id(f)] = got
         return got
 
-    def enumeration(self, ty: SimpleType) -> tuple[list, dict]:
-        """All semantic values of ``ty`` over the window, in enumeration
-        order, and the position of each, worked out once per context.
-        Function types are restricted to monotone tables (all maps are
-        monotone when the argument order is discrete).  Raises
-        IterationCap when they are too many, and remembers that too."""
+    def enumeration(self, ty: SimpleType) -> tuple:
+        """All semantic values of ``ty`` over the window, worked out once
+        per context: a sequence in enumeration order, and a function from a
+        value to its index in it, None for a value outside it.  Function
+        types are restricted to monotone tables (all maps are monotone when
+        the argument order is discrete).  Only a function space over a
+        non-integer argument is stored; the integers are the window's
+        ``range``, and the tables over an integer argument a ``_Product``.
+        Raises IterationCap when they are too many, and remembers that
+        too."""
         try:
             e = self.enumerations[ty]
         except KeyError:
             try:
-                values = _enumerate(self, ty)
-                e = values, {v: i for i, v in enumerate(values)}
+                e = _enumerate(self, ty)
             except IterationCap:
                 e = None
             self.enumerations[ty] = e
@@ -563,7 +630,7 @@ def apply_value(ctx: _EvalContext, f, a):
         return FixPartial(f.inst, held)
     if isinstance(f, Table):
         # None for a function outside the enumerated universe
-        idx = ctx.enumeration(f.arg_ty)[1].get(ctx.config_key(a))
+        idx = ctx.enumeration(f.arg_ty)[1](ctx.config_key(a))
         if idx is None:
             raise RangeEscape("argument outside the enumerated universe")
         entry = f.entries[idx]

@@ -107,6 +107,31 @@ class Node:
 set_field = object.__setattr__
 
 
+def json_text(v, indent: str = "") -> str:
+    """``v`` as ``json.dumps(v, indent=2)`` writes it, a ``Node`` record
+    as an object of its fields in slot order.  The standard library's
+    indenting encoder is built of nested functions that name one another,
+    a reference cycle on every call; this writes the layout itself and
+    hands the library only the leaves and the string keys, which it writes
+    without one."""
+    import json
+
+    if isinstance(v, Node):
+        v = {name: getattr(v, name) for name in v.__slots__}
+    inner = indent + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [f"{inner}{json.dumps(k)}: {json_text(x, inner)}" for k, x in v.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        items = [inner + json_text(x, inner) for x in v]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return json.dumps(v)
+
+
 # ---------------------------------------------------------------------------
 # Simple types
 

@@ -28,7 +28,7 @@ from typing import Optional
 from .syntax import (
     Abs, And, App, Exists, Forall, Formula, Ge, INT, IntExpr, IntType,
     Mu, Node, Nu, Or, PROP, SimpleType, Var, arg_types, arrow, free_vars,
-    int_free_vars, set_field,
+    int_free_vars, json_text, set_field,
 )
 
 
@@ -106,22 +106,20 @@ class TagDerivation(Node):
         )
 
     def to_json(self) -> str:
-        import json
-
-        payload = {
+        # each object's keys in sorted order, as approx_digests.json hashes them
+        return json_text({
+            "all_f": self.all_f,
             "binders": {n: _tag_json(t) for n, t in sorted(self.binder.items())},
             "mu_use_side": {
                 n: [_tag_json(t) for t in self.use_side(n)] for n in sorted(self.mus)
             },
-            "all_f": self.all_f,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        })
 
 
 def _tag_json(t: TaggedArg):
     if isinstance(t, TagInt):
         return "int"
-    return {"tag": "T" if t.tag else "F", "params": [_tag_json(p) for p in t.params]}
+    return {"params": [_tag_json(p) for p in t.params], "tag": "T" if t.tag else "F"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import gc
 import sys
-from types import FunctionType
 
 import pytest
 
@@ -367,18 +366,19 @@ def test_reports_share_default_rows_and_verdict_words():
 
 
 def test_tag_json_makes_no_cycle_of_its_own():
-    # json.dumps with an indent runs the standard library's Python encoder,
-    # whose nested functions make a cycle on every call; to_json adds none
+    # the standard library's indenting encoder leaves a cycle on every
+    # call; syntax.json_text writes the same bytes and makes none
     der = prepare(typecheck(parse_hes(fixture_text("partial_apply.hes"))))
     with gc_off():
         assert der.to_json()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            gc.collect()
-        finally:
-            gc.set_debug(0)
-        garbage, gc.garbage[:] = gc.garbage[:], []
-    assert {o.__module__ for o in garbage if isinstance(o, FunctionType)} <= {"json.encoder"}
+        assert gc.collect() == 0
+
+
+def test_json_report_makes_no_cycle_of_its_own():
+    r = _verify("countdown_scaled.hes", -8, 8)
+    with gc_off():
+        assert emit_report(r, "json")
+        assert gc.collect() == 0
 
 
 def test_lower_leaves_no_cyclic_garbage():

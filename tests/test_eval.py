@@ -10,12 +10,12 @@ import muhflz.eval
 from muhflz.convert import hes_to_formula
 from muhflz.eval import (
     BoundedResult, Closure, Domain, IterationCap, RangeEscape, Table, _ESC,
-    apply_value, check_validity_bounded, eval_formula, evaluate,
+    _TableSearch, apply_value, check_validity_bounded, eval_formula, evaluate,
     make_context, value_leq,
 )
 from muhflz.syntax import (
-    Abs, And, App, Arrow, Exists, Forall, Ge, INT, IntVar, Lit, Mu,
-    Nu, Or, Plus, PROP, SimpleType, Var,
+    Abs, And, App, Arrow, Exists, Forall, Ge, INT, IntType, IntVar, Lit, Mu,
+    Nu, Or, Plus, PROP, PropType, SimpleType, Var,
 )
 from muhflz.parser import parse_hes
 from muhflz.transform import dualize
@@ -123,6 +123,56 @@ def test_monotone_enumeration():
         assert is_monotone_table(t, PROP, dom)
     ints = ctx.enumeration(Arrow(INT, PROP))[0]
     assert len(ints) == 2 ** 5  # discrete argument: all maps are monotone
+
+
+def _searched(ty: SimpleType, dom: Domain) -> list:
+    """The values of ``ty``, its function spaces found by ``_TableSearch``
+    whatever their argument type."""
+    if isinstance(ty, IntType):
+        return list(dom.values())
+    if isinstance(ty, PropType):
+        return [False, True]
+    search = _TableSearch(ty, _searched(ty.arg, dom), _searched(ty.ret, dom))
+    search.assign(0)
+    return search.out
+
+
+@pytest.mark.parametrize("ty", [Arrow(INT, PROP), Arrow(INT, Arrow(INT, PROP))], ids=str)
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_integer_function_space_is_the_searched_product(ty, points):
+    # over an integer argument the tables are the product of the result's
+    # values: the ones the search finds, in its order, each at its index
+    dom = Domain(0, points - 1)
+    want = _searched(ty, dom)
+    tables, position = make_context(dom).enumeration(ty)
+    assert len(tables) == len(want)
+    assert list(tables) == want
+    for i, t in enumerate(want):
+        assert tables[i] == t
+        assert position(t) == i
+    # non-members: an escaped entry (in an inner table too), one entry too
+    # many, another argument type, values that are not tables
+    t = want[-1]
+    escaped = [Table(INT, (*t.entries[:-1], _ESC))]
+    if isinstance(ty.ret, Arrow):
+        escaped.append(Table(INT, (*t.entries[:-1], Table(INT, (_ESC,) * points))))
+    others = [*escaped, Table(INT, (*t.entries, t.entries[0])), Table(PROP, t.entries), True, 0]
+    for v in others:
+        assert position(v) is None
+
+
+def test_an_integer_function_space_keeps_no_table():
+    # the tables of int -> prop are built as they are read, so enumerating
+    # them keeps none: not the 2,048 on 0..10, nor the 32,768 on 0..14
+    pred = Arrow(INT, PROP)
+    with gc_off():
+        before = sum(1 for o in gc.get_objects() if type(o) is Table)
+        ctx = make_context(Domain(0, 10))
+        assert len(ctx.enumeration(pred)[0]) == 2 ** 11
+        assert sum(1 for o in gc.get_objects() if type(o) is Table) == before
+        ctx = make_context(Domain(0, 14))
+        assert len(ctx.enumeration(pred)[0]) == 2 ** 15
+        assert sum(1 for o in gc.get_objects() if type(o) is Table) == before
 
 
 def test_produced_tables_are_monotone():
@@ -395,9 +445,9 @@ def test_a_forced_table_is_found_among_the_enumerated():
     ctx = make_context(Domain(-2, 2))
     t = ctx.force_table(eval_formula(ctx, Abs("y", INT, Ge(IntVar("y"), Lit(0))), {}))
     assert t.entries == (False, False, True, True, True)
-    values, index = ctx.enumeration(pred)
-    assert t in index
-    assert values[index[t]] == t and values[index[t]] is not t
+    values, position = ctx.enumeration(pred)
+    assert position(t) is not None
+    assert values[position(t)] == t and values[position(t)] is not t
     at0 = ctx.force_table(eval_formula(ctx, Abs("p", pred, App(Var("p"), Lit(0))), {}))
     assert apply_value(ctx, at0, t) is True
 
