@@ -38,17 +38,18 @@ code plus the values it holds, and ``_EvalContext.key`` keys it by both.
 The context caches each forced table under that key, in
 ``forced_partials``; an escaping entry is ``_ESC``.  A table is a plain
 value, equal to any table with the same argument type and entries.  The
-context works out each type's enumeration at most once, and stores the
-tables of a function space only when its argument is not an integer: over
-an integer argument every map is monotone, so the space is a product of
-the result's values, whose tables are built as they are read and ranked by
-arithmetic (``_Product``).  Nothing outlives an evaluation:
-this module keeps no state of its own, and makes no reference cycle, so
-reference counting frees an evaluation's context, instances and tables
-when it returns.  No nested function here names itself, which would make
-its closure a cycle (``_TableSearch`` recurses as a method); tier-1
-checks both, in ``tests/test_nested_cycles.py`` and the cyclic-garbage
-tests of ``tests/test_driver.py``.
+context works out each type's enumeration at most once: a map from each
+value to its index.  It stores the tables of a function space only when
+its argument is not an integer: over an integer argument every map is
+monotone, so the space is a product of the result's values, whose tables
+are built as they are read and indexed by arithmetic (``_Product``).
+Nothing outlives an evaluation: this module keeps no state of its own,
+and makes no reference cycle, so reference counting frees an
+evaluation's context, instances and tables when it returns.  No nested
+function here names itself, which would make its closure a cycle
+(``_TableSearch`` recurses as a method); tier-1 checks both, in
+``tests/test_nested_cycles.py`` and the cyclic-garbage tests of
+``tests/test_driver.py``.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class Domain(Node):
 
     def values(self) -> range:
         return range(self.lo, self.hi + 1)
-
-    def position(self, v: int) -> Optional[int]:
-        """The index of ``v`` in ``values()``, None outside the window."""
-        return v - self.lo if self.lo <= v <= self.hi else None
 
 
 class BoundedResult(Enum):
@@ -231,44 +228,40 @@ def value_leq(ty: SimpleType, a, b) -> bool:
     return all(value_leq(ty.ret, x, y) for x, y in zip(a.entries, b.entries))
 
 
-def _enumerate(ctx: "_EvalContext", ty: SimpleType) -> tuple:
+def _enumerate(ctx: "_EvalContext", ty: SimpleType):
     if isinstance(ty, IntType):
-        return ctx.dom.values(), ctx.dom.position
+        return {v: i for i, v in enumerate(ctx.dom.values())}
     if isinstance(ty, PropType):
-        values = [False, True]
-    else:
-        assert isinstance(ty, Arrow)
-        args = ctx.enumeration(ty.arg)[0]
-        if len(args) > _ENUM_ARG_LIMIT:
+        return {False: 0, True: 1}
+    assert isinstance(ty, Arrow)
+    args = ctx.enumeration(ty.arg)
+    if len(args) > _ENUM_ARG_LIMIT:
+        raise IterationCap("enumeration")
+    rets = ctx.enumeration(ty.ret)
+    if isinstance(ty.arg, IntType):
+        if len(rets) ** len(args) > _ENUM_LIMIT:
+            # discrete argument order: the count is exact, fail fast
             raise IterationCap("enumeration")
-        rets, ret_position = ctx.enumeration(ty.ret)
-        if isinstance(ty.arg, IntType):
-            if len(rets) ** len(args) > _ENUM_LIMIT:
-                # discrete argument order: the count is exact, fail fast
-                raise IterationCap("enumeration")
-            tables = _Product(ty.arg, rets, ret_position, len(args))
-            return tables, tables.position
-        search = _TableSearch(ty, list(args), list(rets))
-        search.assign(0)
-        values = search.out
-    return values, {v: i for i, v in enumerate(values)}.get
+        return _Product(ty.arg, rets, len(args))
+    search = _TableSearch(ty, list(args), list(rets))
+    search.assign(0)
+    return {t: i for i, t in enumerate(search.out)}
 
 
 class _Product:
     """The tables of ``int -> ret`` over an ``n``-point window.  The
     argument order is discrete, so every map is monotone and the tables are
     the n-tuples of ``rets``, in lexicographic order: the order
-    ``_TableSearch`` would find them in.  None is stored.  Iterating or
-    indexing builds each table from its digits, and ``position`` reads a
-    table's rank off its entries, a mixed-radix numeral in base
-    ``len(rets)`` (Knuth, TAOCP 4A, 7.2.1.1)."""
+    ``_TableSearch`` would find them in.  None is stored.  Iterating builds
+    each table from its digits, and ``get`` reads a table's index off its
+    entries, a mixed-radix numeral in base ``len(rets)`` (Knuth, TAOCP 4A,
+    7.2.1.1)."""
 
-    __slots__ = ("arg_ty", "rets", "ret_position", "n")
+    __slots__ = ("arg_ty", "rets", "n")
 
-    def __init__(self, arg_ty: IntType, rets, ret_position, n: int):
+    def __init__(self, arg_ty: IntType, rets, n: int):
         self.arg_ty = arg_ty
         self.rets = rets
-        self.ret_position = ret_position
         self.n = n
 
     def __len__(self) -> int:
@@ -277,26 +270,16 @@ class _Product:
     def __iter__(self):
         return map(Table, repeat(self.arg_ty), product(self.rets, repeat=self.n))
 
-    def __getitem__(self, i: int) -> Table:
-        if not 0 <= i < len(self):
-            raise IndexError("table index out of range")
-        rets, base = self.rets, len(self.rets)
-        entries = [None] * self.n
-        for k in range(self.n - 1, -1, -1):
-            i, digit = divmod(i, base)
-            entries[k] = rets[digit]
-        return Table(self.arg_ty, tuple(entries))
-
-    def position(self, v) -> Optional[int]:
+    def get(self, v) -> Optional[int]:
         """The index of ``v``, or None when it is not one of the tables: a
         value that is not a table, a table over another argument type or
         of another length, or one with an entry outside ``rets`` (an
         ``_ESC`` among them)."""
         if v.__class__ is not Table or v.arg_ty != self.arg_ty or len(v.entries) != self.n:
             return None
-        i, base, ret_position = 0, len(self.rets), self.ret_position
+        i, base, rets = 0, len(self.rets), self.rets
         for e in v.entries:
-            digit = ret_position(e)
+            digit = rets.get(e)
             if digit is None:
                 return None
             i = i * base + digit
@@ -306,42 +289,31 @@ class _Product:
 class _TableSearch:
     """The monotone tables of an arrow type, found by backtracking: each
     argument's entry is chosen in turn, in the order of ``rets``, so that
-    it is consistent with the entries already chosen for the arguments
-    below and above it."""
+    it is above the entries of the arguments below it.  Every enumeration
+    lists a value after each value below it, so those arguments come
+    earlier and already have their entries, and no argument above it has
+    one yet: only the arguments below can constrain the choice."""
 
     def __init__(self, ty: Arrow, args: list, rets: list):
-        n = len(args)
         self.ty, self.rets = ty, rets
         self.below = [
-            [j for j in range(n) if j != i and value_leq(ty.arg, args[j], args[i])]
-            for i in range(n)
+            [j for j in range(i) if value_leq(ty.arg, args[j], args[i])]
+            for i in range(len(args))
         ]
-        self.above = [
-            [j for j in range(n) if j != i and value_leq(ty.arg, args[i], args[j])]
-            for i in range(n)
-        ]
-        self.entries: list = [None] * n
+        self.entries: list = [None] * len(args)
         self.out: list = []
 
     def assign(self, i: int):
         ty, entries, out = self.ty, self.entries, self.out
-        if len(out) > _ENUM_LIMIT:
-            raise IterationCap("enumeration")
         if i == len(entries):
             out.append(Table(ty.arg, tuple(entries)))
+            if len(out) > _ENUM_LIMIT:
+                raise IterationCap("enumeration")
             return
         for r in self.rets:
-            ok = all(
-                entries[j] is None or value_leq(ty.ret, entries[j], r)
-                for j in self.below[i]
-            ) and all(
-                entries[j] is None or value_leq(ty.ret, r, entries[j])
-                for j in self.above[i]
-            )
-            if ok:
+            if all(value_leq(ty.ret, entries[j], r) for j in self.below[i]):
                 entries[i] = r
                 self.assign(i + 1)
-                entries[i] = None
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +333,8 @@ class _EvalContext:
         self.deadline = deadline
         self.instances: dict = {}
         self.forced_partials: dict = {}
-        # per type, its values and their positions (``enumeration``), or
-        # None where there are too many
+        # per type, its values mapped to their indices (``enumeration``),
+        # or None where there are too many
         self.enumerations: dict = {}
         # per node, what evaluation needs beyond its fields (``facts_of``);
         # keyed by id(), as the formulas evaluated here outlive the context
@@ -390,16 +362,16 @@ class _EvalContext:
         self.facts[id(f)] = got
         return got
 
-    def enumeration(self, ty: SimpleType) -> tuple:
+    def enumeration(self, ty: SimpleType):
         """All semantic values of ``ty`` over the window, worked out once
-        per context: a sequence in enumeration order, and a function from a
-        value to its index in it, None for a value outside it.  Function
-        types are restricted to monotone tables (all maps are monotone when
-        the argument order is discrete).  Only a function space over a
-        non-integer argument is stored; the integers are the window's
-        ``range``, and the tables over an integer argument a ``_Product``.
-        Raises IterationCap when they are too many, and remembers that
-        too."""
+        per context: a map from each value to its index, iterated in
+        enumeration order, whose ``get`` gives None for a value outside
+        it.  Function types are restricted to monotone tables (all maps
+        are monotone when the argument order is discrete), and every
+        enumeration lists a value after each value below it.  Each is a
+        dict but a function space over an integer argument, a
+        ``_Product`` that stores no table.  Raises IterationCap when they
+        are too many, and remembers that too."""
         try:
             e = self.enumerations[ty]
         except KeyError:
@@ -438,7 +410,7 @@ class _EvalContext:
         t = self.forced_partials.get(key)
         if t is None:
             entries = []
-            for a in self.enumeration(v.arg_ty)[0]:
+            for a in self.enumeration(v.arg_ty):
                 try:
                     entries.append(self.config_key(apply_value(self, v, a)))
                 except RangeEscape:
@@ -630,7 +602,7 @@ def apply_value(ctx: _EvalContext, f, a):
         return FixPartial(f.inst, held)
     if isinstance(f, Table):
         # None for a function outside the enumerated universe
-        idx = ctx.enumeration(f.arg_ty)[1](ctx.config_key(a))
+        idx = ctx.enumeration(f.arg_ty).get(ctx.config_key(a))
         if idx is None:
             raise RangeEscape("argument outside the enumerated universe")
         entry = f.entries[idx]

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from muhflz.eval import (
 )
 from muhflz.syntax import (
     Abs, And, App, Arrow, Exists, Forall, Ge, INT, IntType, IntVar, Lit, Mu,
-    Nu, Or, Plus, PROP, PropType, SimpleType, Var,
+    Nu, Or, Plus, PROP, PropType, SimpleType, TRUE, Var,
 )
 from muhflz.parser import parse_hes
 from muhflz.transform import dualize
@@ -24,7 +25,7 @@ from muhflz.typecheck import typecheck
 
 def is_monotone_table(t: Table, ret: SimpleType, dom: Domain) -> bool:
     # a table carries its argument type only, so the result type is given
-    args = make_context(dom).enumeration(t.arg_ty)[0]
+    args = list(make_context(dom).enumeration(t.arg_ty))
     n = len(args)
     for i in range(n):
         for j in range(n):
@@ -117,11 +118,11 @@ def test_mu_descent_out_of_window_is_false():
 def test_monotone_enumeration():
     dom = Domain(-2, 2)
     ctx = make_context(dom)
-    tables = ctx.enumeration(Arrow(PROP, PROP))[0]
+    tables = ctx.enumeration(Arrow(PROP, PROP))
     assert len(tables) == 3  # (F,F), (F,T), (T,T) but never (T,F)
     for t in tables:
         assert is_monotone_table(t, PROP, dom)
-    ints = ctx.enumeration(Arrow(INT, PROP))[0]
+    ints = ctx.enumeration(Arrow(INT, PROP))
     assert len(ints) == 2 ** 5  # discrete argument: all maps are monotone
 
 
@@ -144,12 +145,11 @@ def test_integer_function_space_is_the_searched_product(ty, points):
     # values: the ones the search finds, in its order, each at its index
     dom = Domain(0, points - 1)
     want = _searched(ty, dom)
-    tables, position = make_context(dom).enumeration(ty)
+    tables = make_context(dom).enumeration(ty)
     assert len(tables) == len(want)
     assert list(tables) == want
     for i, t in enumerate(want):
-        assert tables[i] == t
-        assert position(t) == i
+        assert tables.get(t) == i
     # non-members: an escaped entry (in an inner table too), one entry too
     # many, another argument type, values that are not tables
     t = want[-1]
@@ -158,7 +158,63 @@ def test_integer_function_space_is_the_searched_product(ty, points):
         escaped.append(Table(INT, (*t.entries[:-1], Table(INT, (_ESC,) * points))))
     others = [*escaped, Table(INT, (*t.entries, t.entries[0])), Table(PROP, t.entries), True, 0]
     for v in others:
-        assert position(v) is None
+        assert tables.get(v) is None
+
+
+_PP = Arrow(PROP, PROP)
+_IP = Arrow(INT, PROP)
+
+
+def test_the_search_caps_at_the_limit(monkeypatch):
+    # prop -> prop has 3 tables over 2 arguments: a limit of 2 tables or
+    # of 1 argument refuses it, a limit of 3 tables does not
+    monkeypatch.setattr(muhflz.eval, "_ENUM_LIMIT", 2)
+    with pytest.raises(IterationCap, match="enumeration"):
+        make_context(Domain(0, 0)).enumeration(_PP)
+    monkeypatch.setattr(muhflz.eval, "_ENUM_LIMIT", 3)
+    assert len(make_context(Domain(0, 0)).enumeration(_PP)) == 3
+    monkeypatch.setattr(muhflz.eval, "_ENUM_ARG_LIMIT", 1)
+    with pytest.raises(IterationCap, match="enumeration"):
+        make_context(Domain(0, 0)).enumeration(_PP)
+
+
+@pytest.mark.parametrize("ty", [
+    _PP, Arrow(PROP, _PP), Arrow(_PP, PROP), Arrow(_PP, _PP), Arrow(_IP, PROP),
+    Arrow(Arrow(_PP, PROP), PROP), Arrow(Arrow(_IP, PROP), PROP),
+], ids=str)
+@pytest.mark.parametrize("points", [1, 2])
+def test_a_function_space_is_the_monotone_part_of_the_product(ty, points):
+    # the search checks an argument's entry only against the arguments
+    # below it, whose entries it has already chosen.  It must find every
+    # monotone tuple of the product, in the product's order, and list no
+    # value after one above it: so an argument is enumerated after those
+    # below it.
+    ctx = make_context(Domain(0, points - 1))
+    args, rets = list(ctx.enumeration(ty.arg)), list(ctx.enumeration(ty.ret))
+    pairs = [
+        (i, j) for i, a in enumerate(args) for j, b in enumerate(args)
+        if value_leq(ty.arg, a, b)
+    ]
+    want = [
+        Table(ty.arg, e) for e in product(rets, repeat=len(args))
+        if all(value_leq(ty.ret, e[i], e[j]) for i, j in pairs)
+    ]
+    got = list(ctx.enumeration(ty))
+    assert got == want
+    assert not any(value_leq(ty, v, u) for i, u in enumerate(got) for v in got[i + 1:])
+
+
+def test_a_table_is_applied_at_a_searched_argument():
+    # \q. q true, forced over the searched tables of prop -> prop, reads
+    # its argument's index there: the identity is among them, a table that
+    # is not monotone is not
+    ctx = make_context(Domain(0, 0))
+    at_true = Abs("q", _PP, App(Var("q"), TRUE))
+    t = ctx.force_table(eval_formula(ctx, at_true, {}))
+    identity = eval_formula(ctx, Abs("x", PROP, Var("x")), {})
+    assert apply_value(ctx, t, identity) is True
+    with pytest.raises(RangeEscape, match="universe"):
+        apply_value(ctx, t, Table(PROP, (True, False)))
 
 
 def test_an_integer_function_space_keeps_no_table():
@@ -168,10 +224,10 @@ def test_an_integer_function_space_keeps_no_table():
     with gc_off():
         before = sum(1 for o in gc.get_objects() if type(o) is Table)
         ctx = make_context(Domain(0, 10))
-        assert len(ctx.enumeration(pred)[0]) == 2 ** 11
+        assert len(ctx.enumeration(pred)) == 2 ** 11
         assert sum(1 for o in gc.get_objects() if type(o) is Table) == before
         ctx = make_context(Domain(0, 14))
-        assert len(ctx.enumeration(pred)[0]) == 2 ** 15
+        assert len(ctx.enumeration(pred)) == 2 ** 15
         assert sum(1 for o in gc.get_objects() if type(o) is Table) == before
 
 
@@ -261,7 +317,7 @@ def test_non_recursive_instances_keep_nothing():
         tables = [(v, ctx.forced_partials[ctx.key(v)]) for v in closures.values()]
         assert forced and {t for _, t in tables} == forced
         for v, t in tables:
-            for a, entry in zip(ctx.enumeration(t.arg_ty)[0], t.entries):
+            for a, entry in zip(ctx.enumeration(t.arg_ty), t.entries):
                 try:
                     direct = apply_value(ctx, v, a)
                 except RangeEscape:
@@ -296,7 +352,7 @@ Succ x k =v x (\y. k (y + 1));
     assert isinstance(p, Closure)
     (t,) = key
     assert t is ctx.forced_partials[ctx.key(p)]
-    for a, entry in zip(ctx.enumeration(t.arg_ty)[0], t.entries):
+    for a, entry in zip(ctx.enumeration(t.arg_ty), t.entries):
         try:
             direct = apply_value(ctx, p, a)
         except RangeEscape:
@@ -445,9 +501,11 @@ def test_a_forced_table_is_found_among_the_enumerated():
     ctx = make_context(Domain(-2, 2))
     t = ctx.force_table(eval_formula(ctx, Abs("y", INT, Ge(IntVar("y"), Lit(0))), {}))
     assert t.entries == (False, False, True, True, True)
-    values, position = ctx.enumeration(pred)
-    assert position(t) is not None
-    assert values[position(t)] == t and values[position(t)] is not t
+    tables = ctx.enumeration(pred)
+    i = tables.get(t)
+    assert i is not None
+    found = list(tables)[i]
+    assert found == t and found is not t
     at0 = ctx.force_table(eval_formula(ctx, Abs("p", pred, App(Var("p"), Lit(0))), {}))
     assert apply_value(ctx, at0, t) is True
 
